@@ -84,15 +84,17 @@ impl Kernel {
     /// the current signal, if any.
     fn promote(&mut self, pid: Pid, tid: Tid) -> Option<usize> {
         let proc = self.procs.get_mut(&pid.0)?;
-        // Compute the promotion mask first: ignored signals are not
-        // promotable unless traced (tracing must observe them).
-        let mut ignored = proc.actions.ignored_set();
-        ignored.subtract(&proc.trace.sig_trace);
         let (cursig, held) = {
             let lwp = proc.lwp(tid)?;
             (lwp.cursig, lwp.held)
         };
-        if cursig.is_none() {
+        // Every quantum ends here, and almost never with a signal
+        // pending, so the promotion mask — ignored signals are not
+        // promotable unless traced (tracing must observe them) — is
+        // built only when there is something to promote.
+        if cursig.is_none() && !proc.pending.is_empty() {
+            let mut ignored = proc.actions.ignored_set();
+            ignored.subtract(&proc.trace.sig_trace);
             if let Some(sig) = proc.pending.first_not_in(&held, &ignored) {
                 proc.pending.del(sig);
                 let lwp = proc.lwp_mut(tid)?;

@@ -2494,40 +2494,39 @@ impl ProcBus<'_> {
         BusFault { addr: d.addr(), access, kind }
     }
 
-    /// Decodes the instruction at `pc` for the block builder. Probes the
-    /// icache first (with the usual hit/stale/miss accounting), then
-    /// falls back to a `kernel_read` of the bytes. Building must be free
-    /// of user-visible side effects — a predicted-but-never-executed pc
-    /// must not grow the stack or consume watchpoint state — so this
-    /// never goes through `Bus::fetch`. Block-eligible pages
-    /// (`sblock_slot`) are mapped, unwatched text, so for reachable pcs
-    /// the read cannot fail; any failure simply ends the trace.
-    fn decode_for_block(&mut self, pc: u64) -> Option<isa::Insn> {
-        if let Some(s) = self.icache.probe(pc) {
-            if s.as_gen == self.asp.generation()
-                && self.asp.page_epoch_at(s.map_idx as usize, pc) == Some(s.epoch)
-                && self.store.shared().content_gen == s.content_gen
+    /// Decodes the instruction at `pc` for the block builder from
+    /// `text`, the block's root page as [`vm::AddressSpace::text_page`]
+    /// lent it. Probes the icache first, with the usual hit/stale/miss
+    /// accounting; `stamp` carries the root page's generation, mapping
+    /// index, epoch and content generation, which the builder resolved
+    /// once, so validating a hit and stamping a fill need no lookup.
+    /// Building must be free of user-visible side effects — a
+    /// predicted-but-never-executed pc must not grow the stack or
+    /// consume watchpoint state — so this never goes through
+    /// `Bus::fetch`. An undecodable word ends the trace.
+    fn decode_for_block(
+        icache: &mut isa::InsnCache,
+        text: &[u8; vm::PAGE_SIZE as usize],
+        stamp: isa::InsnSlot,
+        pc: u64,
+    ) -> Option<isa::Insn> {
+        if let Some(s) = icache.probe(pc) {
+            if s.as_gen == stamp.as_gen
+                && s.map_idx == stamp.map_idx
+                && s.epoch == stamp.epoch
+                && s.content_gen == stamp.content_gen
             {
                 let insn = s.insn;
-                self.icache.note_hit();
+                icache.note_hit();
                 return Some(insn);
             }
-            self.icache.note_stale();
+            icache.note_stale();
         }
-        let mut raw = [0u8; isa::INSN_LEN as usize];
-        self.asp.kernel_read(self.store.shared(), pc, &mut raw).ok()?;
-        let insn = isa::Insn::decode(&raw)?;
-        self.icache.note_miss();
-        if let Some((map_idx, epoch)) = self.asp.exec_slot(pc, isa::INSN_LEN) {
-            self.icache.insert(isa::InsnSlot {
-                pc,
-                as_gen: self.asp.generation(),
-                map_idx: map_idx as u32,
-                epoch,
-                content_gen: self.store.shared().content_gen,
-                insn,
-            });
-        }
+        let off = (pc % vm::PAGE_SIZE) as usize;
+        let raw = text.get(off..off + isa::INSN_LEN as usize)?;
+        let insn = isa::Insn::decode(raw.try_into().ok()?)?;
+        icache.note_miss();
+        icache.insert(isa::InsnSlot { pc, insn, ..stamp });
         Some(insn)
     }
 
@@ -2558,42 +2557,53 @@ impl ProcBus<'_> {
     /// block-eligible (writable/shared/watched text, unmapped, or an
     /// undecodable first instruction).
     fn build_block(&mut self, start: u64, out: &mut [isa::BlockSlot; isa::SBLOCK_CAP]) -> usize {
-        let Some((map_idx, epoch)) = self.asp.sblock_slot(start, isa::INSN_LEN) else {
+        let ProcBus { asp, store, icache, sblocks } = self;
+        let Some((map_idx, epoch)) = asp.sblock_slot(start, isa::INSN_LEN) else {
             return 0;
         };
         let page = start / vm::PAGE_SIZE;
-        let mut slots: Vec<isa::BlockSlot> = Vec::with_capacity(isa::SBLOCK_CAP);
+        let store = store.shared();
+        // The whole trace stays on the root page: one lent page serves
+        // every decode, one epoch stamp covers every slot, and crossing
+        // into a page with different eligibility or epoch state would
+        // need its own validation.
+        let Some(text) = asp.text_page(store, map_idx, page) else {
+            return 0;
+        };
+        let stamp = isa::InsnSlot {
+            pc: start,
+            as_gen: asp.generation(),
+            map_idx: map_idx as u32,
+            epoch,
+            content_gen: store.content_gen,
+            insn: isa::Insn::bare(isa::Opcode::Nop),
+        };
+        let mut n = 0;
         let mut pc = start;
-        while slots.len() < isa::SBLOCK_CAP {
-            // The whole trace stays on the root page: one epoch stamp
-            // covers every slot, and crossing into a page with different
-            // eligibility or epoch state would need its own validation.
-            if pc / vm::PAGE_SIZE != page
-                || (pc + (isa::INSN_LEN - 1)) / vm::PAGE_SIZE != page
-            {
+        while n < isa::SBLOCK_CAP {
+            if pc / vm::PAGE_SIZE != page || (pc + (isa::INSN_LEN - 1)) / vm::PAGE_SIZE != page {
                 break;
             }
-            let Some(insn) = self.decode_for_block(pc) else { break };
-            slots.push(isa::BlockSlot { pc, insn });
+            let Some(insn) = Self::decode_for_block(icache, text, stamp, pc) else { break };
+            out[n] = isa::BlockSlot { pc, insn };
+            n += 1;
             match Self::static_next(insn, pc) {
                 Some(next) => pc = next,
                 None => break,
             }
         }
-        if slots.is_empty() {
+        if n == 0 {
             return 0;
         }
-        let n = slots.len();
-        out[..n].copy_from_slice(&slots);
-        self.sblocks.insert(isa::SuperBlock {
+        sblocks.insert(isa::SuperBlock {
             start_pc: start,
-            as_gen: self.asp.generation(),
-            map_idx: map_idx as u32,
+            as_gen: stamp.as_gen,
+            map_idx: stamp.map_idx,
             epoch,
-            content_gen: self.store.shared().content_gen,
-            slots,
+            content_gen: stamp.content_gen,
+            slots: out[..n].to_vec(),
         });
-        self.sblocks.note_dispatch();
+        sblocks.note_dispatch();
         n
     }
 }

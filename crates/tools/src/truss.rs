@@ -90,6 +90,12 @@ pub fn truss_command(
 
 /// Attaches to `pid` and traces it (and, with `follow`, its children)
 /// until every traced process exits or `max_events` is reached.
+///
+/// Every descriptor truss opened is closed before it returns, on every
+/// path, and each target is armed with run-on-last-close: a target
+/// still alive when truss stops following it is released, with its
+/// tracing flags cleared, instead of stopping at its next system call
+/// with nobody to resume it.
 pub fn truss_attach(
     sys: &mut System,
     ctl: Pid,
@@ -97,16 +103,35 @@ pub fn truss_attach(
     opts: &TrussOptions,
 ) -> SysResult<TrussReport> {
     let mut report = TrussReport::default();
+    let mut traced = Vec::new();
+    let result = follow(sys, ctl, pid, opts, &mut traced, &mut report);
+    for t in traced {
+        let _ = t.handle.close(sys);
+    }
+    result.map(|()| report)
+}
+
+/// The body of [`truss_attach`]: arms `pid` and services stops until
+/// done, leaving every handle it opened in `traced` for the caller to
+/// close.
+fn follow(
+    sys: &mut System,
+    ctl: Pid,
+    pid: Pid,
+    opts: &TrussOptions,
+    traced: &mut Vec<Traced>,
+    report: &mut TrussReport,
+) -> SysResult<()> {
     // The target can die between the caller naming it and the trace
     // arming — attach to a corpse reports the exit instead of erroring.
-    let mut traced = match arm(sys, ctl, pid, opts) {
-        Ok(t) => vec![t],
+    match arm(sys, ctl, pid, opts, traced) {
+        Ok(()) => {}
         Err(e) if target_gone(sys, pid, e) => {
-            push_exit(sys, pid, &mut report);
-            return Ok(report);
+            push_exit(sys, pid, report);
+            return Ok(());
         }
         Err(e) => return Err(e),
-    };
+    }
     let mut events = 0usize;
     while events < opts.max_events {
         // Anything left alive?
@@ -129,7 +154,7 @@ pub fn truss_attach(
                     // it best-effort and report its exit.
                     let _ = traced[i].handle.run(sys, PrRun::default());
                     let tpid = traced[i].handle.pid;
-                    push_exit(sys, tpid, &mut report);
+                    push_exit(sys, tpid, report);
                     traced[i].gone = true;
                     progressed = true;
                     continue;
@@ -137,11 +162,11 @@ pub fn truss_attach(
             };
             progressed = true;
             events += 1;
-            let new_child = service_stop(sys, &mut traced[i], &st, opts, &mut report)?;
+            let new_child = service_stop(sys, &mut traced[i], &st, opts, report)?;
             if let Some(child) = new_child {
                 if opts.follow {
-                    if let Ok(t) = arm_child(sys, ctl, child) {
-                        traced.push(t);
+                    if let Ok(handle) = ProcHandle::open_rw(sys, ctl, child) {
+                        traced.push(Traced { handle, pending: None, gone: false });
                     }
                 }
             }
@@ -153,7 +178,7 @@ pub fn truss_attach(
             }
         }
     }
-    Ok(report)
+    Ok(())
 }
 
 /// True when an error from a `/proc` operation means the target is gone
@@ -170,27 +195,36 @@ fn push_exit(sys: &System, pid: Pid, report: &mut TrussReport) {
     report.lines.push(format!("{:>5}: ** process exited, status {status:#06x} **", pid.0));
 }
 
-/// Opens and arms a fresh target: all syscalls at entry and exit, all
-/// signals, and (optionally) all faults.
-fn arm(sys: &mut System, ctl: Pid, pid: Pid, opts: &TrussOptions) -> SysResult<Traced> {
+/// Opens and arms a fresh target, pushing its handle onto `traced`
+/// even when arming fails so the caller closes it on every path:
+/// run-on-last-close first, so a partly armed target is still released
+/// by that close, then all syscalls at entry and exit, all signals, and
+/// (optionally) all faults. Followed children arrive already stopped
+/// (on fork exit) with every one of these flags inherited, so they are
+/// only opened.
+fn arm(
+    sys: &mut System,
+    ctl: Pid,
+    pid: Pid,
+    opts: &TrussOptions,
+    traced: &mut Vec<Traced>,
+) -> SysResult<()> {
     let mut handle = ProcHandle::open_rw(sys, ctl, pid)?;
-    handle.set_entry_trace(sys, SysSet::full())?;
-    handle.set_exit_trace(sys, SysSet::full())?;
-    handle.set_sig_trace(sys, SigSet::full())?;
-    if opts.faults {
-        handle.set_flt_trace(sys, FltSet::full())?;
-    }
-    if opts.follow {
-        handle.set_inherit_on_fork(sys, true)?;
-    }
-    Ok(Traced { handle, pending: None, gone: false })
-}
-
-/// A followed child arrives already stopped (on fork exit) with the
-/// tracing flags inherited; just open it.
-fn arm_child(sys: &mut System, ctl: Pid, pid: Pid) -> SysResult<Traced> {
-    let handle = ProcHandle::open_rw(sys, ctl, pid)?;
-    Ok(Traced { handle, pending: None, gone: false })
+    let armed = (|| {
+        handle.set_run_on_last_close(sys, true)?;
+        handle.set_entry_trace(sys, SysSet::full())?;
+        handle.set_exit_trace(sys, SysSet::full())?;
+        handle.set_sig_trace(sys, SigSet::full())?;
+        if opts.faults {
+            handle.set_flt_trace(sys, FltSet::full())?;
+        }
+        if opts.follow {
+            handle.set_inherit_on_fork(sys, true)?;
+        }
+        Ok(())
+    })();
+    traced.push(Traced { handle, pending: None, gone: false });
+    armed
 }
 
 /// Non-blocking stop check: returns the status if the target is stopped
@@ -408,5 +442,26 @@ mod tests {
         let opts = TrussOptions { max_events: 200, ..Default::default() };
         let report = truss_attach(&mut sys, ctl, pid, &opts).expect("attach");
         assert!(report.text().contains("getpid()"), "{}", report.text());
+    }
+
+    #[test]
+    fn event_cutoff_closes_descriptors_and_releases_the_target() {
+        let mut sys = crate::userland::boot_demo();
+        let getpid_loop = "_start:\n    movi rv, 20\n    syscall\n    jmp _start\n";
+        sys.install_program("/bin/getpids", getpid_loop);
+        let ctl = sys.spawn_hosted("truss", Cred::new(100, 10));
+        let pid = sys.spawn_program(ctl, "/bin/getpids", &["getpids"]).expect("spawn");
+        let opts = TrussOptions { max_events: 5, ..Default::default() };
+        let report = truss_attach(&mut sys, ctl, pid, &opts).expect("attach");
+        assert!(report.text().contains("getpid()"), "{}", report.text());
+        assert_eq!(sys.kernel.proc(ctl).expect("ctl").fds.iter().count(), 0);
+        let target = sys.kernel.proc(pid).expect("target");
+        assert!(!target.trace.any_tracing(), "run-on-last-close cleared the traces");
+        let insns = |sys: &System| -> u64 {
+            sys.kernel.proc(pid).expect("target").lwps.iter().map(|l| l.insns).sum()
+        };
+        let before = insns(&sys);
+        sys.run_idle(100);
+        assert!(insns(&sys) > before, "the released target runs on");
     }
 }

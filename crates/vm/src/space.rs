@@ -321,6 +321,50 @@ impl AddressSpace {
         Some((i, epoch))
     }
 
+    /// Lends the current contents of virtual page `vpage` of mapping
+    /// `idx` — the private overlay frame if the mapping has one for that
+    /// page, else the object page, else the zero page — so a decoder can
+    /// read a whole page of text without a [`AddressSpace::kernel_read`]
+    /// per instruction. The bytes are exactly what `kernel_read` would
+    /// return. `None` when `idx` is stale, the page lies outside the
+    /// mapping, or the page must come from the object and `obj_off` is
+    /// not page-aligned.
+    pub fn text_page<'a>(
+        &'a self,
+        store: &'a ObjectStore,
+        idx: usize,
+        vpage: u64,
+    ) -> Option<&'a [u8; PAGE_SIZE as usize]> {
+        static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+        let m = self.maps.get(idx)?;
+        if !m.contains(vpage.checked_mul(PAGE_SIZE)?) {
+            return None;
+        }
+        let frame = Self::backing_frame(m, store, vpage - m.base / PAGE_SIZE)?;
+        Some(frame.map_or(&ZERO_PAGE, PageFrame::bytes))
+    }
+
+    /// The frame backing mapping-relative page `rel_page` of `m`: the
+    /// private overlay frame if there is one, else the object's page,
+    /// `Some(None)` while the object has not materialised it. `None`
+    /// when the object page is needed but `obj_off` is not page-aligned,
+    /// so no single object page lines up with the virtual page.
+    fn backing_frame<'a>(
+        m: &'a Mapping,
+        store: &'a ObjectStore,
+        rel_page: u64,
+    ) -> Option<Option<&'a PageFrame>> {
+        if !m.flags.shared {
+            if let Some(frame) = m.overlay.get(&rel_page) {
+                return Some(Some(frame));
+            }
+        }
+        if !m.obj_off.is_multiple_of(PAGE_SIZE) {
+            return None;
+        }
+        Some(store.get(m.object).page(m.obj_off / PAGE_SIZE + rel_page))
+    }
+
     /// TLB probe: a hit returns the mapping index, and whether the page
     /// is watched, for an access wholly inside one page whose cached
     /// protections permit `mode`. On a watched hit the caller must run
@@ -405,21 +449,10 @@ impl AddressSpace {
     fn cache_frame(&mut self, store: &ObjectStore, mi: usize, addr: u64) {
         let m = &self.maps[mi];
         let vpage = addr / PAGE_SIZE;
-        let rel_page = vpage - m.base / PAGE_SIZE;
-        let frame = if m.flags.shared {
-            if !m.obj_off.is_multiple_of(PAGE_SIZE) {
-                return;
-            }
-            store.get(m.object).page_cloned(m.obj_off / PAGE_SIZE + rel_page)
-        } else if let Some(f) = m.overlay.get(&rel_page) {
-            Some(f.clone())
-        } else {
-            if !m.obj_off.is_multiple_of(PAGE_SIZE) {
-                return;
-            }
-            store.get(m.object).page_cloned(m.obj_off / PAGE_SIZE + rel_page)
+        let Some(Some(frame)) = Self::backing_frame(m, store, vpage - m.base / PAGE_SIZE) else {
+            return;
         };
-        let Some(frame) = frame else { return };
+        let frame = frame.clone();
         let frame_stamp = self.frame_gen;
         let e = &mut self.tlb[(vpage as usize) & (TLB_WAYS - 1)];
         if e.stamp == self.as_gen && e.vpage == vpage {
@@ -1700,6 +1733,52 @@ mod tests {
         assert!(a.sblock_slot(0x20000, 8).is_none(), "writable text accepted");
         assert!(a.sblock_slot(0x30000, 8).is_none(), "shared text accepted");
         assert!(a.exec_slot(0x20000, 8).is_some(), "icache still allows writable text");
+    }
+
+    #[test]
+    fn text_page_lends_the_overlay_frame_after_a_plant() {
+        let (mut a, mut s) = setup();
+        let obj = s.alloc_file(1, 1, "/bin/prog", &[7u8; 2 * PAGE_SIZE as usize]);
+        a.map_fixed(0x10000, 2 * PAGE_SIZE, Prot::RX, MapFlags::default(), obj, 0, SegName::Text)
+            .expect("map");
+        assert_eq!(a.text_page(&s, 0, 0x10).expect("object page")[0x10], 7);
+        a.kernel_write(&mut s, 0x10010, &[0xCC]).expect("plant");
+        let page = a.text_page(&s, 0, 0x10).expect("overlay page");
+        assert_eq!((page[0x0f], page[0x10]), (7, 0xCC), "the overlay frame must win");
+        assert_eq!(s.get(obj).page(0).expect("object page").bytes()[0x10], 7);
+        let mut word = [0u8; 8];
+        a.kernel_read(&s, 0x10010, &mut word).expect("read");
+        assert_eq!(&page[0x10..0x18], &word, "lent bytes differ from kernel_read");
+        // The untouched second page still comes from the object.
+        assert_eq!(a.text_page(&s, 0, 0x11).expect("page 1")[0x10], 7);
+    }
+
+    #[test]
+    fn text_page_reads_an_unmaterialised_page_as_zero() {
+        let (mut a, mut s) = setup();
+        let obj = s.alloc_file(1, 1, "/bin/prog", &[7u8; 8]);
+        a.map_fixed(0x10000, 2 * PAGE_SIZE, Prot::RX, MapFlags::default(), obj, 0, SegName::Text)
+            .expect("map");
+        assert!(s.get(obj).page(1).is_none());
+        let page = a.text_page(&s, 0, 0x11).expect("absent page");
+        assert!(page.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn text_page_refuses_stale_indices_foreign_pages_and_unaligned_objects() {
+        let (mut a, mut s) = setup();
+        let obj = s.alloc_file(1, 1, "/bin/prog", &[7u8; 2 * PAGE_SIZE as usize]);
+        s.incref(obj);
+        a.map_fixed(0x10000, PAGE_SIZE, Prot::RX, MapFlags::default(), obj, 0, SegName::Text)
+            .expect("aligned");
+        a.map_fixed(0x20000, PAGE_SIZE, Prot::RX, MapFlags::default(), obj, 8, SegName::Text)
+            .expect("unaligned");
+        assert!(a.text_page(&s, 0, 0x10).is_some());
+        assert!(a.text_page(&s, 2, 0x10).is_none(), "out-of-range index");
+        assert!(a.text_page(&s, 0, 0x11).is_none(), "page past the mapping's end");
+        assert!(a.text_page(&s, 0, 0x0f).is_none(), "page before the mapping's base");
+        assert!(a.text_page(&s, 0, u64::MAX).is_none(), "page address overflows");
+        assert!(a.text_page(&s, 1, 0x20).is_none(), "non-page-aligned obj_off");
     }
 
     /// Data written user-mode is read back identically through both
