@@ -10,25 +10,25 @@
 //! of every experiment above is retiring guest instructions, so E13
 //! tracks how fast the hot loop runs with the engine on vs. off, what
 //! the hit rates are, and how much of the stream retires inside
-//! superblocks. The dense-breakpoint table at the bottom isolates the
+//! superblocks. The dense-breakpoint row at the bottom isolates the
 //! per-page text epochs: a debugger hammering clear-step-replant
 //! cycles into one page must not invalidate blocks on the other pages
-//! of the mapping (`coarse` is the PR 5 whole-mapping behaviour, kept
-//! behind a knob for exactly this comparison).
+//! of the mapping (EXPERIMENTS.md E13 records the comparison against
+//! whole-mapping invalidation).
 //!
 //! Expected shape: ≥ 2× insns/sec on the hot loop (the smoke gate in
-//! `tests/bench_smoke.rs` enforces exactly that and drops
-//! `BENCH_E13.json` at the repo root); hit rates and superblock
-//! coverage within a whisker of 1.0 once the loop is warm; the paged
-//! leg of the dense-breakpoint table beating coarse on both rebuild
-//! count and hits/sec.
+//! `tests/bench_smoke.rs` enforces exactly that and writes
+//! `BENCH_E13.json` under the cargo target directory); hit rates and
+//! superblock coverage within a whisker of 1.0 once the loop is warm;
+//! the dense-breakpoint row rebuilding a few blocks per fielding, not
+//! the whole body.
 
 // Bench drivers are throwaway executables: a failed step should abort
 // the run loudly, so the harness-wide panic-free gate is waived here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 
-use bench_support::{banner, dense_breakpoint_pair, fast_path_pair};
+use bench_support::{banner, dense_breakpoint_best, fast_path_pair};
 use bench_support::{criterion_group, Criterion};
 
 fn print_rates() {
@@ -64,21 +64,11 @@ fn print_rates() {
             on.sblock_coverage(),
         );
     }
-    let (coarse, paged) = dense_breakpoint_pair(24, 3);
+    let p = dense_breakpoint_best(24, 3);
     println!("dense breakpoints (4-page loop, plant/replant into one page):");
-    for p in [&coarse, &paged] {
-        println!(
-            "  {:18} {:>8.1} hits/s   built {:>5}  stale {:>5}  epoch bumps {:>4}",
-            if p.coarse { "coarse (PR 5)" } else { "per-page epochs" },
-            p.hits_per_sec,
-            p.sblock_built,
-            p.sblock_stale,
-            p.page_epoch_bumps,
-        );
-    }
     println!(
-        "  per-page epochs vs coarse: {:.2}x hits/s",
-        paged.hits_per_sec / coarse.hits_per_sec
+        "  {:18} {:>8.1} hits/s   built {:>5}  stale {:>5}  epoch bumps {:>4}",
+        "per-page epochs", p.hits_per_sec, p.sblock_built, p.sblock_stale, p.page_epoch_bumps,
     );
 }
 

@@ -20,7 +20,7 @@
 //! legs (the recorder must not perturb the run); snapshot-path goto
 //! replaying ≤ cadence records vs the full log for the rebuild, with
 //! wall time to match. `tests/bench_smoke.rs` gates exactly that and
-//! drops `BENCH_E14.json` at the repo root.
+//! writes `BENCH_E14.json` under the cargo target directory.
 
 // Bench drivers are throwaway executables: a failed step should abort
 // the run loudly, so the harness-wide panic-free gate is waived here.

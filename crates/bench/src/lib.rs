@@ -661,8 +661,7 @@ const INSNS_PER_PAGE: usize = 4096 / 8;
 /// several pages of straight-line code and `tick` sits alone on its own
 /// page. Every breakpoint fielding writes into `tick`'s page twice
 /// (clear + replant); with per-page text epochs the body's superblocks
-/// survive those writes, with whole-mapping epochs they all die and
-/// rebuild each fielding.
+/// survive those writes.
 fn dense_workload_src(body_insns: usize) -> String {
     let mut src = String::from("_start:\n    movi a0, 0\nouter:\n");
     for _ in 0..body_insns {
@@ -680,15 +679,12 @@ fn dense_workload_src(body_insns: usize) -> String {
     src
 }
 
-/// One leg of the dense-breakpoint comparison (E1's metric under E13's
-/// engine): wall-clock breakpoints/sec on the multi-page workload, with
-/// text-epoch invalidation either per-page (the shipped policy) or
-/// coarse whole-mapping (the PR 5 behaviour, kept behind a knob for
-/// exactly this measurement).
+/// The dense-breakpoint measurement (E1's metric under E13's engine):
+/// wall-clock breakpoints/sec on the multi-page workload under per-page
+/// text epochs, with the superblock and epoch counters that show the
+/// body's blocks surviving the plant/replant traffic.
 #[derive(Clone, Copy, Debug)]
 pub struct DenseBpPoint {
-    /// Whether whole-mapping (coarse) invalidation was forced.
-    pub coarse: bool,
     /// Fielded breakpoints per wall-clock second.
     pub hits_per_sec: f64,
     /// Superblocks rebuilt during the timed fieldings.
@@ -699,14 +695,12 @@ pub struct DenseBpPoint {
     pub page_epoch_bumps: u64,
 }
 
-/// Measures one dense-breakpoint leg: `hits` fieldings of a breakpoint
-/// on `tick`, fast path on, with `coarse` selecting the invalidation
-/// granularity. The compute body is ~4 pages of straight-line code, so
-/// a coarse leg re-traces every body superblock after each fielding's
-/// clear/replant writes while the per-page leg keeps them warm.
-pub fn dense_breakpoint_point(coarse: bool, hits: u64) -> DenseBpPoint {
-    let (mut sys, ctl) =
-        boot_with_ctl_cfg(ksim::SimConfig::standard().fast_path(true).coarse_epochs(coarse));
+/// Measures one dense-breakpoint run: `hits` fieldings of a breakpoint
+/// on `tick`, fast path on. The compute body is ~4 pages of
+/// straight-line code that the clear/replant writes into `tick`'s page
+/// must leave warm.
+pub fn dense_breakpoint_point(hits: u64) -> DenseBpPoint {
+    let (mut sys, ctl) = boot_with_ctl_cfg(ksim::SimConfig::standard().fast_path(true));
     sys.install_program("/bin/dense", &dense_workload_src(4 * INSNS_PER_PAGE));
     let mut dbg =
         setup(tools::Debugger::launch(&mut sys, ctl, "/bin/dense", &["dense"]), "launch");
@@ -728,7 +722,6 @@ pub fn dense_breakpoint_point(coarse: bool, hits: u64) -> DenseBpPoint {
     let wall_ns = start.elapsed().as_nanos().max(1);
     let after = setup(procfs::PrXStats::capture(&sys.kernel, pid), "xstats");
     DenseBpPoint {
-        coarse,
         hits_per_sec: hits as f64 * 1e9 / wall_ns as f64,
         sblock_built: after.sblock_built - before.sblock_built,
         sblock_stale: after.sblock_stale - before.sblock_stale,
@@ -736,16 +729,13 @@ pub fn dense_breakpoint_point(coarse: bool, hits: u64) -> DenseBpPoint {
     }
 }
 
-/// Both granularities of the dense-breakpoint comparison, best-of-`reps`
-/// wall rate each; counters come from the best rep.
-pub fn dense_breakpoint_pair(hits: u64, reps: usize) -> (DenseBpPoint, DenseBpPoint) {
-    let best = |coarse: bool| {
-        (0..reps.max(1))
-            .map(|_| dense_breakpoint_point(coarse, hits))
-            .max_by(|a, b| a.hits_per_sec.total_cmp(&b.hits_per_sec))
-            .unwrap_or_else(|| unreachable!("reps.max(1) yields at least one rep"))
-    };
-    (best(true), best(false))
+/// The dense-breakpoint measurement, best-of-`reps` wall rate; counters
+/// come from the best rep.
+pub fn dense_breakpoint_best(hits: u64, reps: usize) -> DenseBpPoint {
+    (0..reps.max(1))
+        .map(|_| dense_breakpoint_point(hits))
+        .max_by(|a, b| a.hits_per_sec.total_cmp(&b.hits_per_sec))
+        .unwrap_or_else(|| unreachable!("reps.max(1) yields at least one rep"))
 }
 
 /// One leg of the E14 record-overhead comparison: the same workload
@@ -990,14 +980,13 @@ pub fn recfile_point(snapshot_every: usize, ticks: u64, reps: usize) -> RecfileP
 }
 
 /// One E16 shard-sweep point: a farm of compute-bound spinners driven
-/// for `ticks` scheduler rounds at a given shard count, timed on the
-/// wall clock around `run_idle` only. `shards == 0` is the legacy
-/// single-slice engine (the pre-PR-10 baseline row); `shards >= 1` is
-/// the gang-round engine, whose guest-visible results are identical at
-/// every shard count — only the wall-clock rate may differ.
+/// for a `run_idle` budget of `ticks` slices at a given shard count,
+/// timed on the wall clock around `run_idle` only. Guest-visible results
+/// are identical at every shard count — only the wall-clock rate may
+/// differ.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardPoint {
-    /// Shard count (0 = legacy engine).
+    /// Speculation worker threads.
     pub shards: u32,
     /// Guest processes in the farm.
     pub guests: usize,
@@ -1028,7 +1017,7 @@ fn farm_insns(sys: &System) -> u64 {
 
 /// Measures one E16 spin-farm point: `guests` copies of `/bin/spin`
 /// (pure user work, the embarrassingly parallel best case) driven for
-/// `ticks` rounds.
+/// a budget of `ticks` slices.
 pub fn shard_sweep_point(shards: u32, guests: usize, ticks: u64) -> ShardPoint {
     let (mut sys, ctl) = boot_with_ctl_cfg(shard_cfg(shards));
     for _ in 0..guests {

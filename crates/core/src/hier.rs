@@ -428,7 +428,7 @@ impl HierFs {
             if pos + 8 > data.len() {
                 return Err(Errno::EINVAL);
             }
-            let len = crate::bytes::le_u32(&data[pos + 4..])
+            let len = ksim::bytes::le_u32(&data[pos + 4..])
                 as usize;
             if len > MAX_CTL_PAYLOAD || pos + 8 + len > data.len() {
                 return Err(Errno::EINVAL);
@@ -783,9 +783,9 @@ impl FileSystem<Kernel> for HierFs {
                 Self::check_ctl_framing(&data[pos.min(data.len())..])?;
                 while pos < data.len() {
                     let op =
-                        crate::bytes::le_u32(&data[pos..]);
+                        ksim::bytes::le_u32(&data[pos..]);
                     let len =
-                        crate::bytes::le_u32(&data[pos + 4..])
+                        ksim::bytes::le_u32(&data[pos + 4..])
                             as usize;
                     let payload = &data[pos + 8..pos + 8 + len];
                     match Self::exec_ctl(k, cur, pid, ctl_tid, op, payload) {

@@ -29,7 +29,6 @@
 // the broken invariant. Test modules opt back in with a local `allow`.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-mod bytes;
 pub mod fsimpl;
 pub mod hier;
 pub mod ioctl;

@@ -201,12 +201,12 @@ fn read_u32(arg: &[u8]) -> SysResult<u32> {
     if arg.len() < 4 {
         return Err(Errno::EINVAL);
     }
-    Ok(crate::bytes::le_u32(arg))
+    Ok(ksim::bytes::le_u32(arg))
 }
 
 fn read_u64(arg: &[u8]) -> SysResult<u64> {
     if arg.len() < 8 {
         return Err(Errno::EINVAL);
     }
-    Ok(crate::bytes::le_u64(arg))
+    Ok(ksim::bytes::le_u64(arg))
 }

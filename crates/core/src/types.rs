@@ -144,9 +144,9 @@ impl PrStatus {
         if b.len() < Self::WIRE_LEN {
             return None;
         }
-        let u32_at = |o: usize| crate::bytes::le_u32(&b[o..]);
-        let u16_at = |o: usize| crate::bytes::le_u16(&b[o..]);
-        let u64_at = |o: usize| crate::bytes::le_u64(&b[o..]);
+        let u32_at = |o: usize| ksim::bytes::le_u32(&b[o..]);
+        let u16_at = |o: usize| ksim::bytes::le_u16(&b[o..]);
+        let u64_at = |o: usize| ksim::bytes::le_u64(&b[o..]);
         Some(PrStatus {
             flags: u32_at(0),
             why: PrWhy::from_u16(u16_at(4)),
@@ -312,8 +312,8 @@ impl PsInfo {
         if b.len() < Self::WIRE_LEN {
             return None;
         }
-        let u32_at = |o: usize| crate::bytes::le_u32(&b[o..]);
-        let u64_at = |o: usize| crate::bytes::le_u64(&b[o..]);
+        let u32_at = |o: usize| ksim::bytes::le_u32(&b[o..]);
+        let u64_at = |o: usize| ksim::bytes::le_u64(&b[o..]);
         let cstr = |range: &[u8]| {
             let end = range.iter().position(|&c| c == 0).unwrap_or(range.len());
             String::from_utf8_lossy(&range[..end]).into_owned()
@@ -412,8 +412,8 @@ impl PrMap {
         if b.len() < Self::WIRE_LEN {
             return None;
         }
-        let u64_at = |o: usize| crate::bytes::le_u64(&b[o..]);
-        let u32_at = |o: usize| crate::bytes::le_u32(&b[o..]);
+        let u64_at = |o: usize| ksim::bytes::le_u64(&b[o..]);
+        let u32_at = |o: usize| ksim::bytes::le_u32(&b[o..]);
         let end = b[32..32 + MAPNAME_LEN].iter().position(|&c| c == 0).unwrap_or(MAPNAME_LEN);
         Some(PrMap {
             vaddr: u64_at(0),
@@ -494,7 +494,7 @@ impl PrCred {
         if b.len() < Self::WIRE_LEN {
             return None;
         }
-        let u32_at = |o: usize| crate::bytes::le_u32(&b[o..]);
+        let u32_at = |o: usize| ksim::bytes::le_u32(&b[o..]);
         Some(PrCred {
             ruid: u32_at(0),
             euid: u32_at(4),
@@ -567,8 +567,8 @@ impl PrRun {
             return None;
         }
         Some(PrRun {
-            flags: crate::bytes::le_u32(b),
-            vaddr: crate::bytes::le_u64(&b[8..]),
+            flags: ksim::bytes::le_u32(b),
+            vaddr: ksim::bytes::le_u64(&b[8..]),
         })
     }
 
@@ -617,9 +617,9 @@ impl PrWatch {
             return None;
         }
         Some(PrWatch {
-            vaddr: crate::bytes::le_u64(b),
-            size: crate::bytes::le_u64(&b[8..]),
-            flags: crate::bytes::le_u32(&b[16..]),
+            vaddr: ksim::bytes::le_u64(b),
+            size: ksim::bytes::le_u64(&b[8..]),
+            flags: ksim::bytes::le_u32(&b[16..]),
         })
     }
 }
@@ -666,7 +666,7 @@ impl PrUsage {
         if b.len() < Self::WIRE_LEN {
             return None;
         }
-        let u64_at = |o: usize| crate::bytes::le_u64(&b[o..]);
+        let u64_at = |o: usize| ksim::bytes::le_u64(&b[o..]);
         Some(PrUsage {
             cpu_ticks: u64_at(0),
             nlwp: u64_at(8),
@@ -724,7 +724,7 @@ impl PrCacheStats {
         if b.len() < Self::WIRE_LEN {
             return None;
         }
-        let u64_at = |o: usize| crate::bytes::le_u64(&b[o..]);
+        let u64_at = |o: usize| ksim::bytes::le_u64(&b[o..]);
         Some(PrCacheStats {
             hits: u64_at(0),
             misses: u64_at(8),
@@ -817,7 +817,7 @@ impl PrXStats {
         if b.len() < Self::WIRE_LEN {
             return None;
         }
-        let u64_at = |o: usize| crate::bytes::le_u64(&b[o..]);
+        let u64_at = |o: usize| ksim::bytes::le_u64(&b[o..]);
         Some(PrXStats {
             enabled: u64_at(0),
             tlb_hits: u64_at(8),

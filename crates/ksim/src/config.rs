@@ -1,11 +1,11 @@
 //! Unified construction-time configuration for a simulated system.
 //!
-//! PRs 2–7 accreted one-off `System` knobs — `set_fast_path`,
-//! `set_coarse_epochs`, the kernel and wire `FaultPlan` installers,
-//! `with_queue_caps` — each set imperatively at a different point in a
-//! test's setup. [`SimConfig`] collapses them into one declarative value
-//! consumed once at construction ([`crate::System::with_config`]), which
-//! is also exactly what the record/replay subsystem needs: the config is
+//! PRs 2–7 accreted one-off `System` knobs — `set_fast_path`, the
+//! kernel and wire `FaultPlan` installers, `with_queue_caps` — each set
+//! imperatively at a different point in a test's setup. [`SimConfig`]
+//! collapses them into one declarative value consumed once at
+//! construction ([`crate::System::with_config`]), which is also exactly
+//! what the record/replay subsystem needs: the config is
 //! recorded verbatim at the head of a [`crate::record::Recording`], so
 //! replaying a run starts from a byte-identical machine.
 
@@ -61,9 +61,6 @@ pub struct SimConfig {
     /// Execution fast path (software TLB + decoded-instruction cache +
     /// superblocks) for every process.
     pub fast_path: bool,
-    /// Bench-only: PR 5's whole-mapping invalidation policy instead of
-    /// per-page text epochs.
-    pub coarse_epochs: bool,
     /// Kernel fault schedule; `None` consumes no generator state.
     pub kernel_faults: Option<KernelFaultSpec>,
     /// Record every nondeterministic input for replay.
@@ -73,21 +70,22 @@ pub struct SimConfig {
     pub snapshot_every: usize,
     /// Mounts to establish at construction, in order.
     pub mounts: Vec<(String, MountPlan)>,
-    /// Scheduler shards. 0 (the default) keeps the legacy one-LWP-per-
-    /// step loop; `n >= 1` switches `System::step` to the gang-round
-    /// engine, whose speculative user slices run on up to `n` host
-    /// worker threads. The *logical* schedule depends only on
-    /// `interleave_seed`, never on `n`: any two shard counts produce
-    /// byte-identical transcripts for the same seed.
+    /// Host worker threads for the scheduler's speculative user slices
+    /// (1, the default, runs them on the calling thread; 0 acts as 1).
+    /// Every `System::step` is one gang round whatever the value, and
+    /// the *logical* schedule never depends on it: any two shard counts
+    /// produce byte-identical transcripts for the same `interleave_seed`.
     pub shards: u32,
     /// Seed for the round engine's commit-order permutation. Part of the
     /// recorded config: a replay at a different shard count but the same
     /// seed replays the same interleaving.
     pub interleave_seed: u64,
-    /// Scheduling quanta per speculative slice in one round (round
-    /// engine only). Larger batches amortise the per-round thread fork;
-    /// the value changes the schedule (slice length) but, like
-    /// `quantum`, not its shard-count independence.
+    /// Scheduling quanta each selected LWP runs per gang round (1, the
+    /// default; 0 acts as 1). Larger batches amortise the per-round
+    /// thread fork but make a controller waiting on one stop pay for
+    /// every runnable guest's whole batch; the value changes the
+    /// schedule (slice length) but, like `quantum`, not its shard-count
+    /// independence.
     pub shard_batch: u32,
 }
 
@@ -97,14 +95,13 @@ impl Default for SimConfig {
             quantum: 256,
             pump_limit: 1_000_000,
             fast_path: true,
-            coarse_epochs: false,
             kernel_faults: None,
             record: false,
             snapshot_every: 64,
             mounts: Vec::new(),
-            shards: 0,
+            shards: 1,
             interleave_seed: 0,
-            shard_batch: 4,
+            shard_batch: 1,
         }
     }
 }
@@ -147,12 +144,6 @@ impl SimConfig {
         self
     }
 
-    /// Selects the coarse (whole-mapping) invalidation policy.
-    pub fn coarse_epochs(mut self, on: bool) -> SimConfig {
-        self.coarse_epochs = on;
-        self
-    }
-
     /// Installs a kernel fault schedule.
     pub fn kernel_faults(mut self, seed: u64, rates: KernelFaultRates) -> SimConfig {
         self.kernel_faults = Some(KernelFaultSpec { seed, rates, targeted: false });
@@ -178,12 +169,12 @@ impl SimConfig {
         self
     }
 
-    /// Selects the sharded round engine with `n` worker shards (`0`
-    /// keeps the legacy loop). The schedule is shard-count independent:
+    /// Sets how many host worker threads speculate user slices (`0`
+    /// clamps to 1). The schedule is shard-count independent:
     /// `shards(1)` and `shards(8)` replay byte-identically for the same
     /// [`SimConfig::interleave_seed`].
     pub fn shards(mut self, n: u32) -> SimConfig {
-        self.shards = n;
+        self.shards = n.max(1);
         self
     }
 
@@ -206,7 +197,6 @@ impl SimConfig {
         out.extend_from_slice(&self.quantum.to_le_bytes());
         out.extend_from_slice(&self.pump_limit.to_le_bytes());
         out.push(self.fast_path as u8);
-        out.push(self.coarse_epochs as u8);
         match &self.kernel_faults {
             None => out.push(0),
             Some(f) => {
@@ -258,7 +248,6 @@ impl SimConfig {
             }
         };
         let fast_path = flag(r)?;
-        let coarse_epochs = flag(r)?;
         let kernel_faults = if flag(r)? {
             let seed = r.u64()?;
             let rates = KernelFaultRates {
@@ -299,7 +288,6 @@ impl SimConfig {
             quantum,
             pump_limit,
             fast_path,
-            coarse_epochs,
             kernel_faults,
             record: false,
             snapshot_every,

@@ -83,10 +83,6 @@ pub struct Kernel {
     /// for newly created processes. On by default; the differential
     /// oracle turns it off fleet-wide via `System::set_fast_path`.
     pub fast_path: bool,
-    /// Coarse (whole-mapping) invalidation policy for newly created
-    /// processes — the bench-only PR 5 comparison knob, applied at
-    /// construction through `SimConfig`.
-    pub coarse_epochs: bool,
     /// Attached input recorder; `None` means the run is not recorded.
     /// Boxed: the recorder carries the whole input log plus snapshots,
     /// and most kernels never have one.
@@ -100,8 +96,8 @@ pub struct Kernel {
     /// scheduler's timer check is O(1) when nothing is due.
     pub deadlines: crate::deadline::DeadlineHeap,
     /// Completed scheduler rounds; seeds the per-round commit
-    /// permutation of the sharded engine and rotates LWP selection, so
-    /// it must travel with snapshots to keep `goto_tick` deterministic.
+    /// permutation and rotates LWP selection, so it must travel with
+    /// snapshots to keep `goto_tick` deterministic.
     pub sched_rounds: u64,
 }
 
@@ -126,7 +122,6 @@ impl Clone for Kernel {
             images: self.images.clone(),
             fault_plan: self.fault_plan.clone(),
             fast_path: self.fast_path,
-            coarse_epochs: self.coarse_epochs,
             recorder: None,
             migrations: self.migrations.clone(),
             mig_stats: self.mig_stats,
@@ -197,7 +192,6 @@ impl Kernel {
         let lwp = Lwp::new(Tid(1), 0, 0);
         let mut aspace = vm::AddressSpace::new();
         aspace.set_fast_path(self.fast_path);
-        aspace.set_coarse_epochs(self.coarse_epochs);
         let proc = Proc {
             pid,
             ppid,

@@ -58,13 +58,12 @@ pub struct KernelFaultRates {
     /// per-step rate compounds over hundreds of steps, so uniform sweeps
     /// would be dominated by mid-op deaths. Opt in per plan.
     pub mid_op: u16,
-    /// *Controller*-death rate, rolled once per scheduler step inside
-    /// `System::step` (both the legacy loop and the sharded round
-    /// engine): a hosted controlling program itself can vanish between
-    /// two scheduler steps, exercising run-on-last-close release and
-    /// stopped-target cleanup. Per-step like `mid_op`, and excluded
-    /// from [`KernelFaultRates::uniform`] for the same compounding
-    /// reason.
+    /// *Controller*-death rate, rolled once per scheduler step (one
+    /// gang round) inside `System::step`: a hosted controlling program
+    /// itself can vanish between two scheduler steps, exercising
+    /// run-on-last-close release and stopped-target cleanup. Per-step
+    /// like `mid_op`, and excluded from [`KernelFaultRates::uniform`]
+    /// for the same compounding reason.
     pub controller_death: u16,
 }
 

@@ -35,7 +35,7 @@
 
 pub mod aout;
 pub mod bitset;
-mod bytes;
+pub mod bytes;
 pub mod ckpt;
 pub mod config;
 pub mod corefile;

@@ -77,30 +77,29 @@ pub struct System {
     /// Path-prefix mount table.
     pub mounts: MountTable,
     cpu: Cpu,
-    run_cursor: usize,
     /// Instructions per scheduling quantum.
     pub quantum: u64,
     /// Idle-step limit for hosted blocking calls before `EDEADLK`.
     pub pump_limit: u64,
-    /// Shard count for the gang-round scheduler; 0 selects the legacy
-    /// one-LWP-per-step loop (see [`SimConfig::shards`]).
+    /// Host worker threads that speculate a gang round's pure-user
+    /// slices (0 acts as 1; see [`SimConfig::shards`]). Never changes
+    /// the schedule.
     pub shards: u32,
-    /// Quanta each selected LWP runs per gang round.
+    /// Quanta each selected LWP runs per gang round (0 acts as 1).
     pub shard_batch: u32,
     /// Seed for the per-round commit permutation.
     pub interleave_seed: u64,
 }
 
-/// What one scheduler step actually did. `System::step` collapses this
-/// to a bool (`true` unless `Blocked`), preserving its original contract;
-/// budgeted drivers ([`System::run_until`], [`System::run_idle`]) use the
-/// full outcome so an idle fast-forward over a long sleep consumes
-/// budget in proportion to the simulated time it skipped, instead of
-/// counting as one step and letting a frozen frontier spin the budget
-/// away one tick-jump at a time.
+/// What one scheduler step (one gang round) actually did. `System::step`
+/// collapses this to a bool (`true` unless `Blocked`), preserving its
+/// original contract; budgeted drivers ([`System::run_until`],
+/// [`System::run_idle`]) charge a round by the slices it ran, and an
+/// idle fast-forward over a long sleep in proportion to the simulated
+/// time it skipped, instead of counting either as one step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepOutcome {
-    /// A slice (or gang round) of guest or kernel work ran.
+    /// A gang round of guest or kernel work ran.
     Ran,
     /// Nothing was runnable; the clock fast-forwarded `jumped` ticks to
     /// the next timer deadline.
@@ -128,13 +127,11 @@ impl System {
     pub fn with_config(cfg: SimConfig) -> System {
         let mut kernel = Kernel::new();
         kernel.fast_path = cfg.fast_path;
-        kernel.coarse_epochs = cfg.coarse_epochs;
         let mut sys = System {
             kernel,
             fss: vec![FsSlot::Mem(vfs::MemFs::new())],
             mounts: MountTable::new(),
             cpu: Cpu::new(),
-            run_cursor: 0,
             quantum: cfg.quantum,
             pump_limit: cfg.pump_limit,
             shards: cfg.shards,
@@ -318,11 +315,11 @@ impl System {
     // Scheduler
     // ------------------------------------------------------------------
 
-    /// Runs one scheduling step: fires timers, picks a runnable LWP and
-    /// runs it for up to one quantum. Returns false when nothing can make
-    /// progress (no runnable LWPs and no timed sleepers). When recording,
-    /// the step (and its progress bit and post-step clock) coalesces
-    /// into the trailing `Steps` record.
+    /// Runs one scheduling step — one gang round: fires timers, then
+    /// runs one slice of each process that has a runnable LWP. Returns
+    /// false when nothing can make progress (no runnable LWPs and no
+    /// timed sleepers). When recording, the step (and its progress bit
+    /// and post-step clock) coalesces into the trailing `Steps` record.
     pub fn step(&mut self) -> bool {
         !matches!(self.step_outcome(), StepOutcome::Blocked)
     }
@@ -330,8 +327,18 @@ impl System {
     /// Like [`System::step`], but reports *what* the step did — real
     /// work, an idle fast-forward (and how far), or no progress at all.
     pub fn step_outcome(&mut self) -> StepOutcome {
+        self.step_charged().0
+    }
+
+    /// One recorded step and its budget charge: a round costs one unit
+    /// per LWP slice it ran, so a unit means one quantum of one LWP at
+    /// the default `shard_batch`, however many guests share the round;
+    /// an idle fast-forward costs the simulated time it skipped, in
+    /// quantum units (minimum one). So `budget` bounds simulated work
+    /// whether the machine is busy or sleeping.
+    fn step_charged(&mut self) -> (StepOutcome, u64) {
         if !self.rec_active() {
-            return self.step_dispatch();
+            return self.step_round();
         }
         let will_extend = self
             .kernel
@@ -341,33 +348,14 @@ impl System {
             .unwrap_or(false);
         self.rec_snapshot_if_due(will_extend);
         self.rec_suppress(true);
-        let out = self.step_dispatch();
+        let out = self.step_round();
         self.rec_suppress(false);
         let clock = self.kernel.clock;
-        let ran = !matches!(out, StepOutcome::Blocked);
+        let ran = !matches!(out.0, StepOutcome::Blocked);
         if let Some(r) = self.kernel.recorder.as_mut() {
             r.commit_step(ran, clock);
         }
         out
-    }
-
-    fn step_dispatch(&mut self) -> StepOutcome {
-        if self.shards > 0 {
-            self.step_round()
-        } else {
-            self.step_inner()
-        }
-    }
-
-    fn step_inner(&mut self) -> StepOutcome {
-        self.kfault_controller_tick();
-        self.fire_timers();
-        self.autoreap_init_children();
-        let Some((pid, tid)) = self.pick_next() else {
-            return self.idle_jump();
-        };
-        self.run_slice(pid, tid);
-        StepOutcome::Ran
     }
 
     /// Idle: fast-forward to the next timed wakeup if one exists. A
@@ -375,29 +363,17 @@ impl System {
     /// jump — with nothing runnable that is a guaranteed spin, so it
     /// reports `Blocked` (it cannot happen after `fire_timers`, which
     /// drains everything due).
-    fn idle_jump(&mut self) -> StepOutcome {
+    fn idle_jump(&mut self) -> (StepOutcome, u64) {
         let Some(t) = self.next_deadline() else {
-            return StepOutcome::Blocked;
+            return (StepOutcome::Blocked, 0);
         };
         let jumped = t.saturating_sub(self.kernel.clock);
         if jumped == 0 {
-            return StepOutcome::Blocked;
+            return (StepOutcome::Blocked, 0);
         }
         self.kernel.clock += jumped;
         self.fire_timers();
-        StepOutcome::Idle { jumped }
-    }
-
-    /// Steps a budgeted driver loop: an idle fast-forward consumes
-    /// budget proportional to the simulated time it skipped (in quantum
-    /// units, minimum one), so `budget` bounds simulated work whether
-    /// the machine is busy or sleeping.
-    fn budget_charge(&self, out: StepOutcome) -> u64 {
-        match out {
-            StepOutcome::Ran => 1,
-            StepOutcome::Idle { jumped } => (jumped / self.quantum.max(1)).max(1),
-            StepOutcome::Blocked => 0,
-        }
+        (StepOutcome::Idle { jumped }, (jumped / self.quantum.max(1)).max(1))
     }
 
     /// Runs steps until `cond` holds or the budget is exhausted. Returns
@@ -408,9 +384,9 @@ impl System {
             if cond(self) {
                 return true;
             }
-            match self.step_outcome() {
-                StepOutcome::Blocked => return cond(self),
-                out => spent = spent.saturating_add(self.budget_charge(out)),
+            match self.step_charged() {
+                (StepOutcome::Blocked, _) => return cond(self),
+                (_, cost) => spent = spent.saturating_add(cost),
             }
         }
         cond(self)
@@ -420,9 +396,9 @@ impl System {
     pub fn run_idle(&mut self, budget: u64) {
         let mut spent = 0u64;
         while spent < budget {
-            match self.step_outcome() {
-                StepOutcome::Blocked => return,
-                out => spent = spent.saturating_add(self.budget_charge(out)),
+            match self.step_charged() {
+                (StepOutcome::Blocked, _) => return,
+                (_, cost) => spent = spent.saturating_add(cost),
             }
         }
     }
@@ -515,26 +491,6 @@ impl System {
         None
     }
 
-    fn pick_next(&mut self) -> Option<(Pid, Tid)> {
-        let mut candidates = Vec::new();
-        for proc in self.kernel.procs.values() {
-            if proc.hosted || proc.zombie {
-                continue;
-            }
-            for lwp in &proc.lwps {
-                if lwp.state == LwpState::Runnable {
-                    candidates.push((proc.pid, lwp.tid));
-                }
-            }
-        }
-        if candidates.is_empty() {
-            return None;
-        }
-        let pick = candidates[self.run_cursor % candidates.len()];
-        self.run_cursor = self.run_cursor.wrapping_add(1);
-        Some(pick)
-    }
-
     /// Runs one LWP for up to a quantum, handling its kernel entries.
     fn run_slice(&mut self, pid: Pid, tid: Tid) {
         // The LWP is about to run: registers, instruction counts and any
@@ -554,17 +510,17 @@ impl System {
         if has_syscall {
             self.continue_syscall(pid, tid);
         }
-        if !self.lwp_runnable(pid, tid) {
-            return;
-        }
-        // Phase B: the issig()/psig() gate before returning to user code.
-        let pending = self
+        let Some(pending) = self
             .kernel
             .proc(pid)
             .ok()
             .and_then(|p| p.lwp(tid))
+            .filter(|l| l.state == LwpState::Runnable)
             .map(|l| l.user_return_pending)
-            .unwrap_or(false);
+        else {
+            return;
+        };
+        // Phase B: the issig()/psig() gate before returning to user code.
         if pending {
             loop {
                 match self.kernel.issig(pid, tid) {
@@ -586,45 +542,17 @@ impl System {
             }
         }
         // Phase C/D: run user code.
-        let quantum = self.quantum;
-        let System { kernel, cpu, .. } = self;
-        let Kernel { procs, objects, .. } = kernel;
-        let Some(proc) = procs.get_mut(&pid.0) else { return };
-        let crate::proc::Proc { aspace, lwps, cpu_time, .. } = proc;
-        let Some(lwp) = lwps.iter_mut().find(|l| l.tid == tid) else {
-            return;
-        };
-        if lwp.single_step {
-            lwp.gregs.psr |= PSR_TRACE;
-        }
-        let crate::proc::Lwp { gregs, fpregs, icache, sblocks, insns, .. } = lwp;
-        let mut bus = ProcBus { asp: aspace, store: StoreRef::Full(objects), icache, sblocks };
-        let (n, exit) = cpu.run(gregs, fpregs, &mut bus, quantum);
-        *cpu_time += n;
-        *insns += n;
-        kernel.clock += n.max(1);
-        match exit {
-            RunExit::Quantum => {
-                // A clock interrupt is a kernel entry: honour directives
-                // and pending signals before the next user slice.
-                if let Some(l) = kernel
-                    .proc_mut(pid)
-                    .ok()
-                    .and_then(|p| p.lwp_mut(tid))
-                {
-                    l.user_return_pending = true;
-                }
-            }
-            RunExit::Event(ev) => self.handle_trap(pid, tid, ev),
-        }
+        self.run_user(pid, tid, self.quantum);
     }
 
     /// Runs user code only — no signal gate, no syscall continuation —
-    /// for up to `budget` instructions with full store access. This is
-    /// the serial tail of a speculative slice that stalled on the frozen
-    /// store: the gang round already ran the kernel-entry phases, so the
-    /// remainder is pure re-execution from the stalled pc.
-    fn run_user_burst(&mut self, pid: Pid, tid: Tid, budget: u64) {
+    /// for up to `budget` instructions with full store access, then
+    /// takes the kernel entry that ended it. This is the user phase of
+    /// [`System::run_slice`], and also the serial tail of a speculative
+    /// slice that stalled on the frozen store: the gang round already
+    /// ran the kernel-entry phases, so the remainder is pure
+    /// re-execution from the stalled pc.
+    fn run_user(&mut self, pid: Pid, tid: Tid, budget: u64) {
         let System { kernel, cpu, .. } = self;
         let Kernel { procs, objects, .. } = kernel;
         let Some(proc) = procs.get_mut(&pid.0) else { return };
@@ -638,6 +566,9 @@ impl System {
         if lwp.state != LwpState::Runnable {
             return;
         }
+        if lwp.single_step {
+            lwp.gregs.psr |= PSR_TRACE;
+        }
         let crate::proc::Lwp { gregs, fpregs, icache, sblocks, insns, .. } = lwp;
         let mut bus = ProcBus { asp: aspace, store: StoreRef::Full(objects), icache, sblocks };
         let (n, exit) = cpu.run(gregs, fpregs, &mut bus, budget.max(1));
@@ -646,6 +577,8 @@ impl System {
         kernel.clock += n.max(1);
         match exit {
             RunExit::Quantum => {
+                // A clock interrupt is a kernel entry: honour directives
+                // and pending signals before the next user slice.
                 if let Some(l) = kernel.proc_mut(pid).ok().and_then(|p| p.lwp_mut(tid)) {
                     l.user_return_pending = true;
                 }
@@ -654,17 +587,8 @@ impl System {
         }
     }
 
-    fn lwp_runnable(&self, pid: Pid, tid: Tid) -> bool {
-        self.kernel
-            .proc(pid)
-            .ok()
-            .and_then(|p| p.lwp(tid))
-            .map(|l| l.state == LwpState::Runnable)
-            .unwrap_or(false)
-    }
-
     // ------------------------------------------------------------------
-    // Gang-round scheduler (shards > 0)
+    // Gang-round scheduler
     // ------------------------------------------------------------------
 
     /// True when the slice is *pure user*: the next thing this LWP does
@@ -684,105 +608,89 @@ impl System {
             && !lwp.single_step
     }
 
-    /// One gang round of the sharded scheduler (`shards > 0`).
+    /// One gang round: the scheduler's only step. Returns the outcome
+    /// and its budget charge (the number of slices run, or the idle
+    /// jump's cost).
     ///
     /// Selection picks one runnable LWP per non-hosted process (rotated
     /// by round number, so multi-LWP processes interleave). Pure-user
-    /// slices are speculated in parallel — partitioned `pid % shards`
-    /// onto host threads, each running up to `shard_batch` quanta
-    /// against the round-start state with a frozen store view — while
-    /// slices owing a kernel entry wait for the serial phase. The
-    /// commit phase then applies *every* slice's kernel effect in an
-    /// order drawn from the seeded interleave permutation.
+    /// slices are speculated — partitioned `pid % shards` onto host
+    /// threads, each running up to `shard_batch` quanta against the
+    /// round-start state with a frozen store view — while slices owing
+    /// a kernel entry wait for the serial phase. The commit phase then
+    /// applies *every* slice's kernel effect in an order drawn from the
+    /// seeded interleave permutation.
     ///
     /// Determinism: commit order is a pure function of
-    /// `(interleave_seed, round)`, speculation sees only round-start
+    /// `(interleave_seed, round)`, the round counter lives in the kernel
+    /// (so snapshots capture it), speculation sees only round-start
     /// state, and aborted speculation (`BusFaultKind::Frozen`) re-runs
     /// serially — so transcripts, digests and replay are byte-identical
     /// across shard counts and host thread timing for a given seed.
-    fn step_round(&mut self) -> StepOutcome {
+    fn step_round(&mut self) -> (StepOutcome, u64) {
         self.kfault_controller_tick();
         self.fire_timers();
         self.autoreap_init_children();
         let round = self.kernel.sched_rounds;
         self.kernel.sched_rounds = round.wrapping_add(1);
 
-        let mut eligible: Vec<(Pid, Tid)> = Vec::new();
+        // Both lists come out in ascending pid order (the table is a
+        // BTreeMap), which the speculation phase below relies on. Each
+        // eligible slice carries the slot its speculated outcome lands in.
+        let mut eligible = Vec::new();
         let mut serial: Vec<(Pid, Tid)> = Vec::new();
         for proc in self.kernel.procs.values() {
             if proc.hosted || proc.zombie {
                 continue;
             }
-            let runnable: Vec<&crate::proc::Lwp> =
-                proc.lwps.iter().filter(|l| l.state == LwpState::Runnable).collect();
-            if runnable.is_empty() {
+            let runnable = proc.lwps.iter().filter(|l| l.state == LwpState::Runnable);
+            let n = runnable.clone().count();
+            let Some(lwp) = runnable.clone().nth((round % n.max(1) as u64) as usize) else {
                 continue;
-            }
-            let lwp = runnable[(round % runnable.len() as u64) as usize];
+            };
             if Self::slice_eligible(proc, lwp) {
-                eligible.push((proc.pid, lwp.tid));
+                eligible.push((proc.pid, lwp.tid, None));
             } else {
                 serial.push((proc.pid, lwp.tid));
             }
         }
-        if eligible.is_empty() && serial.is_empty() {
+        let speculated = eligible.len();
+        let total = speculated + serial.len();
+        if total == 0 {
             return self.idle_jump();
         }
 
         // Parallel phase: speculate the pure-user slices, sharded by pid.
         let batch = self.quantum.saturating_mul(self.shard_batch.max(1) as u64);
         let shards = self.shards.max(1) as usize;
-        let mut results: Vec<Option<(u64, RunExit)>> =
-            (0..eligible.len()).map(|_| None).collect();
         {
             let Kernel { procs, objects, .. } = &mut self.kernel;
-            let mut want: std::collections::BTreeMap<u32, (Tid, usize)> = eligible
-                .iter()
-                .enumerate()
-                .map(|(i, (p, t))| (p.0, (*t, i)))
-                .collect();
-            let mut buckets: Vec<Vec<(usize, Tid, &mut crate::proc::Proc)>> =
-                (0..shards).map(|_| Vec::new()).collect();
-            for (pid, proc) in procs.iter_mut() {
-                if let Some((tid, idx)) = want.remove(pid) {
-                    buckets[(*pid as usize) % shards].push((idx, tid, proc));
-                }
-            }
             let objs: &vm::ObjectStore = objects;
-            let live: Vec<_> = buckets.into_iter().filter(|b| !b.is_empty()).collect();
-            if live.len() <= 1 {
-                // One shard's worth of work: run it on this thread. This
-                // is also the `shards=1` path, which therefore executes
+            // Merge the pid-ordered `eligible` list against the table.
+            let mut want = eligible.iter_mut().peekable();
+            let picked = procs.iter_mut().filter_map(|(pid, proc)| {
+                let (_, tid, slot) = want.next_if(|(p, _, _)| p.0 == *pid)?;
+                Some((slot, *tid, proc))
+            });
+            if shards == 1 || speculated <= 1 {
+                // One worker's worth of work: run it on this thread, with
                 // the identical speculate-then-commit algorithm.
-                for bucket in live {
-                    for (idx, tid, proc) in bucket {
-                        results[idx] = spec_slice(proc, tid, objs, batch);
-                    }
+                for (slot, tid, proc) in picked {
+                    *slot = spec_slice(proc, tid, objs, batch);
                 }
             } else {
+                let mut buckets: Vec<Vec<_>> = (0..shards).map(|_| Vec::new()).collect();
+                for (slot, tid, proc) in picked {
+                    buckets[(proc.pid.0 as usize) % shards].push((slot, tid, proc));
+                }
+                // The scope joins every worker and re-raises any panic.
                 std::thread::scope(|s| {
-                    let handles: Vec<_> = live
-                        .into_iter()
-                        .map(|bucket| {
-                            s.spawn(move || {
-                                bucket
-                                    .into_iter()
-                                    .map(|(idx, tid, proc)| {
-                                        (idx, spec_slice(proc, tid, objs, batch))
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        match h.join() {
-                            Ok(rs) => {
-                                for (idx, r) in rs {
-                                    results[idx] = r;
-                                }
+                    for bucket in buckets.into_iter().filter(|b| !b.is_empty()) {
+                        s.spawn(move || {
+                            for (slot, tid, proc) in bucket {
+                                *slot = spec_slice(proc, tid, objs, batch);
                             }
-                            Err(p) => std::panic::resume_unwind(p),
-                        }
+                        });
                     }
                 });
             }
@@ -790,19 +698,17 @@ impl System {
 
         // Commit phase: the seeded interleaving decides the order in
         // which this round's slices take their kernel effects.
-        let total = eligible.len() + serial.len();
         for idx in commit_order(total, self.interleave_seed, round) {
-            if idx < eligible.len() {
-                let (pid, tid) = eligible[idx];
-                if let Some((n, exit)) = results[idx].take() {
-                    self.commit_spec(pid, tid, n, exit, batch);
+            if let Some((pid, tid, spec)) = eligible.get_mut(idx) {
+                if let Some((n, exit)) = spec.take() {
+                    self.commit_spec(*pid, *tid, n, exit, batch);
                 }
             } else {
-                let (pid, tid) = serial[idx - eligible.len()];
+                let (pid, tid) = serial[idx - speculated];
                 self.run_slice(pid, tid);
             }
         }
-        StepOutcome::Ran
+        (StepOutcome::Ran, total as u64)
     }
 
     /// Applies one speculated slice's outcome at its commit slot: the
@@ -819,7 +725,7 @@ impl System {
             if bf.kind == BusFaultKind::Frozen {
                 self.kernel.clock += n;
                 if alive {
-                    self.run_user_burst(pid, tid, batch.saturating_sub(n));
+                    self.run_user(pid, tid, batch.saturating_sub(n));
                 } else {
                     self.kernel.clock += 1;
                 }
@@ -931,7 +837,7 @@ impl System {
             // ever leaks here, re-running with the full store is the
             // correct (and side-effect-free) recovery.
             BusFaultKind::Frozen => {
-                self.run_user_burst(pid, tid, 1);
+                self.run_user(pid, tid, 1);
                 return;
             }
         };
@@ -2431,8 +2337,8 @@ fn commit_order(len: usize, seed: u64, round: u64) -> Vec<usize> {
     order
 }
 
-/// The object store as a bus sees it: the legacy engine and the serial
-/// commit phase hold it mutably (COW materialisation, stack growth and
+/// The object store as a bus sees it: serial slices and the commit
+/// phase hold it mutably (COW materialisation, stack growth and
 /// shared writes all work in place), while speculative gang-round slices
 /// hold a frozen shared view — any access that would have to mutate the
 /// store aborts the slice with [`BusFaultKind::Frozen`] instead.

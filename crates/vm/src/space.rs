@@ -133,12 +133,8 @@ pub struct AddressSpace {
     /// and never revisits 0.
     frame_gen: u64,
     /// Count of per-page content-epoch bumps (`PIOCXSTATS` reports it;
-    /// the dense-breakpoint bench reads it to show per-page beating
-    /// whole-mapping invalidation).
+    /// the dense-breakpoint bench reads it).
     page_epoch_bumps: u64,
-    /// Bench-only knob: emulate PR 5's whole-mapping invalidation by
-    /// bumping every page epoch of a mapping on any write into it.
-    coarse_epochs: bool,
 }
 
 impl Default for AddressSpace {
@@ -156,7 +152,6 @@ impl Default for AddressSpace {
             tlb_stats: TlbStats::default(),
             frame_gen: 1,
             page_epoch_bumps: 0,
-            coarse_epochs: false,
         }
     }
 }
@@ -258,14 +253,6 @@ impl AddressSpace {
     #[inline]
     pub fn page_epoch_bumps(&self) -> u64 {
         self.page_epoch_bumps
-    }
-
-    /// Bench-only knob: when set, any write into a mapping bumps *every*
-    /// page epoch of that mapping, emulating the whole-mapping
-    /// invalidation this design replaced. The dense-breakpoint benchmark
-    /// flips this to measure the difference in one binary.
-    pub fn set_coarse_epochs(&mut self, on: bool) {
-        self.coarse_epochs = on;
     }
 
     /// The content epoch of the page containing `addr` within mapping
@@ -874,7 +861,6 @@ impl AddressSpace {
         // materialisation, object writes): cached frame pointers in TLB
         // lines must re-resolve.
         self.bump_frame_gen();
-        let coarse = self.coarse_epochs;
         let mut done = 0usize;
         let mut pos = addr;
         let end = addr + data.len() as u64;
@@ -894,15 +880,8 @@ impl AddressSpace {
                 // the same mapping survive. Non-exec pages have no
                 // decode consumers and skip the bump.
                 if m.prot.exec {
-                    if coarse {
-                        for p in 0..(m.len / PAGE_SIZE) {
-                            m.bump_page_epoch(p);
-                        }
-                        bumps += m.len / PAGE_SIZE;
-                    } else {
-                        m.bump_page_epoch(rel_page);
-                        bumps += 1;
-                    }
+                    m.bump_page_epoch(rel_page);
+                    bumps += 1;
                 }
                 if m.flags.shared {
                     let obj_pos = m.obj_off + (vpage * PAGE_SIZE + off as u64 - m.base);
@@ -996,7 +975,6 @@ impl AddressSpace {
                 // copy would go stale the moment the overlay advances.
                 let vpage = addr / PAGE_SIZE;
                 self.tlb[(vpage as usize) & (TLB_WAYS - 1)].frame = None;
-                let coarse = self.coarse_epochs;
                 let m = &mut self.maps[mi];
                 if !m.flags.shared && !data.is_empty() {
                     let rel_page = vpage - m.base / PAGE_SIZE;
@@ -1007,16 +985,8 @@ impl AddressSpace {
                             // Self-modifying code through a writable
                             // text page: the decoded-instruction cache
                             // must see the page move.
-                            let bumps = if coarse {
-                                for p in 0..(m.len / PAGE_SIZE) {
-                                    m.bump_page_epoch(p);
-                                }
-                                m.len / PAGE_SIZE
-                            } else {
-                                m.bump_page_epoch(rel_page);
-                                1
-                            };
-                            self.page_epoch_bumps += bumps;
+                            m.bump_page_epoch(rel_page);
+                            self.page_epoch_bumps += 1;
                         }
                         self.tlb_stats.hits += 1;
                         return Ok(());
@@ -1069,7 +1039,6 @@ impl AddressSpace {
             self.watch_screen(addr, len, Mode::Write)?;
         }
         self.tlb[(vpage as usize) & (TLB_WAYS - 1)].frame = None;
-        let coarse = self.coarse_epochs;
         let m = &mut self.maps[mi];
         let rel_page = vpage - m.base / PAGE_SIZE;
         let off = (addr % PAGE_SIZE) as usize;
@@ -1078,16 +1047,8 @@ impl AddressSpace {
         };
         frame.make_mut()[off..off + data.len()].copy_from_slice(data);
         if m.prot.exec {
-            let bumps = if coarse {
-                for p in 0..(m.len / PAGE_SIZE) {
-                    m.bump_page_epoch(p);
-                }
-                m.len / PAGE_SIZE
-            } else {
-                m.bump_page_epoch(rel_page);
-                1
-            };
-            self.page_epoch_bumps += bumps;
+            m.bump_page_epoch(rel_page);
+            self.page_epoch_bumps += 1;
         }
         self.tlb_stats.hits += 1;
         Ok(())
@@ -1146,7 +1107,6 @@ impl AddressSpace {
             tlb_stats: TlbStats::default(),
             frame_gen: 1,
             page_epoch_bumps: 0,
-            coarse_epochs: self.coarse_epochs,
         }
     }
 
@@ -1710,11 +1670,6 @@ mod tests {
         assert_ne!(a.page_epoch_at(0, 0x10000), Some(e0), "page 0 epoch must move");
         assert_eq!(a.page_epoch_at(0, 0x10000 + PAGE_SIZE), Some(e1), "page 1 epoch must hold");
         assert_eq!(a.page_epoch_bumps(), 1);
-        // The coarse knob restores whole-mapping behaviour for the bench.
-        a.set_coarse_epochs(true);
-        let e1 = a.page_epoch_at(0, 0x10000 + PAGE_SIZE).expect("epoch");
-        a.kernel_write(&mut s, 0x10010, &[0xCC]).expect("plant 2");
-        assert_ne!(a.page_epoch_at(0, 0x10000 + PAGE_SIZE), Some(e1), "coarse bump missed page 1");
     }
 
     #[test]

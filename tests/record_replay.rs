@@ -265,3 +265,58 @@ fn goto_tick_over_remote_mount_takes_the_snapshot_fast_path() {
         "fast-path navigation diverged from the log prefix"
     );
 }
+
+/// Every LWP's identity, retired-instruction count and register file:
+/// the state a `Steps` digest cannot see, since it folds only the
+/// progress bit and the clock, and spinning guests advance the clock
+/// identically whichever of them runs.
+fn lwp_states(sys: &System) -> Vec<(u32, u64, isa::GregSet)> {
+    sys.kernel
+        .procs
+        .values()
+        .flat_map(|p| p.lwps.iter().map(move |l| (p.pid.0, l.insns, l.gregs.clone())))
+        .collect()
+}
+
+/// A snapshot must capture every piece of scheduler state, or `goto_tick`
+/// resumes a schedule that replay never produced. Three spinners under a
+/// dense snapshot cadence, with `/proc` opens and closes between steps
+/// so the log interleaves snapshots and `Steps` records: at every
+/// position past the first snapshot, navigation must take the snapshot
+/// path and land on exactly the per-LWP state a full replay of the same
+/// prefix produces.
+#[test]
+fn goto_tick_through_a_snapshot_matches_full_replay_per_lwp() {
+    let mut sys = tools::boot_demo_cfg(SimConfig::standard().record(true).snapshot_every(4));
+    let ctl = sys.spawn_hosted("rr-snap", Cred::superuser());
+    let spinners: Vec<Pid> = (0..3)
+        .map(|_| sys.spawn_program(ctl, "/bin/spin", &["spin"]).expect("spawn spin"))
+        .collect();
+    for i in 0..40usize {
+        for _ in 0..=i % 3 {
+            sys.step();
+        }
+        let path = format!("/proc/{:05}", spinners[i % 3].0);
+        let fd = sys.host_open(ctl, &path, OFlags::rdonly()).expect("open /proc entry");
+        sys.host_close(ctl, fd).expect("close /proc entry");
+    }
+    let rec = sys.recording().expect("recording on");
+    let first_snap = sys
+        .kernel
+        .recorder
+        .as_ref()
+        .and_then(|r| r.snaps.iter().map(|s| s.pos).find(|&p| p > 0))
+        .expect("the run banked a snapshot");
+    assert!(rec.len() > 100, "workload too small ({} records)", rec.len());
+    for k in first_snap..=rec.len() {
+        let nav = procfs::goto_tick(&sys, k).expect("goto_tick");
+        let restores = nav.kernel.recorder.as_ref().expect("recorder survives").stats.restores;
+        assert_eq!(restores, 1, "position {k} did not resume from a snapshot");
+        let full = procfs::replay_to(&rec, k).expect("replay_to");
+        assert_eq!(
+            lwp_states(&nav),
+            lwp_states(&full),
+            "position {k}: snapshot navigation and full replay disagree"
+        );
+    }
+}

@@ -17,7 +17,8 @@
 //!    round counter and timer heap travel with kernel snapshots);
 //!  * the idle fast-forward fix: a long sleep consumes driver budget in
 //!    proportion to the simulated time it skips, so a small budget can
-//!    no longer be spent spinning a frozen frontier.
+//!    no longer be spent spinning a frozen frontier;
+//!  * the busy-budget rule: a round costs one unit per slice it ran.
 
 use ksim::proc::{LwpState, WaitChannel};
 use ksim::{Cred, Pid, SimConfig, StepOutcome, System};
@@ -284,6 +285,34 @@ fn idle_fast_forward_charges_budget_proportionally() {
         insns_before, insns_after,
         "a 2-unit budget ran the guest after paying for a multi-quantum idle jump"
     );
+}
+
+/// The busy-budget rule: a gang round charges the driver one unit per
+/// LWP slice it ran, not one per round, so a unit of `run_idle` budget
+/// still means one quantum of one LWP however many guests share the
+/// round. With four spinners, `run_idle(N)` may overshoot by at most the
+/// round that crossed the budget.
+#[test]
+fn busy_rounds_charge_budget_per_slice() {
+    const SPINNERS: u64 = 4;
+    const BUDGET: u64 = 40;
+    let mut sys = tools::boot_demo_cfg(SimConfig::standard());
+    let ctl = sys.spawn_hosted("busy-test", Cred::superuser());
+    let pids: Vec<Pid> = (0..SPINNERS)
+        .map(|_| sys.spawn_program(ctl, "/bin/spin", &["spin"]).expect("spawn spin"))
+        .collect();
+    let retired = |sys: &System| -> u64 {
+        pids.iter().map(|&p| sys.kernel.proc(p).expect("spinner alive").cpu_time).sum()
+    };
+    let before = retired(&sys);
+    sys.run_idle(BUDGET);
+    let ran = retired(&sys) - before;
+    let quantum = sys.quantum;
+    assert!(
+        ran <= (BUDGET + SPINNERS) * quantum,
+        "run_idle({BUDGET}) retired {ran} insns, more than {BUDGET} quanta plus one round"
+    );
+    assert!(ran >= BUDGET * quantum, "run_idle({BUDGET}) retired only {ran} insns");
 }
 
 /// `step_outcome` distinguishes the three cases: real work, a timed
