@@ -411,3 +411,79 @@ fn evicted_sessions_resolve_futures_instead_of_hanging() {
     let c2 = fs.client();
     assert!(c2.wait(&mut sys.kernel, c2.submit_lookup(ctl, NodeId(0), &targets[0].0.to_string())).is_ok());
 }
+
+/// The wire's fixed-answer fingerprint: one seeded run over a lossy
+/// network with adversarial clients (six sessions, pipelined reads,
+/// sequenced opens and closes), its every reply body, the final wire
+/// clock and every `WireStats` field folded into one FNV-1a digest that
+/// is checked against a pinned constant. Any change to a frame byte, a
+/// checksum, a tick, the event order, a fault roll or a dedup answer
+/// moves the digest; host-side speed-ups of the wire must not.
+#[test]
+fn wire_fingerprint_is_pinned() {
+    const PINNED: u64 = 0x1fd9_bf38_2a8f_b541;
+    let seed = 0x00F1_96E2_9417;
+    let (mut sys, ctl, targets) = boot_targets(3);
+    let files = ["status", "psinfo", "cred"];
+    let fs = RemoteFs::new(Box::new(HierFs::new())).with_config(
+        &WireConfig::faulty(seed, FaultRates::uniform(40))
+            .adversarial(AdversaryRates::uniform(150))
+            .queue_caps(2048, 2048),
+    );
+    let k = &mut sys.kernel;
+    let mut folded = Vec::new();
+    let mut fold = |tag: &str, r: Result<Vec<u8>, Errno>| {
+        folded.extend_from_slice(tag.as_bytes());
+        match r {
+            Ok(b) => {
+                folded.extend_from_slice(&(b.len() as u64).to_le_bytes());
+                folded.extend_from_slice(&b);
+            }
+            Err(e) => folded.extend_from_slice(&e.to_wire().to_le_bytes()),
+        }
+    };
+    for h in 0..6u64 {
+        let c = fs.client();
+        let mut rng = XorShift::new(seed ^ h.wrapping_mul(0x9E37_79B9));
+        for _ in 0..3 {
+            let pid = targets[rng.below(targets.len() as u64) as usize];
+            let file = files[rng.below(files.len() as u64) as usize];
+            fold("chain", session_read(&c, k, ctl, pid, file));
+        }
+        // Pipelined: four reads of one open file in flight at once.
+        let pid = targets[rng.below(targets.len() as u64) as usize];
+        let opened = (|| -> Result<(NodeId, vfs::OpenToken), Errno> {
+            let dir = c.wait(k, c.submit_lookup(ctl, NodeId(0), &pid.0.to_string()))?;
+            let node = c.wait(k, c.submit_lookup(ctl, dir, "status"))?;
+            let cred = Cred::superuser();
+            let tok = c.wait(k, c.submit_open(ctl, node, OFlags::rdonly(), &cred))?;
+            Ok((node, tok))
+        })();
+        match opened {
+            Ok((node, tok)) => {
+                let futs: Vec<OpFuture<RemoteRead>> =
+                    (0..4u64).map(|i| c.submit_read(ctl, node, tok, i * 16, 64)).collect();
+                for fut in futs {
+                    fold(
+                        "pipe",
+                        c.wait(k, fut).map(|r| match r {
+                            RemoteRead::Data(b) => b,
+                            RemoteRead::Block => b"block".to_vec(),
+                        }),
+                    );
+                }
+                let closed = c.wait(k, c.submit_close(ctl, node, tok, OFlags::rdonly()));
+                fold("close", closed.map(|()| Vec::new()));
+            }
+            Err(e) => fold("open", Err(e)),
+        }
+    }
+    let stats = fs.stats();
+    folded.extend_from_slice(&fs.ticks().to_le_bytes());
+    folded.extend_from_slice(&stats.to_bytes());
+    let digest = ksim::record::fnv(&folded);
+    // The run reaches every recovery path the fingerprint is meant to pin.
+    assert!(stats.checksum_rejects > 0 && stats.retries > 0 && stats.dedup_hits > 0);
+    assert!(stats.floods > 0 && stats.churn_events > 0 && stats.stale_replays > 0);
+    assert_eq!(digest, PINNED, "the wire's observable behaviour moved");
+}
