@@ -112,7 +112,7 @@ use crate::errno::{Errno, SysResult};
 use crate::fs::{FileSystem, IoReply, IoctlReply, OFlags, OpenToken, PollStatus};
 use crate::node::{DirEntry, Metadata, NodeId, Pid, VnodeKind};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Introspection ioctl answered by [`RemoteFs`] itself (never crossing
@@ -424,39 +424,38 @@ impl FaultPlan {
 
     /// Applies the schedule to one outbound frame, returning what the
     /// network actually delivers (possibly nothing, possibly twice).
-    fn perturb(&mut self, frame: Vec<u8>, stats: &mut WireStats) -> Vec<Delivery> {
+    fn perturb(&mut self, frame: Vec<u8>, stats: &mut WireStats) -> [Option<Delivery>; 2] {
         if self.roll(self.rates.drop) {
             stats.drops += 1;
-            return Vec::new();
+            return [None, None];
         }
-        let copies = if self.roll(self.rates.duplicate) {
+        let copy = self.roll(self.rates.duplicate).then(|| {
             stats.duplicates += 1;
-            2
-        } else {
-            1
-        };
-        let mut out = Vec::with_capacity(copies);
-        for _ in 0..copies {
-            let mut bytes = frame.clone();
-            if self.roll(self.rates.truncate) && !bytes.is_empty() {
-                stats.truncations += 1;
-                let keep = (self.next() as usize) % bytes.len();
-                bytes.truncate(keep);
-            }
-            if self.roll(self.rates.bitflip) && !bytes.is_empty() {
-                stats.bitflips += 1;
-                let bit = (self.next() as usize) % (bytes.len() * 8);
-                if let Some(byte) = bytes.get_mut(bit / 8) {
-                    *byte ^= 1 << (bit % 8);
-                }
-            }
-            let late = self.roll(self.rates.delay);
-            if late {
-                stats.delays += 1;
-            }
-            out.push(Delivery { bytes, late });
+            frame.clone()
+        });
+        let first = self.damage(frame, stats);
+        [Some(first), copy.map(|c| self.damage(c, stats))]
+    }
+
+    /// Rolls truncation, bit damage and delay for one delivered copy.
+    fn damage(&mut self, mut bytes: Vec<u8>, stats: &mut WireStats) -> Delivery {
+        if self.roll(self.rates.truncate) && !bytes.is_empty() {
+            stats.truncations += 1;
+            let keep = (self.next() as usize) % bytes.len();
+            bytes.truncate(keep);
         }
-        out
+        if self.roll(self.rates.bitflip) && !bytes.is_empty() {
+            stats.bitflips += 1;
+            let bit = (self.next() as usize) % (bytes.len() * 8);
+            if let Some(byte) = bytes.get_mut(bit / 8) {
+                *byte ^= 1 << (bit % 8);
+            }
+        }
+        let late = self.roll(self.rates.delay);
+        if late {
+            stats.delays += 1;
+        }
+        Delivery { bytes, late }
     }
 }
 
@@ -532,18 +531,69 @@ pub const EVICT_SHED_LIMIT: u32 = 8;
 pub const FLOOD_COPIES: usize = 8;
 /// Default per-direction queue cap, in bytes.
 pub const DEFAULT_QUEUE_CAP: usize = 256 * 1024;
+/// Largest data run one remote `read` or `write` moves. A longer request
+/// completes short (`IoReply::Done(n)` with `n == MAX_IO`), as `read(2)`
+/// and `write(2)` may, so its frame always fits [`MAX_BODY`] and the
+/// default queue caps instead of being shed and retried to `ETIMEDOUT`.
+pub const MAX_IO: usize = 64 * 1024;
+// A read reply or write request carries under 64 bytes besides its run.
+const _: () = assert!(FRAME_HEADER + 64 + MAX_IO <= DEFAULT_QUEUE_CAP);
+const _: () = assert!(DEFAULT_QUEUE_CAP <= MAX_BODY);
 
-/// CRC-32 (IEEE 802.3 polynomial, bitwise): guarantees detection of any
-/// single-bit flip and any burst up to 32 bits. Public so the on-disk
-/// recording format can checksum its segments with the same discipline
-/// the wire uses for frames.
-pub fn crc32(seed: u32, data: &[u8]) -> u32 {
-    let mut crc = !seed;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+/// Slicing-by-8 tables for [`crc32`], built at compile time: row 0 is
+/// the byte-at-a-time table, row `k` advances a byte's remainder through
+/// `k` further zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { (c >> 1) ^ 0xEDB8_8320 } else { c >> 1 };
+            bit += 1;
         }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected): guarantees detection of
+/// any single-bit flip and any burst up to 32 bits. `seed` chains runs:
+/// `crc32(crc32(0, a), b) == crc32(0, a ++ b)`. Eight bytes per step
+/// through [`CRC_TABLES`]. Public so the on-disk recording format can
+/// checksum its segments with the same discipline the wire uses for
+/// frames.
+pub fn crc32(seed: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !seed;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = (crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]])).to_le_bytes();
+        crc = t[7][usize::from(lo[0])]
+            ^ t[6][usize::from(lo[1])]
+            ^ t[5][usize::from(lo[2])]
+            ^ t[4][usize::from(lo[3])]
+            ^ t[3][usize::from(w[4])]
+            ^ t[2][usize::from(w[5])]
+            ^ t[1][usize::from(w[6])]
+            ^ t[0][usize::from(w[7])];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][usize::from(crc as u8 ^ b)];
     }
     !crc
 }
@@ -566,9 +616,10 @@ pub fn encode_frame(tag: u64, body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Validates and unframes a delivered image. Any damage is reported as a
-/// [`WireError`]; nothing is ever parsed out of a damaged frame.
-pub fn decode_frame(data: &[u8]) -> Result<(u64, Vec<u8>), WireError> {
+/// Validates and unframes a delivered image, borrowing its body. Any
+/// damage is reported as a [`WireError`]; nothing is ever parsed out of
+/// a damaged frame.
+pub fn decode_frame(data: &[u8]) -> Result<(u64, &[u8]), WireError> {
     let mut r = WireReader::new(data);
     let magic = r.u32().map_err(|_| WireError::Truncated)?;
     if magic != FRAME_MAGIC {
@@ -584,7 +635,17 @@ pub fn decode_frame(data: &[u8]) -> Result<(u64, Vec<u8>), WireError> {
     if frame_crc(tag, body) != crc {
         return Err(WireError::Corrupt);
     }
-    Ok((tag, body.to_vec()))
+    Ok((tag, body))
+}
+
+/// Appends `bytes` to a byte queue, adopting the buffer outright when
+/// the queue is empty.
+fn enqueue(queue: &mut Vec<u8>, bytes: Vec<u8>) {
+    if queue.is_empty() {
+        *queue = bytes;
+    } else {
+        queue.extend_from_slice(&bytes);
+    }
 }
 
 /// Position of the first frame-magic occurrence in `buf`, if any.
@@ -593,14 +654,17 @@ fn find_magic(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == magic)
 }
 
-/// Extracts the next whole frame from a byte-stream buffer,
-/// resynchronising past damage. Junk before a magic is dropped; a
-/// plausible-looking header whose body bytes can never arrive (another
-/// magic already follows it in the buffer) is skipped one byte at a
-/// time rather than waited on forever — a truncated frame must never
-/// wedge the session behind it. Returns `None` when no complete frame
-/// is available yet (the tail stays buffered for the next arrival).
-fn extract_frame(buf: &mut Vec<u8>, stats: &mut WireStats) -> Option<(u64, Vec<u8>)> {
+/// Finds the next whole, checksummed frame at the front of a
+/// byte-stream buffer, resynchronising past damage. Junk before a magic
+/// is dropped; a plausible-looking header whose body bytes can never
+/// arrive (another magic already follows it in the buffer) is skipped
+/// one byte at a time rather than waited on forever — a truncated frame
+/// must never wedge the session behind it. Returns the frame's tag and
+/// length: the frame is `buf[..len]`, its body `buf[FRAME_HEADER..len]`,
+/// and the caller drains it once the body is consumed. Returns `None`
+/// when no complete frame is available yet (the tail stays buffered for
+/// the next arrival).
+fn next_frame(buf: &mut Vec<u8>, stats: &mut WireStats) -> Option<(u64, usize)> {
     loop {
         // Resynchronise to the next magic, keeping a possible prefix of
         // one at the very tail.
@@ -647,10 +711,7 @@ fn extract_frame(buf: &mut Vec<u8>, stats: &mut WireStats) -> Option<(u64, Vec<u
             return None;
         }
         match decode_frame(&buf[..total]) {
-            Ok((tag, body)) => {
-                buf.drain(..total);
-                return Some((tag, body));
-            }
+            Ok((tag, _)) => return Some((tag, total)),
             Err(_) => {
                 stats.checksum_rejects += 1;
                 stats.resync_bytes += 1;
@@ -694,8 +755,13 @@ impl Wire {
     fn new(op: u8) -> Wire {
         Wire(vec![op])
     }
-    fn empty() -> Wire {
-        Wire(Vec::new())
+    /// A success reply: status byte 0, then the operation's result.
+    fn ok() -> Wire {
+        Wire(vec![0])
+    }
+    fn u8(mut self, v: u8) -> Wire {
+        self.0.push(v);
+        self
     }
     fn u32(mut self, v: u32) -> Wire {
         self.0.extend_from_slice(&v.to_le_bytes());
@@ -763,8 +829,12 @@ impl<'a> WireReader<'a> {
     }
     /// Next `u32`-length-prefixed byte run.
     pub fn bytes(&mut self) -> WireResult<Vec<u8>> {
+        self.run().map(<[u8]>::to_vec)
+    }
+    /// Next `u32`-length-prefixed byte run, borrowed from the buffer.
+    fn run(&mut self) -> WireResult<&'a [u8]> {
         let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
     }
 }
 
@@ -819,7 +889,8 @@ pub fn marshal_read(cur: Pid, node: NodeId, token: OpenToken, off: u64, len: usi
 
 /// The single server-side dispatcher: validates the op byte, unmarshals
 /// the operands, executes against the inner file system and marshals the
-/// reply. One decode path for every operation, shared by every client.
+/// reply body, success status byte first. One decode path for every
+/// operation, shared by every client.
 fn serve<K>(
     inner: &mut (dyn FileSystem<K> + Send),
     table: &Option<IoctlTable>,
@@ -831,12 +902,12 @@ fn serve<K>(
     match op {
         OP_LOOKUP => {
             let (cur, dir, name) = (Pid(r.u32()?), NodeId(r.u64()?), r.str()?);
-            inner.lookup(k, cur, dir, &name).map(|n| Wire::empty().u64(n.0))
+            inner.lookup(k, cur, dir, &name).map(|n| Wire::ok().u64(n.0))
         }
         OP_GETATTR => {
             let node = NodeId(r.u64()?);
             inner.getattr(k, node).map(|m| {
-                Wire::new(match m.kind {
+                Wire::ok().u8(match m.kind {
                     VnodeKind::Regular => 0,
                     VnodeKind::Directory => 1,
                     VnodeKind::Proc => 2,
@@ -853,7 +924,7 @@ fn serve<K>(
         OP_READDIR => {
             let (cur, dir) = (Pid(r.u32()?), NodeId(r.u64()?));
             inner.readdir(k, cur, dir).map(|entries| {
-                let mut w = Wire::empty().u32(entries.len() as u32);
+                let mut w = Wire::ok().u32(entries.len() as u32);
                 for e in &entries {
                     w = w.str(&e.name).u64(e.node.0);
                 }
@@ -865,54 +936,56 @@ fn serve<K>(
             let cred = cred_unwire(&mut r)?;
             inner
                 .open(k, cur, node, OFlags::from_bits(bits), &cred)
-                .map(|t| Wire::empty().u64(t.0))
+                .map(|t| Wire::ok().u64(t.0))
         }
         OP_CLOSE => {
             let (cur, node, token, bits) =
                 (Pid(r.u32()?), NodeId(r.u64()?), OpenToken(r.u64()?), r.u64()?);
             inner.close(k, cur, node, token, OFlags::from_bits(bits));
-            Ok(Wire::empty())
+            Ok(Wire::ok())
         }
         OP_READ => {
             let (cur, node, token, off, len) =
-                (Pid(r.u32()?), NodeId(r.u64()?), OpenToken(r.u64()?), r.u64()?, r.u64()? as usize);
-            let mut server_buf = vec![0u8; len];
+                (Pid(r.u32()?), NodeId(r.u64()?), OpenToken(r.u64()?), r.u64()?, r.u64()?);
+            // The reply must fit one frame: longer reads complete short.
+            let mut server_buf = vec![0u8; len.min(MAX_IO as u64) as usize];
             inner.read(k, cur, node, token, off, &mut server_buf).map(|reply| match reply {
-                IoReply::Done(n) => Wire::new(0).bytes(server_buf.get(..n).unwrap_or(&[])),
-                IoReply::Block => Wire::new(1),
+                IoReply::Done(n) => Wire::ok().u8(0).bytes(server_buf.get(..n).unwrap_or(&[])),
+                IoReply::Block => Wire::ok().u8(1),
             })
         }
         OP_WRITE => {
             let (cur, node, token, off) =
                 (Pid(r.u32()?), NodeId(r.u64()?), OpenToken(r.u64()?), r.u64()?);
-            let payload = r.bytes()?;
-            inner.write(k, cur, node, token, off, &payload).map(|reply| match reply {
-                IoReply::Done(n) => Wire::new(0).u64(n as u64),
-                IoReply::Block => Wire::new(1),
+            let payload = r.run()?;
+            inner.write(k, cur, node, token, off, payload).map(|reply| match reply {
+                IoReply::Done(n) => Wire::ok().u8(0).u64(n as u64),
+                IoReply::Block => Wire::ok().u8(1),
             })
         }
         OP_IOCTL => {
             let (cur, node, token, req_no) =
                 (Pid(r.u32()?), NodeId(r.u64()?), OpenToken(r.u64()?), r.u32()?);
-            let payload = r.bytes()?;
+            let payload = r.run()?;
             // The server can only return what the spec promised.
             let out_cap = table
                 .as_ref()
                 .and_then(|t| t(req_no))
                 .map(|s| s.out_len)
                 .unwrap_or(usize::MAX);
-            inner.ioctl(k, cur, node, token, req_no, &payload).map(|reply| match reply {
+            inner.ioctl(k, cur, node, token, req_no, payload).map(|reply| match reply {
                 IoctlReply::Done(out) => {
                     let n = out.len().min(out_cap);
-                    Wire::new(0).bytes(out.get(..n).unwrap_or(&[]))
+                    Wire::ok().u8(0).bytes(out.get(..n).unwrap_or(&[]))
                 }
-                IoctlReply::Block => Wire::new(1),
+                IoctlReply::Block => Wire::ok().u8(1),
             })
         }
         OP_POLL => {
             let (node, token) = (NodeId(r.u64()?), OpenToken(r.u64()?));
             inner.poll(k, node, token).map(|p| {
-                Wire::new(u8::from(p.readable) | u8::from(p.writable) << 1 | u8::from(p.hangup) << 2)
+                Wire::ok()
+                    .u8(u8::from(p.readable) | u8::from(p.writable) << 1 | u8::from(p.hangup) << 2)
             })
         }
         _ => Err(Errno::EIO),
@@ -981,12 +1054,17 @@ fn parse_dirents(b: &[u8]) -> SysResult<Vec<DirEntry>> {
     parse(&mut rr).map_err(Errno::from)
 }
 
-fn parse_read(b: &[u8]) -> SysResult<RemoteRead> {
+/// A read reply's data, borrowed (`None`: the read would block).
+fn read_reply(b: &[u8]) -> SysResult<Option<&[u8]>> {
     let mut rr = WireReader::new(b);
     match rr.u8().map_err(Errno::from)? {
-        0 => Ok(RemoteRead::Data(rr.bytes().map_err(Errno::from)?)),
-        _ => Ok(RemoteRead::Block),
+        0 => Ok(Some(rr.run().map_err(Errno::from)?)),
+        _ => Ok(None),
     }
+}
+
+fn parse_read(b: &[u8]) -> SysResult<RemoteRead> {
+    Ok(read_reply(b)?.map_or(RemoteRead::Block, |d| RemoteRead::Data(d.to_vec())))
 }
 
 fn parse_write(b: &[u8]) -> SysResult<IoReply> {
@@ -1074,7 +1152,19 @@ struct InFlight {
     attempts: u32,
     backoff: u64,
     budget: u64,
-    done: Option<SysResult<Vec<u8>>>,
+    done: Option<SysResult<Reply>>,
+}
+
+/// A successful reply frame, kept whole as it came off the receive
+/// buffer so completion moves it instead of copying its body out.
+#[derive(Clone)]
+struct Reply(Vec<u8>);
+
+impl Reply {
+    /// The reply body after the frame header and the success byte.
+    fn body(&self) -> &[u8] {
+        self.0.get(FRAME_HEADER + 1..).unwrap_or(&[])
+    }
 }
 
 /// How a session's client end behaves, fixed at session creation by the
@@ -1135,8 +1225,11 @@ struct SessionState {
     /// open-flag bits)`, auto-closed on eviction or hangup.
     open_tokens: Vec<(Pid, NodeId, OpenToken, u64)>,
     /// Raw bytes of the last sequenced request frame this session
-    /// delivered (fuel for the stale-replay adversary).
+    /// delivered (fuel for the stale-replay adversary; kept only when
+    /// the plan can roll a stale replay).
     last_seq_frame: Option<Vec<u8>>,
+    /// Queued in the ready FIFO (holds servable inbound bytes).
+    ready: bool,
 }
 
 impl SessionState {
@@ -1152,6 +1245,7 @@ impl SessionState {
             pending: 0,
             open_tokens: Vec::new(),
             last_seq_frame: None,
+            ready: false,
         }
     }
 }
@@ -1172,18 +1266,19 @@ pub struct WireSession<K> {
     /// Monotone event id: ties on the clock break deterministically.
     next_event_id: u64,
     events: BinaryHeap<Scheduled>,
-    inflight: HashMap<u64, InFlight>,
+    inflight: BTreeMap<u64, InFlight>,
     /// Server-side dedup window: `(tag, cached response body)`.
     dedup: VecDeque<(u64, Vec<u8>)>,
     /// Seeded service-jitter stream: reorders reply completions.
     jitter: u64,
     stats: WireStats,
     // -- the server half --
-    sessions: HashMap<u32, SessionState>,
-    next_sid: u32,
-    /// FIFO ready-set: sessions holding servable inbound bytes.
+    /// Every session ever opened, indexed by session id (ids are dense
+    /// and a session is never removed, only marked `Gone`).
+    sessions: Vec<SessionState>,
+    /// FIFO ready-set: sessions holding servable inbound bytes (each
+    /// queued at most once, see [`SessionState::ready`]).
     ready_q: VecDeque<u32>,
-    ready_in: HashSet<u32>,
     /// Inbound queue cap, bytes.
     in_cap: usize,
     /// Outbound queue cap, bytes.
@@ -1208,14 +1303,12 @@ impl<K> WireSession<K> {
             next_tag: 1,
             next_event_id: 0,
             events: BinaryHeap::new(),
-            inflight: HashMap::new(),
+            inflight: BTreeMap::new(),
             dedup: VecDeque::new(),
             jitter: 0x5EED_0F0F_CAFE_F00D,
             stats: WireStats::default(),
-            sessions: HashMap::new(),
-            next_sid: 0,
+            sessions: Vec::new(),
             ready_q: VecDeque::new(),
-            ready_in: HashSet::new(),
             in_cap: DEFAULT_QUEUE_CAP,
             out_cap: DEFAULT_QUEUE_CAP,
             served_tick: 0,
@@ -1231,8 +1324,7 @@ impl<K> WireSession<K> {
     /// Creates a session, rolling its persona from the adversary rates
     /// (session 0 and plans without adversaries roll nothing).
     fn create_session(&mut self) -> u32 {
-        let sid = self.next_sid;
-        self.next_sid += 1;
+        let sid = self.sessions.len() as u32;
         let persona = if sid == 0 {
             Persona::Clean
         } else if self.fault.as_mut().is_some_and(FaultPlan::roll_slow_reader) {
@@ -1245,7 +1337,7 @@ impl<K> WireSession<K> {
         if sid != 0 {
             self.stats.sessions_opened += 1;
         }
-        self.sessions.insert(sid, SessionState::new(persona));
+        self.sessions.push(SessionState::new(persona));
         sid
     }
 
@@ -1265,17 +1357,20 @@ impl<K> WireSession<K> {
     }
 
     /// Runs one frame through the fault plan (or delivers it intact).
-    fn network(&mut self, frame: Vec<u8>) -> Vec<Delivery> {
+    fn network(&mut self, frame: Vec<u8>) -> [Option<Delivery>; 2] {
         match self.fault.as_mut() {
             Some(plan) => plan.perturb(frame, &mut self.stats),
-            None => vec![Delivery { bytes: frame, late: false }],
+            None => [Some(Delivery { bytes: frame, late: false }), None],
         }
     }
 
     /// Marks a session's inbound queue servable (idempotent; FIFO).
     fn mark_ready(&mut self, sid: u32) {
-        if self.ready_in.insert(sid) {
-            self.ready_q.push_back(sid);
+        if let Some(s) = self.sessions.get_mut(sid as usize) {
+            if !s.ready {
+                s.ready = true;
+                self.ready_q.push_back(sid);
+            }
         }
     }
 
@@ -1285,10 +1380,10 @@ impl<K> WireSession<K> {
     /// request frame and the first retry timer enter the event queue;
     /// nothing blocks.
     fn submit(&mut self, sid: u32, body: Vec<u8>) -> SysResult<u64> {
-        let ok = match self.sessions.get(&sid) {
-            Some(s) => s.link != LinkState::Gone && s.pending < INFLIGHT_CAP,
-            None => false,
-        };
+        let ok = self
+            .sessions
+            .get(sid as usize)
+            .is_some_and(|s| s.link != LinkState::Gone && s.pending < INFLIGHT_CAP);
         if !ok {
             self.stats.eagain_rejected += 1;
             return Err(Errno::EAGAIN);
@@ -1300,7 +1395,7 @@ impl<K> WireSession<K> {
             tag,
             InFlight { sid, body, attempts: 0, backoff: 1, budget: self.retry.budget, done: None },
         );
-        if let Some(s) = self.sessions.get_mut(&sid) {
+        if let Some(s) = self.sessions.get_mut(sid as usize) {
             s.pending += 1;
         }
         self.send_attempt(tag);
@@ -1312,23 +1407,20 @@ impl<K> WireSession<K> {
     /// lost with the link), but the retry timer still arms so the op
     /// degrades to `ETIMEDOUT` instead of hanging.
     fn send_attempt(&mut self, tag: u64) {
-        let (body, attempt, backoff, sid) = match self.inflight.get_mut(&tag) {
-            Some(op) => {
-                op.attempts += 1;
-                (op.body.clone(), op.attempts, op.backoff, op.sid)
-            }
-            None => return,
+        let Some(op) = self.inflight.get_mut(&tag) else {
+            return;
         };
-        let live = self.sessions.get(&sid).is_some_and(|s| s.link == LinkState::Live);
+        op.attempts += 1;
+        let (attempt, backoff, sid) = (op.attempts, op.backoff, op.sid);
+        let live = self.sessions.get(sid as usize).is_some_and(|s| s.link == LinkState::Live);
         if live {
             if attempt > 1 {
                 self.stats.retries += 1;
             }
-            let frame = encode_frame(tag, &body);
+            let frame = encode_frame(tag, &op.body);
             self.stats.frames_sent += 1;
             self.stats.bytes_sent += frame.len() as u64;
-            let deliveries = self.network(frame);
-            for d in deliveries {
+            for d in self.network(frame).into_iter().flatten() {
                 let delay = TRANSIT_TICKS + if d.late { LATE_TICKS } else { 0 };
                 self.schedule(delay, NetEvent::Request { sid, bytes: d.bytes });
             }
@@ -1361,12 +1453,9 @@ impl<K> WireSession<K> {
     /// queue. Session 0 — the local mount — is exempt from adversarial
     /// client behaviour.
     fn on_request_arrive(&mut self, k: &mut K, sid: u32, mut bytes: Vec<u8>) {
-        match self.sessions.get(&sid).map(|s| s.link) {
-            Some(LinkState::Live) => {}
-            _ => {
-                self.stats.frames_shed += 1;
-                return;
-            }
+        if self.sessions.get(sid as usize).map(|s| s.link) != Some(LinkState::Live) {
+            self.stats.frames_shed += 1;
+            return;
         }
         if sid != 0 {
             let mid = self.fault.as_mut().is_some_and(FaultPlan::roll_mid_frame);
@@ -1380,7 +1469,7 @@ impl<K> WireSession<K> {
                     bytes.truncate(keep);
                 }
                 self.stats.churn_events += 1;
-                if let Some(sess) = self.sessions.get_mut(&sid) {
+                if let Some(sess) = self.sessions.get_mut(sid as usize) {
                     sess.link = LinkState::Down;
                     sess.drain_armed = false;
                 }
@@ -1404,7 +1493,10 @@ impl<K> WireSession<K> {
     /// Cap-checked append to a session's inbound queue; sheds on
     /// overflow and evicts a session that keeps shedding.
     fn append_inbound(&mut self, k: &mut K, sid: u32, bytes: Vec<u8>) {
-        let Some(sess) = self.sessions.get_mut(&sid) else {
+        // Only a reconnect's stale-replay roll reads `last_seq_frame`, so
+        // a plan that can never roll one skips classifying the frame.
+        let keep_seq = self.fault.as_ref().is_some_and(|p| p.adv.stale_replay > 0);
+        let Some(sess) = self.sessions.get_mut(sid as usize) else {
             return;
         };
         if sess.link == LinkState::Gone {
@@ -1420,12 +1512,14 @@ impl<K> WireSession<K> {
             }
             return;
         }
-        if let Ok((_, body)) = decode_frame(&bytes) {
-            if op_class(body.first().copied().unwrap_or(0)) == OpClass::Sequenced {
-                sess.last_seq_frame = Some(bytes.clone());
+        if keep_seq {
+            if let Ok((_, body)) = decode_frame(&bytes) {
+                if op_class(body.first().copied().unwrap_or(0)) == OpClass::Sequenced {
+                    sess.last_seq_frame = Some(bytes.clone());
+                }
             }
         }
-        sess.inbound.extend_from_slice(&bytes);
+        enqueue(&mut sess.inbound, bytes);
         let hw = sess.inbound.len() as u64;
         self.stats.in_queue_hwm = self.stats.in_queue_hwm.max(hw);
         self.mark_ready(sid);
@@ -1443,21 +1537,27 @@ impl<K> WireSession<K> {
             let Some(sid) = self.ready_q.pop_front() else {
                 break;
             };
-            self.ready_in.remove(&sid);
-            let frame = match self.sessions.get_mut(&sid) {
-                Some(sess) if sess.link == LinkState::Live => {
-                    extract_frame(&mut sess.inbound, &mut self.stats)
-                }
-                _ => None,
-            };
-            let Some((tag, body)) = frame else {
+            let Some(sess) = self.sessions.get_mut(sid as usize) else {
                 continue;
             };
+            sess.ready = false;
+            if sess.link != LinkState::Live {
+                continue;
+            }
+            let Some((tag, len)) = next_frame(&mut sess.inbound, &mut self.stats) else {
+                continue;
+            };
+            // Serve the body in place, then drop the frame from the queue.
+            let mut inbound = std::mem::take(&mut sess.inbound);
             self.served_count += 1;
-            if self.sessions.get(&sid).is_some_and(|s| !s.inbound.is_empty()) {
+            if inbound.len() > len {
                 self.mark_ready(sid);
             }
-            self.handle_request(k, sid, tag, body);
+            self.handle_request(k, sid, tag, &inbound[FRAME_HEADER..len]);
+            inbound.drain(..len);
+            if let Some(sess) = self.sessions.get_mut(sid as usize) {
+                sess.inbound = inbound;
+            }
         }
         if !self.ready_q.is_empty() && !self.service_armed {
             self.service_armed = true;
@@ -1468,45 +1568,36 @@ impl<K> WireSession<K> {
     /// Serves one extracted request frame: dedup, execute, track
     /// granted tokens, enqueue the (possibly perturbed) reply with
     /// service jitter.
-    fn handle_request(&mut self, k: &mut K, sid: u32, tag: u64, body: Vec<u8>) {
+    fn handle_request(&mut self, k: &mut K, sid: u32, tag: u64, body: &[u8]) {
         let op = body.first().copied().unwrap_or(0);
         let class = op_class(op);
         let cached = (class == OpClass::Sequenced)
-            .then(|| self.dedup.iter().find(|(t, _)| *t == tag).map(|(_, b)| b.clone()))
+            .then(|| self.dedup.iter().find(|(t, _)| *t == tag).map(|(_, b)| encode_frame(tag, b)))
             .flatten();
-        let resp_body = match cached {
-            Some(b) => {
+        let frame = match cached {
+            Some(frame) => {
                 self.stats.dedup_hits += 1;
-                b
+                frame
             }
             None => {
-                let resp = match serve(&mut *self.inner, &self.ioctl_table, k, &body) {
-                    Ok(w) => {
-                        let mut b = vec![0u8];
-                        b.extend_from_slice(&w.0);
-                        b
-                    }
-                    Err(e) => {
-                        let mut b = vec![1u8];
-                        b.extend_from_slice(&e.to_wire().to_le_bytes());
-                        b
-                    }
+                let resp = match serve(&mut *self.inner, &self.ioctl_table, k, body) {
+                    Ok(w) => w.0,
+                    Err(e) => Wire::new(1).u32(e.to_wire()).0,
                 };
-                self.track_tokens(sid, op, &body, &resp);
+                self.track_tokens(sid, op, body, &resp);
+                let frame = encode_frame(tag, &resp);
                 if class == OpClass::Sequenced {
-                    self.dedup.push_back((tag, resp.clone()));
+                    self.dedup.push_back((tag, resp));
                     if self.dedup.len() > DEDUP_WINDOW {
                         self.dedup.pop_front();
                     }
                 }
-                resp
+                frame
             }
         };
-        let frame = encode_frame(tag, &resp_body);
         self.stats.bytes_received += frame.len() as u64;
         let jitter = self.service_jitter();
-        let deliveries = self.network(frame);
-        for d in deliveries {
+        for d in self.network(frame).into_iter().flatten() {
             let delay = TRANSIT_TICKS + jitter + if d.late { LATE_TICKS } else { 0 };
             self.schedule(delay, NetEvent::ReplyEnqueue { sid, bytes: d.bytes });
         }
@@ -1516,7 +1607,7 @@ impl<K> WireSession<K> {
     /// them again on successful closes, so eviction can release what
     /// the dead client held.
     fn track_tokens(&mut self, sid: u32, op: u8, req: &[u8], resp: &[u8]) {
-        let Some(sess) = self.sessions.get_mut(&sid) else {
+        let Some(sess) = self.sessions.get_mut(sid as usize) else {
             return;
         };
         match op {
@@ -1552,7 +1643,7 @@ impl<K> WireSession<K> {
     /// dead link or a full queue sheds them) and the client end's drain
     /// is armed.
     fn on_reply_enqueue(&mut self, k: &mut K, sid: u32, bytes: Vec<u8>) {
-        let Some(sess) = self.sessions.get_mut(&sid) else {
+        let Some(sess) = self.sessions.get_mut(sid as usize) else {
             return;
         };
         if sess.link != LinkState::Live {
@@ -1568,7 +1659,7 @@ impl<K> WireSession<K> {
             }
             return;
         }
-        sess.outbound.extend_from_slice(&bytes);
+        enqueue(&mut sess.outbound, bytes);
         let hw = sess.outbound.len() as u64;
         self.stats.out_queue_hwm = self.stats.out_queue_hwm.max(hw);
         let arm = sess.persona.drain_rate() > 0 && !sess.drain_armed;
@@ -1582,7 +1673,7 @@ impl<K> WireSession<K> {
     /// the outbound queue into the receive buffer and completes any
     /// whole frames found there.
     fn on_drain(&mut self, sid: u32) {
-        let Some(sess) = self.sessions.get_mut(&sid) else {
+        let Some(sess) = self.sessions.get_mut(sid as usize) else {
             return;
         };
         if sess.link != LinkState::Live {
@@ -1590,35 +1681,41 @@ impl<K> WireSession<K> {
             return;
         }
         let rate = sess.persona.drain_rate();
-        let n = rate.min(sess.outbound.len());
-        let moved: Vec<u8> = sess.outbound.drain(..n).collect();
-        sess.rx.extend_from_slice(&moved);
+        if rate >= sess.outbound.len() {
+            let all = std::mem::take(&mut sess.outbound);
+            enqueue(&mut sess.rx, all);
+        } else {
+            sess.rx.extend(sess.outbound.drain(..rate));
+        }
         let rearm = !sess.outbound.is_empty() && rate > 0;
         sess.drain_armed = rearm;
-        let mut done = Vec::new();
-        while let Some((tag, body)) = extract_frame(&mut sess.rx, &mut self.stats) {
-            done.push((tag, body));
+        // Each whole frame leaves the buffer as its own allocation.
+        let mut rx = std::mem::take(&mut sess.rx);
+        while let Some((tag, len)) = next_frame(&mut rx, &mut self.stats) {
+            let rest = rx.split_off(len);
+            self.complete_op(tag, Reply(std::mem::replace(&mut rx, rest)));
         }
-        for (tag, body) in done {
-            self.complete_op(tag, &body);
+        if let Some(sess) = self.sessions.get_mut(sid as usize) {
+            sess.rx = rx;
         }
         if rearm {
             self.schedule(1, NetEvent::Drain { sid });
         }
     }
 
-    /// Client side: demultiplex a completion into its in-flight slot.
-    fn complete_op(&mut self, tag: u64, body: &[u8]) {
+    /// Client side: demultiplex a completion (one whole reply frame)
+    /// into its in-flight slot.
+    fn complete_op(&mut self, tag: u64, frame: Reply) {
         let Some(op) = self.inflight.get_mut(&tag) else {
             return; // stale tag: the op already completed and was taken
         };
         if op.done.is_some() {
             return; // duplicate reply: first one won
         }
-        op.done = Some(match body.split_first() {
-            Some((0, rest)) => Ok(rest.to_vec()),
-            Some((1, rest)) => {
-                let mut r = WireReader::new(rest);
+        op.done = Some(match frame.0.get(FRAME_HEADER) {
+            Some(0) => Ok(frame),
+            Some(1) => {
+                let mut r = WireReader::new(frame.body());
                 match r.u32() {
                     Ok(code) => Err(Errno::from_wire(code)),
                     Err(_) => Err(Errno::EIO),
@@ -1627,7 +1724,7 @@ impl<K> WireSession<K> {
             _ => Err(Errno::EIO),
         });
         let sid = op.sid;
-        if let Some(s) = self.sessions.get_mut(&sid) {
+        if let Some(s) = self.sessions.get_mut(sid as usize) {
             s.pending = s.pending.saturating_sub(1);
         }
     }
@@ -1643,7 +1740,7 @@ impl<K> WireSession<K> {
             if let Some(op) = self.inflight.get_mut(&tag) {
                 op.done = Some(Err(Errno::ETIMEDOUT));
                 let sid = op.sid;
-                if let Some(s) = self.sessions.get_mut(&sid) {
+                if let Some(s) = self.sessions.get_mut(sid as usize) {
                     s.pending = s.pending.saturating_sub(1);
                 }
             }
@@ -1660,7 +1757,7 @@ impl<K> WireSession<K> {
     /// Drops a session's link mid-stream (client-driven churn): queues
     /// clear, in-flight ops ride their retry timers.
     fn do_disconnect(&mut self, sid: u32) {
-        let Some(sess) = self.sessions.get_mut(&sid) else {
+        let Some(sess) = self.sessions.get_mut(sid as usize) else {
             return;
         };
         if sess.link != LinkState::Live {
@@ -1678,7 +1775,7 @@ impl<K> WireSession<K> {
     /// with its stale tag (the dedup window must answer it, not
     /// re-execute it).
     fn do_reconnect(&mut self, k: &mut K, sid: u32) {
-        let Some(sess) = self.sessions.get_mut(&sid) else {
+        let Some(sess) = self.sessions.get_mut(sid as usize) else {
             return;
         };
         if sess.link != LinkState::Down {
@@ -1689,13 +1786,13 @@ impl<K> WireSession<K> {
         if arm {
             sess.drain_armed = true;
         }
-        let replay = sess.last_seq_frame.clone();
         self.stats.churn_events += 1;
         if arm {
             self.schedule(TRANSIT_TICKS, NetEvent::Drain { sid });
         }
         let stale = self.fault.as_mut().is_some_and(FaultPlan::roll_stale_replay);
         if stale {
+            let replay = self.sessions.get(sid as usize).and_then(|s| s.last_seq_frame.clone());
             if let Some(frame) = replay {
                 self.stats.stale_replays += 1;
                 self.append_inbound(k, sid, frame);
@@ -1709,7 +1806,7 @@ impl<K> WireSession<K> {
     /// granted this client are closed on its behalf — run-on-last-close
     /// fires exactly as if the client had closed cleanly.
     fn teardown(&mut self, k: &mut K, sid: u32, churn: bool) {
-        let Some(sess) = self.sessions.get_mut(&sid) else {
+        let Some(sess) = self.sessions.get_mut(sid as usize) else {
             return;
         };
         if sess.link == LinkState::Gone {
@@ -1738,7 +1835,7 @@ impl<K> WireSession<K> {
     }
 
     /// Removes and returns the completion for `tag` if it has arrived.
-    fn try_take(&mut self, tag: u64) -> Option<SysResult<Vec<u8>>> {
+    fn try_take(&mut self, tag: u64) -> Option<SysResult<Reply>> {
         if self.inflight.get(&tag)?.done.is_some() {
             return self.inflight.remove(&tag).and_then(|op| op.done);
         }
@@ -1748,7 +1845,7 @@ impl<K> WireSession<K> {
     /// Pumps events until `tag` completes; the blocking face of the
     /// session. Other in-flight ops make progress underneath — their
     /// completions land in their own slots while we wait for ours.
-    fn wait_raw(&mut self, k: &mut K, tag: u64) -> SysResult<Vec<u8>> {
+    fn wait_raw(&mut self, k: &mut K, tag: u64) -> SysResult<Reply> {
         loop {
             if let Some(done) = self.try_take(tag) {
                 return done;
@@ -1794,12 +1891,11 @@ impl<K> WireSession<K> {
             next_tag: self.next_tag,
             next_event_id: self.next_event_id,
             events: self.events.iter().cloned().collect(),
-            inflight: self.inflight.iter().map(|(t, op)| (*t, op.clone())).collect(),
+            inflight: self.inflight.clone(),
             dedup: self.dedup.iter().cloned().collect(),
             jitter: self.jitter,
             stats: self.stats,
-            sessions: self.sessions.iter().map(|(s, st)| (*s, st.clone())).collect(),
-            next_sid: self.next_sid,
+            sessions: self.sessions.clone(),
             ready_q: self.ready_q.iter().copied().collect(),
             in_cap: self.in_cap,
             out_cap: self.out_cap,
@@ -1818,14 +1914,12 @@ impl<K> WireSession<K> {
         self.next_tag = snap.next_tag;
         self.next_event_id = snap.next_event_id;
         self.events = snap.events.iter().cloned().collect();
-        self.inflight = snap.inflight.iter().map(|(t, op)| (*t, op.clone())).collect();
+        self.inflight = snap.inflight.clone();
         self.dedup = snap.dedup.iter().cloned().collect();
         self.jitter = snap.jitter;
         self.stats = snap.stats;
-        self.sessions = snap.sessions.iter().map(|(s, st)| (*s, st.clone())).collect();
-        self.next_sid = snap.next_sid;
+        self.sessions = snap.sessions.clone();
         self.ready_q = snap.ready_q.iter().copied().collect();
-        self.ready_in = snap.ready_q.iter().copied().collect();
         self.in_cap = snap.in_cap;
         self.out_cap = snap.out_cap;
         self.served_tick = snap.served_tick;
@@ -1848,12 +1942,11 @@ pub struct WireSnapshot {
     next_tag: u64,
     next_event_id: u64,
     events: Vec<Scheduled>,
-    inflight: Vec<(u64, InFlight)>,
+    inflight: BTreeMap<u64, InFlight>,
     dedup: Vec<(u64, Vec<u8>)>,
     jitter: u64,
     stats: WireStats,
-    sessions: Vec<(u32, SessionState)>,
-    next_sid: u32,
+    sessions: Vec<SessionState>,
     ready_q: Vec<u32>,
     in_cap: usize,
     out_cap: usize,
@@ -1992,7 +2085,8 @@ impl<K> RemoteClient<K> {
         self.start(req, parse_read)
     }
 
-    /// Pipelined write (sequenced).
+    /// Pipelined write (sequenced). At most [`MAX_IO`] bytes of `data`
+    /// cross; the reply counts what was written.
     pub fn submit_write(
         &self,
         cur: Pid,
@@ -2001,6 +2095,7 @@ impl<K> RemoteClient<K> {
         off: u64,
         data: &[u8],
     ) -> OpFuture<IoReply> {
+        let data = &data[..data.len().min(MAX_IO)];
         let req = Wire::new(OP_WRITE).u32(cur.0).u64(node.0).u64(token.0).u64(off).bytes(data);
         self.start(req, parse_write)
     }
@@ -2050,7 +2145,7 @@ impl<K> RemoteClient<K> {
         let tag = fut.tag?;
         let raw = lock(&self.session).try_take(tag)?;
         fut.tag = None;
-        Some(raw.and_then(|b| (fut.parse)(&b)))
+        Some(raw.and_then(|r| (fut.parse)(r.body())))
     }
 
     /// Blocks (pumping the wire) until the future completes. Other
@@ -2065,7 +2160,7 @@ impl<K> RemoteClient<K> {
             None => return Err(Errno::EIO),
         };
         let raw = lock(&self.session).wait_raw(k, tag)?;
-        (fut.parse)(&raw)
+        (fut.parse)(raw.body())
     }
 
     /// Ops submitted but not yet completed, across all sessions.
@@ -2100,7 +2195,7 @@ impl<K> RemoteClient<K> {
     /// the session is evicted or hung up.
     pub fn poll_session(&self) -> PollStatus {
         let s = lock(&self.session);
-        let sess = s.sessions.get(&self.sid);
+        let sess = s.sessions.get(self.sid as usize);
         let hangup = sess.is_none_or(|x| x.link == LinkState::Gone);
         let writable =
             sess.is_some_and(|x| x.link == LinkState::Live && x.pending < INFLIGHT_CAP);
@@ -2392,12 +2487,12 @@ impl<K> RemoteFs<K> {
         &self,
         k: &mut K,
         req: Wire,
-        parse: fn(&[u8]) -> SysResult<T>,
+        parse: impl FnOnce(&[u8]) -> SysResult<T>,
     ) -> SysResult<T> {
         let mut s = lock(&self.session);
         let tag = s.submit(0, req.0)?;
         let raw = s.wait_raw(k, tag)?;
-        parse(&raw)
+        parse(raw.body())
     }
 }
 
@@ -2466,20 +2561,21 @@ impl<K> FileSystem<K> for RemoteFs<K> {
     ) -> SysResult<IoReply> {
         // A read marshals generically: the request is (node, off, len) and
         // the response is the data — sizes and direction are manifest.
+        // The server returns at most `MAX_IO` bytes: a short count.
         let req = Wire::new(OP_READ)
             .u32(cur.0)
             .u64(node.0)
             .u64(token.0)
             .u64(off)
             .u64(buf.len() as u64);
-        match self.call(k, req, parse_read)? {
-            RemoteRead::Data(data) => {
+        self.call(k, req, |b| match read_reply(b)? {
+            Some(data) => {
                 let n = data.len().min(buf.len());
                 buf[..n].copy_from_slice(&data[..n]);
                 Ok(IoReply::Done(n))
             }
-            RemoteRead::Block => Ok(IoReply::Block),
-        }
+            None => Ok(IoReply::Block),
+        })
     }
 
     fn write(
@@ -2491,6 +2587,8 @@ impl<K> FileSystem<K> for RemoteFs<K> {
         off: u64,
         data: &[u8],
     ) -> SysResult<IoReply> {
+        // At most `MAX_IO` bytes cross, so the request fits one frame.
+        let data = &data[..data.len().min(MAX_IO)];
         let req = Wire::new(OP_WRITE).u32(cur.0).u64(node.0).u64(token.0).u64(off).bytes(data);
         self.call(k, req, parse_write)
     }
@@ -2515,7 +2613,7 @@ impl<K> FileSystem<K> for RemoteFs<K> {
                     Wire::new(OP_IOCTL).u32(cur.0).u64(node.0).u64(token.0).u32(req_no).bytes(arg);
                 let tag = s.submit(0, req.0)?;
                 let raw = s.wait_raw(k, tag)?;
-                parse_ioctl(&raw)
+                parse_ioctl(raw.body())
             }
             Err(IoctlGate::Local(reply)) => Ok(reply),
             Err(IoctlGate::Refused(e)) => Err(e),
@@ -2552,7 +2650,7 @@ mod tests {
     /// directly instead of fishing for the right seed).
     fn force_persona(c: &RemoteClient<()>, p: Persona) {
         let mut s = lock(&c.session);
-        s.sessions.get_mut(&c.sid).expect("session").persona = p;
+        s.sessions.get_mut(c.sid as usize).expect("session").persona = p;
     }
 
     #[test]
@@ -2647,7 +2745,7 @@ mod tests {
     #[test]
     fn frames_reject_damage_without_misparsing() {
         let frame = encode_frame(42, b"important bytes");
-        assert_eq!(decode_frame(&frame), Ok((42, b"important bytes".to_vec())));
+        assert_eq!(decode_frame(&frame), Ok((42, &b"important bytes"[..])));
         // Any single bit flip is caught by the CRC (or the magic/length
         // checks before it).
         for bit in 0..frame.len() * 8 {
@@ -2659,6 +2757,84 @@ mod tests {
         for keep in 0..frame.len() {
             assert!(decode_frame(&frame[..keep]).is_err(), "cut at {keep} slipped through");
         }
+    }
+
+    /// The bitwise CRC-32 the table-driven one must equal.
+    fn crc32_bitwise(seed: u32, data: &[u8]) -> u32 {
+        let mut crc = !seed;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_known_answers_and_the_bitwise_reference() {
+        assert_eq!(crc32(0, b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(0, b""), 0);
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut buf = vec![0u8; 4096 + 13];
+        for b in buf.iter_mut() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            *b = (x >> 32) as u8;
+        }
+        // Every length around the 8-byte stride, then long random runs
+        // at every alignment, from zero and non-zero seeds.
+        for len in 0..=64 {
+            for seed in [0, 0xFFFF_FFFF, 0x1234_5678] {
+                let data = &buf[..len];
+                let want = crc32_bitwise(seed, data);
+                assert_eq!(crc32(seed, data), want, "len {len} seed {seed:#x}");
+            }
+        }
+        for start in 0..8 {
+            let data = &buf[start..];
+            assert_eq!(crc32(7, data), crc32_bitwise(7, data), "offset {start}");
+        }
+        // Chaining: a run split anywhere checksums as the whole run.
+        let whole = crc32(0, &buf[..200]);
+        for cut in 0..=200 {
+            assert_eq!(crc32(crc32(0, &buf[..cut]), &buf[cut..200]), whole, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn oversized_reads_and_writes_complete_short_without_retries() {
+        let big: Vec<u8> = (0..3usize << 20).map(|i| (i % 251) as u8).collect();
+        let mut fs = MemFs::<()>::new();
+        fs.install("/big", 0o644, 0, 0, big.clone());
+        let mut r = RemoteFs::new(Box::new(fs));
+        let cred = Cred::superuser();
+        let node = r.lookup(&mut (), P, NodeId(0), "big").expect("big");
+        let tok = r.open(&mut (), P, node, OFlags::rdwr(), &cred).expect("open");
+        let mut buf = vec![0u8; 2 << 20];
+        let got = r.read(&mut (), P, node, tok, 5, &mut buf).expect("2 MiB read");
+        assert_eq!(got, IoReply::Done(MAX_IO), "a short count, not a timeout");
+        assert_eq!(&buf[..MAX_IO], &big[5..5 + MAX_IO]);
+        let data: Vec<u8> = (0..2usize << 20).map(|i| (i % 13) as u8).collect();
+        let put = r.write(&mut (), P, node, tok, 7, &data).expect("2 MiB write");
+        assert_eq!(put, IoReply::Done(MAX_IO), "a short count, not a timeout");
+        let got = r.read(&mut (), P, node, tok, 0, &mut buf).expect("read back");
+        assert_eq!(got, IoReply::Done(MAX_IO));
+        assert_eq!(&buf[..7], &big[..7]);
+        assert_eq!(&buf[7..MAX_IO], &data[..MAX_IO - 7], "the written prefix landed");
+        let st = r.stats();
+        assert_eq!((st.retries, st.timeouts, st.frames_shed), (0, 0, 0));
+        // The pipelined face caps the same way.
+        let c = r.client();
+        let fut = c.submit_read(P, node, tok, 0, 2 << 20);
+        match c.wait(&mut (), fut).expect("pipelined read") {
+            RemoteRead::Data(d) => assert_eq!(d.len(), MAX_IO),
+            RemoteRead::Block => panic!("memfs never blocks"),
+        }
+        let fut = c.submit_write(P, node, tok, 0, &data);
+        assert_eq!(c.wait(&mut (), fut), Ok(IoReply::Done(MAX_IO)));
+        assert_eq!((c.stats().retries, c.stats().timeouts), (0, 0));
     }
 
     #[test]
@@ -2878,6 +3054,14 @@ mod tests {
     }
 
     // ---- the readiness-loop server and the adversarial clients ----
+
+    /// Takes the next whole frame off `buf` as `(tag, body)`.
+    fn extract_frame(buf: &mut Vec<u8>, stats: &mut WireStats) -> Option<(u64, Vec<u8>)> {
+        let (tag, len) = next_frame(buf, stats)?;
+        let body = buf[FRAME_HEADER..len].to_vec();
+        buf.drain(..len);
+        Some((tag, body))
+    }
 
     #[test]
     fn truncated_stream_resyncs_to_next_frame() {
