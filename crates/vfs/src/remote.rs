@@ -1267,6 +1267,10 @@ pub struct WireSession<K> {
     next_event_id: u64,
     events: BinaryHeap<Scheduled>,
     inflight: BTreeMap<u64, InFlight>,
+    /// Ops resolved so far, by reply, timeout or eviction. Host-side
+    /// only (not snapshotted): pollers compare it to skip futures when
+    /// nothing completed.
+    completed: u64,
     /// Server-side dedup window: `(tag, cached response body)`.
     dedup: VecDeque<(u64, Vec<u8>)>,
     /// Seeded service-jitter stream: reorders reply completions.
@@ -1304,6 +1308,7 @@ impl<K> WireSession<K> {
             next_event_id: 0,
             events: BinaryHeap::new(),
             inflight: BTreeMap::new(),
+            completed: 0,
             dedup: VecDeque::new(),
             jitter: 0x5EED_0F0F_CAFE_F00D,
             stats: WireStats::default(),
@@ -1712,6 +1717,7 @@ impl<K> WireSession<K> {
         if op.done.is_some() {
             return; // duplicate reply: first one won
         }
+        self.completed += 1;
         op.done = Some(match frame.0.get(FRAME_HEADER) {
             Some(0) => Ok(frame),
             Some(1) => {
@@ -1739,6 +1745,7 @@ impl<K> WireSession<K> {
         if attempts >= self.retry.max_attempts.max(1) || budget < backoff {
             if let Some(op) = self.inflight.get_mut(&tag) {
                 op.done = Some(Err(Errno::ETIMEDOUT));
+                self.completed += 1;
                 let sid = op.sid;
                 if let Some(s) = self.sessions.get_mut(sid as usize) {
                     s.pending = s.pending.saturating_sub(1);
@@ -1822,6 +1829,7 @@ impl<K> WireSession<K> {
         for op in self.inflight.values_mut() {
             if op.sid == sid && op.done.is_none() {
                 op.done = Some(Err(Errno::EAGAIN));
+                self.completed += 1;
             }
         }
         if churn {
@@ -2161,6 +2169,13 @@ impl<K> RemoteClient<K> {
         };
         let raw = lock(&self.session).wait_raw(k, tag)?;
         (fut.parse)(raw.body())
+    }
+
+    /// Ops resolved so far across all sessions, by reply, timeout or
+    /// eviction: a poller over many futures need only poll them again
+    /// once this has moved.
+    pub fn completions(&self) -> u64 {
+        lock(&self.session).completed
     }
 
     /// Ops submitted but not yet completed, across all sessions.
