@@ -48,13 +48,6 @@ pub enum BusFaultKind {
     /// The access hit a watched area (the paper's proposed watchpoint
     /// facility); the kernel turns this into `FLTWATCH`.
     Watch,
-    /// Kernel-internal: the access needs to mutate shared backing store
-    /// while the bus is running against a frozen (shared, read-only)
-    /// store view. Never surfaces as a guest fault — the scheduler
-    /// aborts the speculative slice and re-runs it with full store
-    /// access. Faults leave the program counter at the instruction and
-    /// do not retire it, so the retry is exact.
-    Frozen,
 }
 
 /// A failed bus access.

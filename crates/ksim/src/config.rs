@@ -70,23 +70,10 @@ pub struct SimConfig {
     pub snapshot_every: usize,
     /// Mounts to establish at construction, in order.
     pub mounts: Vec<(String, MountPlan)>,
-    /// Host worker threads for the scheduler's speculative user slices
-    /// (1, the default, runs them on the calling thread; 0 acts as 1).
-    /// Every `System::step` is one gang round whatever the value, and
-    /// the *logical* schedule never depends on it: any two shard counts
-    /// produce byte-identical transcripts for the same `interleave_seed`.
-    pub shards: u32,
-    /// Seed for the round engine's commit-order permutation. Part of the
-    /// recorded config: a replay at a different shard count but the same
-    /// seed replays the same interleaving.
+    /// Seed for the gang round's commit-order permutation, which is
+    /// also the order its slices run in. Part of the recorded config,
+    /// so a replay runs the same interleaving.
     pub interleave_seed: u64,
-    /// Scheduling quanta each selected LWP runs per gang round (1, the
-    /// default; 0 acts as 1). Larger batches amortise the per-round
-    /// thread fork but make a controller waiting on one stop pay for
-    /// every runnable guest's whole batch; the value changes the
-    /// schedule (slice length) but, like `quantum`, not its shard-count
-    /// independence.
-    pub shard_batch: u32,
 }
 
 impl Default for SimConfig {
@@ -99,9 +86,7 @@ impl Default for SimConfig {
             record: false,
             snapshot_every: 64,
             mounts: Vec::new(),
-            shards: 1,
             interleave_seed: 0,
-            shard_batch: 1,
         }
     }
 }
@@ -169,24 +154,9 @@ impl SimConfig {
         self
     }
 
-    /// Sets how many host worker threads speculate user slices (`0`
-    /// clamps to 1). The schedule is shard-count independent:
-    /// `shards(1)` and `shards(8)` replay byte-identically for the same
-    /// [`SimConfig::interleave_seed`].
-    pub fn shards(mut self, n: u32) -> SimConfig {
-        self.shards = n.max(1);
-        self
-    }
-
-    /// Seeds the round engine's deterministic commit-order permutation.
+    /// Seeds the gang round's deterministic commit-order permutation.
     pub fn interleave_seed(mut self, seed: u64) -> SimConfig {
         self.interleave_seed = seed;
-        self
-    }
-
-    /// Sets how many quanta one speculative slice runs per round.
-    pub fn shard_batch(mut self, quanta: u32) -> SimConfig {
-        self.shard_batch = quanta.max(1);
         self
     }
 
@@ -227,9 +197,7 @@ impl SimConfig {
                 w.encode(out);
             }
         }
-        out.extend_from_slice(&self.shards.to_le_bytes());
         out.extend_from_slice(&self.interleave_seed.to_le_bytes());
-        out.extend_from_slice(&self.shard_batch.to_le_bytes());
     }
 
     /// Parses the [`SimConfig::encode`] byte layout back into a config,
@@ -281,9 +249,7 @@ impl SimConfig {
             };
             mounts.push((path, plan));
         }
-        let shards = r.u32()?;
         let interleave_seed = r.u64()?;
-        let shard_batch = r.u32()?;
         Ok(SimConfig {
             quantum,
             pump_limit,
@@ -292,9 +258,7 @@ impl SimConfig {
             record: false,
             snapshot_every,
             mounts,
-            shards,
             interleave_seed,
-            shard_batch,
         })
     }
 }
@@ -328,9 +292,7 @@ mod tests {
             .targeted_kernel_faults(0xDEAD, KernelFaultRates::uniform(9))
             .snapshot_every(24)
             .mount("/procr", MountPlan::RemoteProc(WireConfig::faulty(7, Default::default())))
-            .shards(4)
-            .interleave_seed(0xBEEF)
-            .shard_batch(8);
+            .interleave_seed(0xBEEF);
         let mut bytes = Vec::new();
         cfg.encode(&mut bytes);
         let mut r = WireReader::new(&bytes);
@@ -356,7 +318,7 @@ mod tests {
         SimConfig::standard().encode(&mut c);
         assert_eq!(a, c);
         let mut d = Vec::new();
-        SimConfig::standard().shards(2).interleave_seed(5).encode(&mut d);
-        assert_ne!(a, d, "shard dimension is part of the recorded config");
+        SimConfig::standard().interleave_seed(5).encode(&mut d);
+        assert_ne!(a, d, "the interleave seed is part of the recorded config");
     }
 }

@@ -258,7 +258,7 @@ impl KernelFaultPlan {
     }
 
     /// Should a hosted *controller* die at this scheduler step? Rolled
-    /// once per `System::step` at any shard count. (The caller picks the
+    /// once per `System::step`, before the round selects. (The caller picks the
     /// victim and bumps [`KFaultStats::controller_deaths`] once it has.)
     pub fn roll_controller_death(&mut self) -> bool {
         self.roll(self.rates.controller_death)

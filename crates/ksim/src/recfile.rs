@@ -47,15 +47,16 @@ use vfs::{Cred, OFlags};
 /// First eight bytes of every recfile image.
 pub const RECFILE_MAGIC: &[u8; 8] = b"PSRECF01";
 
-/// Current format version. Version 2 extended the embedded
-/// `SimConfig` encoding with the scheduler shard dimension
-/// (`shards`/`interleave_seed`/`shard_batch`) and the
-/// `controller_death` fault rate. Version 3 drops the
-/// whole-mapping-invalidation flag byte, and its logs come from the
-/// gang-round scheduler only (a version-2 log may have been made by
-/// the one-LWP-per-step loop, which no longer exists). Older images are
-/// rejected with a typed [`RecfileError::BadVersion`].
-pub const RECFILE_VERSION: u32 = 3;
+/// Current format version. Version 2 added the `interleave_seed` and
+/// the `controller_death` fault rate to the embedded `SimConfig`
+/// encoding; version 3 dropped the whole-mapping-invalidation flag
+/// byte. Version 4 drops the speculation worker count and batch
+/// length from the config: the gang round now runs its slices serially
+/// in commit order, while a version-3 log was made by the round that
+/// speculated slices against a frozen store first, so it need not
+/// replay the same. Older images are rejected with a typed
+/// [`RecfileError::BadVersion`].
+pub const RECFILE_VERSION: u32 = 4;
 
 /// Records per batch segment; bounds how much one torn segment can lose.
 pub const RECORDS_PER_SEGMENT: usize = 256;

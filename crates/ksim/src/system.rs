@@ -81,12 +81,6 @@ pub struct System {
     pub quantum: u64,
     /// Idle-step limit for hosted blocking calls before `EDEADLK`.
     pub pump_limit: u64,
-    /// Host worker threads that speculate a gang round's pure-user
-    /// slices (0 acts as 1; see [`SimConfig::shards`]). Never changes
-    /// the schedule.
-    pub shards: u32,
-    /// Quanta each selected LWP runs per gang round (0 acts as 1).
-    pub shard_batch: u32,
     /// Seed for the per-round commit permutation.
     pub interleave_seed: u64,
 }
@@ -134,8 +128,6 @@ impl System {
             cpu: Cpu::new(),
             quantum: cfg.quantum,
             pump_limit: cfg.pump_limit,
-            shards: cfg.shards,
-            shard_batch: cfg.shard_batch,
             interleave_seed: cfg.interleave_seed,
         };
         sys.mounts.add("/", 0);
@@ -331,8 +323,8 @@ impl System {
     }
 
     /// One recorded step and its budget charge: a round costs one unit
-    /// per LWP slice it ran, so a unit means one quantum of one LWP at
-    /// the default `shard_batch`, however many guests share the round;
+    /// per LWP slice it ran, so a unit means one quantum of one LWP,
+    /// however many guests share the round;
     /// an idle fast-forward costs the simulated time it skipped, in
     /// quantum units (minimum one). So `budget` bounds simulated work
     /// whether the machine is busy or sleeping.
@@ -542,17 +534,12 @@ impl System {
             }
         }
         // Phase C/D: run user code.
-        self.run_user(pid, tid, self.quantum);
+        self.run_user(pid, tid);
     }
 
-    /// Runs user code only — no signal gate, no syscall continuation —
-    /// for up to `budget` instructions with full store access, then
-    /// takes the kernel entry that ended it. This is the user phase of
-    /// [`System::run_slice`], and also the serial tail of a speculative
-    /// slice that stalled on the frozen store: the gang round already
-    /// ran the kernel-entry phases, so the remainder is pure
-    /// re-execution from the stalled pc.
-    fn run_user(&mut self, pid: Pid, tid: Tid, budget: u64) {
+    /// The user phase of [`System::run_slice`]: runs user code for up
+    /// to a quantum, then takes the kernel entry that ended it.
+    fn run_user(&mut self, pid: Pid, tid: Tid) {
         let System { kernel, cpu, .. } = self;
         let Kernel { procs, objects, .. } = kernel;
         let Some(proc) = procs.get_mut(&pid.0) else { return };
@@ -570,8 +557,8 @@ impl System {
             lwp.gregs.psr |= PSR_TRACE;
         }
         let crate::proc::Lwp { gregs, fpregs, icache, sblocks, insns, .. } = lwp;
-        let mut bus = ProcBus { asp: aspace, store: StoreRef::Full(objects), icache, sblocks };
-        let (n, exit) = cpu.run(gregs, fpregs, &mut bus, budget.max(1));
+        let mut bus = ProcBus { asp: aspace, store: objects, icache, sblocks };
+        let (n, exit) = cpu.run(gregs, fpregs, &mut bus, self.quantum.max(1));
         *cpu_time += n;
         *insns += n;
         kernel.clock += n.max(1);
@@ -591,42 +578,21 @@ impl System {
     // Gang-round scheduler
     // ------------------------------------------------------------------
 
-    /// True when the slice is *pure user*: the next thing this LWP does
-    /// is execute user instructions, with no kernel entry owed first.
-    /// The issig() gate would answer `Run` without mutating anything (no
-    /// pending or current signal, no stop directive), there is no system
-    /// call to continue, and no single-step latch — so the slice can be
-    /// speculated against a frozen store with every effect process-local.
-    fn slice_eligible(proc: &crate::proc::Proc, lwp: &crate::proc::Lwp) -> bool {
-        !proc.hosted
-            && !proc.zombie
-            && proc.pending.is_empty()
-            && lwp.state == LwpState::Runnable
-            && lwp.syscall.is_none()
-            && lwp.cursig.is_none()
-            && !lwp.stop_directive
-            && !lwp.single_step
-    }
-
     /// One gang round: the scheduler's only step. Returns the outcome
     /// and its budget charge (the number of slices run, or the idle
     /// jump's cost).
     ///
     /// Selection picks one runnable LWP per non-hosted process (rotated
-    /// by round number, so multi-LWP processes interleave). Pure-user
-    /// slices are speculated — partitioned `pid % shards` onto host
-    /// threads, each running up to `shard_batch` quanta against the
-    /// round-start state with a frozen store view — while slices owing
-    /// a kernel entry wait for the serial phase. The commit phase then
-    /// applies *every* slice's kernel effect in an order drawn from the
-    /// seeded interleave permutation.
+    /// by round number, so multi-LWP processes interleave). The round
+    /// then runs each selected slice through [`System::run_slice`] in an
+    /// order drawn from the seeded interleave permutation. Commit order
+    /// is execution order: a slice sees every effect of the slices run
+    /// before it in the round and none of those after, so kernel state
+    /// is a function of the ordered history alone.
     ///
-    /// Determinism: commit order is a pure function of
-    /// `(interleave_seed, round)`, the round counter lives in the kernel
-    /// (so snapshots capture it), speculation sees only round-start
-    /// state, and aborted speculation (`BusFaultKind::Frozen`) re-runs
-    /// serially — so transcripts, digests and replay are byte-identical
-    /// across shard counts and host thread timing for a given seed.
+    /// Determinism: the order is a pure function of
+    /// `(interleave_seed, round)`, and the round counter lives in the
+    /// kernel (so snapshots capture it).
     fn step_round(&mut self) -> (StepOutcome, u64) {
         self.kfault_controller_tick();
         self.fire_timers();
@@ -634,116 +600,26 @@ impl System {
         let round = self.kernel.sched_rounds;
         self.kernel.sched_rounds = round.wrapping_add(1);
 
-        // Both lists come out in ascending pid order (the table is a
-        // BTreeMap), which the speculation phase below relies on. Each
-        // eligible slice carries the slot its speculated outcome lands in.
-        let mut eligible = Vec::new();
-        let mut serial: Vec<(Pid, Tid)> = Vec::new();
-        for proc in self.kernel.procs.values() {
-            if proc.hosted || proc.zombie {
-                continue;
-            }
-            let runnable = proc.lwps.iter().filter(|l| l.state == LwpState::Runnable);
-            let n = runnable.clone().count();
-            let Some(lwp) = runnable.clone().nth((round % n.max(1) as u64) as usize) else {
-                continue;
-            };
-            if Self::slice_eligible(proc, lwp) {
-                eligible.push((proc.pid, lwp.tid, None));
-            } else {
-                serial.push((proc.pid, lwp.tid));
-            }
-        }
-        let speculated = eligible.len();
-        let total = speculated + serial.len();
-        if total == 0 {
+        let picked: Vec<(Pid, Tid)> = self
+            .kernel
+            .procs
+            .values()
+            .filter(|p| !p.hosted && !p.zombie)
+            .filter_map(|proc| {
+                let mut runnable = proc.lwps.iter().filter(|l| l.state == LwpState::Runnable);
+                let n = runnable.clone().count() as u64;
+                let lwp = runnable.nth((round % n.max(1)) as usize)?;
+                Some((proc.pid, lwp.tid))
+            })
+            .collect();
+        if picked.is_empty() {
             return self.idle_jump();
         }
-
-        // Parallel phase: speculate the pure-user slices, sharded by pid.
-        let batch = self.quantum.saturating_mul(self.shard_batch.max(1) as u64);
-        let shards = self.shards.max(1) as usize;
-        {
-            let Kernel { procs, objects, .. } = &mut self.kernel;
-            let objs: &vm::ObjectStore = objects;
-            // Merge the pid-ordered `eligible` list against the table.
-            let mut want = eligible.iter_mut().peekable();
-            let picked = procs.iter_mut().filter_map(|(pid, proc)| {
-                let (_, tid, slot) = want.next_if(|(p, _, _)| p.0 == *pid)?;
-                Some((slot, *tid, proc))
-            });
-            if shards == 1 || speculated <= 1 {
-                // One worker's worth of work: run it on this thread, with
-                // the identical speculate-then-commit algorithm.
-                for (slot, tid, proc) in picked {
-                    *slot = spec_slice(proc, tid, objs, batch);
-                }
-            } else {
-                let mut buckets: Vec<Vec<_>> = (0..shards).map(|_| Vec::new()).collect();
-                for (slot, tid, proc) in picked {
-                    buckets[(proc.pid.0 as usize) % shards].push((slot, tid, proc));
-                }
-                // The scope joins every worker and re-raises any panic.
-                std::thread::scope(|s| {
-                    for bucket in buckets.into_iter().filter(|b| !b.is_empty()) {
-                        s.spawn(move || {
-                            for (slot, tid, proc) in bucket {
-                                *slot = spec_slice(proc, tid, objs, batch);
-                            }
-                        });
-                    }
-                });
-            }
+        for idx in commit_order(picked.len(), self.interleave_seed, round) {
+            let (pid, tid) = picked[idx];
+            self.run_slice(pid, tid);
         }
-
-        // Commit phase: the seeded interleaving decides the order in
-        // which this round's slices take their kernel effects.
-        for idx in commit_order(total, self.interleave_seed, round) {
-            if let Some((pid, tid, spec)) = eligible.get_mut(idx) {
-                if let Some((n, exit)) = spec.take() {
-                    self.commit_spec(*pid, *tid, n, exit, batch);
-                }
-            } else {
-                let (pid, tid) = serial[idx - speculated];
-                self.run_slice(pid, tid);
-            }
-        }
-        (StepOutcome::Ran, total as u64)
-    }
-
-    /// Applies one speculated slice's outcome at its commit slot: the
-    /// retired prefix advances the clock, then the slice's kernel entry
-    /// (quantum interrupt, trap, or frozen-store stall) is handled with
-    /// full store access. A `Frozen` stall means the speculation stopped
-    /// at an instruction needing store mutation (stack growth, COW,
-    /// shared-mapping write): the remainder of the batch re-runs
-    /// serially from that exact pc.
-    fn commit_spec(&mut self, pid: Pid, tid: Tid, n: u64, exit: RunExit, batch: u64) {
-        self.cpu.retired += n;
-        let alive = self.kernel.procs.get(&pid.0).map(|p| !p.zombie).unwrap_or(false);
-        if let RunExit::Event(StepEvent::MemFault(bf)) = &exit {
-            if bf.kind == BusFaultKind::Frozen {
-                self.kernel.clock += n;
-                if alive {
-                    self.run_user(pid, tid, batch.saturating_sub(n));
-                } else {
-                    self.kernel.clock += 1;
-                }
-                return;
-            }
-        }
-        self.kernel.clock += n.max(1);
-        if !alive {
-            return;
-        }
-        match exit {
-            RunExit::Quantum => {
-                if let Some(l) = self.kernel.proc_mut(pid).ok().and_then(|p| p.lwp_mut(tid)) {
-                    l.user_return_pending = true;
-                }
-            }
-            RunExit::Event(ev) => self.handle_trap(pid, tid, ev),
-        }
+        (StepOutcome::Ran, picked.len() as u64)
     }
 
     /// Controller-death injection in the scheduler: rolled once per
@@ -832,14 +708,6 @@ impl System {
             BusFaultKind::Unmapped => Fault::Bounds,
             BusFaultKind::Protection => Fault::Access,
             BusFaultKind::Watch => Fault::Watch,
-            // A frozen-store stall is a scheduler artefact, consumed by
-            // the gang-round commit phase before trap handling; if one
-            // ever leaks here, re-running with the full store is the
-            // correct (and side-effect-free) recovery.
-            BusFaultKind::Frozen => {
-                self.run_user(pid, tid, 1);
-                return;
-            }
         };
         self.take_fault(pid, tid, fault);
     }
@@ -2290,39 +2158,13 @@ impl System {
     }
 }
 
-/// The parallel half of a gang round: runs one eligible LWP for up to
-/// `batch` instructions against a frozen store view on whichever host
-/// thread owns its shard. Eligibility guarantees the issig() gate would
-/// answer `Run` without mutating anything, so the user-return latch is
-/// cleared here, and every mutation the slice makes — registers,
-/// private overlay pages, per-LWP caches, instruction counts — is
-/// process-local. The slice's kernel effect (its [`RunExit`]) is
-/// returned for the serial commit phase to apply.
-fn spec_slice(
-    proc: &mut crate::proc::Proc,
-    tid: Tid,
-    objs: &vm::ObjectStore,
-    batch: u64,
-) -> Option<(u64, RunExit)> {
-    proc.touch();
-    let crate::proc::Proc { aspace, lwps, cpu_time, .. } = proc;
-    let lwp = lwps.iter_mut().find(|l| l.tid == tid)?;
-    lwp.user_return_pending = false;
-    let crate::proc::Lwp { gregs, fpregs, icache, sblocks, insns, .. } = lwp;
-    let mut bus = ProcBus { asp: aspace, store: StoreRef::Frozen(objs), icache, sblocks };
-    let mut cpu = Cpu::new();
-    let (n, exit) = cpu.run(gregs, fpregs, &mut bus, batch.max(1));
-    *cpu_time += n;
-    *insns += n;
-    Some((n, exit))
-}
-
 /// The commit permutation for one gang round: a Fisher–Yates shuffle
-/// driven by an xorshift64 stream seeded from `(seed, round)`. Pure —
-/// the interleaving schedule is a function of the recorded config and
-/// the round counter, which is what makes it replayable and identical
-/// at every shard count.
-fn commit_order(len: usize, seed: u64, round: u64) -> Vec<usize> {
+/// driven by an xorshift64 stream seeded from `(seed, round)`. Slot `i`
+/// is the `i`-th selected slice in ascending pid order, and the round
+/// runs the slots in the returned order. Pure — the interleaving
+/// schedule is a function of the recorded config and the round counter,
+/// which is what makes it replayable.
+pub fn commit_order(len: usize, seed: u64, round: u64) -> Vec<usize> {
     let mut order: Vec<usize> = (0..len).collect();
     let mut s = seed ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03;
     if s == 0 {
@@ -2337,33 +2179,12 @@ fn commit_order(len: usize, seed: u64, round: u64) -> Vec<usize> {
     order
 }
 
-/// The object store as a bus sees it: serial slices and the commit
-/// phase hold it mutably (COW materialisation, stack growth and
-/// shared writes all work in place), while speculative gang-round slices
-/// hold a frozen shared view — any access that would have to mutate the
-/// store aborts the slice with [`BusFaultKind::Frozen`] instead.
-enum StoreRef<'a> {
-    /// Full mutable access (serial execution).
-    Full(&'a mut vm::ObjectStore),
-    /// Frozen view (speculative execution); store-mutating accesses abort.
-    Frozen(&'a vm::ObjectStore),
-}
-
-impl StoreRef<'_> {
-    fn shared(&self) -> &vm::ObjectStore {
-        match self {
-            StoreRef::Full(s) => s,
-            StoreRef::Frozen(s) => s,
-        }
-    }
-}
-
 /// The CPU's view of a process address space: protections, copy-on-write,
 /// transparent stack growth and watchpoint screening all live behind this
 /// bus.
 struct ProcBus<'a> {
     asp: &'a mut vm::AddressSpace,
-    store: StoreRef<'a>,
+    store: &'a mut vm::ObjectStore,
     icache: &'a mut isa::InsnCache,
     sblocks: &'a mut isa::SBlockCache,
 }
@@ -2377,25 +2198,6 @@ impl ProcBus<'_> {
             // A user-mode access the kernel cannot back with a frame dies
             // as a bounds fault — the CPU has no out-of-memory fault.
             vm::AccessDenied::NoMemory { .. } => BusFaultKind::Unmapped,
-            // Only the frozen path produces this; mapped here defensively.
-            vm::AccessDenied::NeedStore { .. } => BusFaultKind::Frozen,
-        };
-        BusFault { addr: d.addr(), access, kind }
-    }
-
-    /// Fault classification for a speculative (frozen-store) access.
-    /// Protection and watch verdicts are pure — re-running the access
-    /// with the full store reproduces them exactly — so they surface as
-    /// themselves. Everything else (stack growth, COW materialisation,
-    /// pressure accounting) might be cured by mutating the store, so the
-    /// slice aborts with `Frozen` and the commit phase retries serially.
-    fn frozen_fault(d: vm::AccessDenied, access: Access) -> BusFault {
-        let kind = match d {
-            vm::AccessDenied::Protection { .. } => BusFaultKind::Protection,
-            vm::AccessDenied::Watch { .. } => BusFaultKind::Watch,
-            vm::AccessDenied::Unmapped { .. }
-            | vm::AccessDenied::NoMemory { .. }
-            | vm::AccessDenied::NeedStore { .. } => BusFaultKind::Frozen,
         };
         BusFault { addr: d.addr(), access, kind }
     }
@@ -2468,7 +2270,7 @@ impl ProcBus<'_> {
             return 0;
         };
         let page = start / vm::PAGE_SIZE;
-        let store = store.shared();
+        let store: &vm::ObjectStore = store;
         // The whole trace stays on the root page: one lent page serves
         // every decode, one epoch stamp covers every slot, and crossing
         // into a page with different eligibility or epoch state would
@@ -2524,7 +2326,7 @@ impl Bus for ProcBus<'_> {
             if let Some(s) = self.icache.probe(addr) {
                 if s.as_gen == self.asp.generation()
                     && self.asp.page_epoch_at(s.map_idx as usize, addr) == Some(s.epoch)
-                    && self.store.shared().content_gen == s.content_gen
+                    && self.store.content_gen == s.content_gen
                 {
                     let insn = s.insn;
                     self.icache.note_hit();
@@ -2545,7 +2347,7 @@ impl Bus for ProcBus<'_> {
                         as_gen: self.asp.generation(),
                         map_idx: map_idx as u32,
                         epoch,
-                        content_gen: self.store.shared().content_gen,
+                        content_gen: self.store.content_gen,
                         insn: i,
                     });
                 }
@@ -2565,7 +2367,7 @@ impl Bus for ProcBus<'_> {
         if let Some(b) = self.sblocks.probe(pc) {
             if b.as_gen == self.asp.generation()
                 && self.asp.page_epoch_at(b.map_idx as usize, pc) == Some(b.epoch)
-                && self.store.shared().content_gen == b.content_gen
+                && self.store.content_gen == b.content_gen
             {
                 let n = b.slots.len().min(isa::SBLOCK_CAP);
                 out[..n].copy_from_slice(&b.slots[..n]);
@@ -2582,72 +2384,50 @@ impl Bus for ProcBus<'_> {
     }
 
     fn fetch(&mut self, addr: u64, buf: &mut [u8; 8]) -> Result<(), BusFault> {
-        let first = self.asp.fetch_user(self.store.shared(), addr, buf);
-        let d = match first {
+        let d = match self.asp.fetch_user(self.store, addr, buf) {
             Ok(()) => return Ok(()),
             Err(d) => d,
         };
-        match &mut self.store {
-            StoreRef::Frozen(_) => Err(Self::frozen_fault(d, Access::Exec)),
-            StoreRef::Full(objs) => {
-                let grown = matches!(&d, vm::AccessDenied::Unmapped { addr }
-                    if self.asp.as_fault(objs, *addr));
-                if grown {
-                    self.asp
-                        .fetch_user(objs, addr, buf)
-                        .map_err(|d| Self::denied_to_fault(d, Access::Exec))
-                } else {
-                    Err(Self::denied_to_fault(d, Access::Exec))
-                }
-            }
+        let grown = matches!(&d, vm::AccessDenied::Unmapped { addr }
+            if self.asp.as_fault(self.store, *addr));
+        if grown {
+            self.asp
+                .fetch_user(self.store, addr, buf)
+                .map_err(|d| Self::denied_to_fault(d, Access::Exec))
+        } else {
+            Err(Self::denied_to_fault(d, Access::Exec))
         }
     }
 
     fn load(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), BusFault> {
-        let first = self.asp.read_user(self.store.shared(), addr, buf);
-        let d = match first {
+        let d = match self.asp.read_user(self.store, addr, buf) {
             Ok(()) => return Ok(()),
             Err(d) => d,
         };
-        match &mut self.store {
-            StoreRef::Frozen(_) => Err(Self::frozen_fault(d, Access::Read)),
-            StoreRef::Full(objs) => {
-                let grown = matches!(&d, vm::AccessDenied::Unmapped { addr }
-                    if self.asp.as_fault(objs, *addr));
-                if grown {
-                    self.asp
-                        .read_user(objs, addr, buf)
-                        .map_err(|d| Self::denied_to_fault(d, Access::Read))
-                } else {
-                    Err(Self::denied_to_fault(d, Access::Read))
-                }
-            }
+        let grown = matches!(&d, vm::AccessDenied::Unmapped { addr }
+            if self.asp.as_fault(self.store, *addr));
+        if grown {
+            self.asp
+                .read_user(self.store, addr, buf)
+                .map_err(|d| Self::denied_to_fault(d, Access::Read))
+        } else {
+            Err(Self::denied_to_fault(d, Access::Read))
         }
     }
 
     fn store(&mut self, addr: u64, data: &[u8]) -> Result<(), BusFault> {
-        match &mut self.store {
-            // Speculative write: only the TLB-hit, already-materialised
-            // private-overlay-page case commits in place (it touches
-            // nothing shared); everything else aborts the slice.
-            StoreRef::Frozen(_) => self
-                .asp
-                .write_user_frozen(addr, data)
-                .map_err(|d| Self::frozen_fault(d, Access::Write)),
-            StoreRef::Full(objs) => match self.asp.write_user(objs, addr, data) {
-                Ok(()) => Ok(()),
-                Err(d) => {
-                    let grown = matches!(&d, vm::AccessDenied::Unmapped { addr }
-                        if self.asp.as_fault(objs, *addr));
-                    if grown {
-                        self.asp
-                            .write_user(objs, addr, data)
-                            .map_err(|d| Self::denied_to_fault(d, Access::Write))
-                    } else {
-                        Err(Self::denied_to_fault(d, Access::Write))
-                    }
-                }
-            },
+        let d = match self.asp.write_user(self.store, addr, data) {
+            Ok(()) => return Ok(()),
+            Err(d) => d,
+        };
+        let grown = matches!(&d, vm::AccessDenied::Unmapped { addr }
+            if self.asp.as_fault(self.store, *addr));
+        if grown {
+            self.asp
+                .write_user(self.store, addr, data)
+                .map_err(|d| Self::denied_to_fault(d, Access::Write))
+        } else {
+            Err(Self::denied_to_fault(d, Access::Write))
         }
     }
 }

@@ -35,15 +35,6 @@ pub enum AccessDenied {
         /// The address whose backing frame could not be allocated.
         addr: u64,
     },
-    /// Kernel-internal: the access would have to mutate the shared
-    /// object store (COW materialisation, shared-mapping write, stack
-    /// growth) but the caller only holds a frozen view of it. Never a
-    /// guest-visible fault — the sharded scheduler aborts the
-    /// speculative slice and retries with full store access.
-    NeedStore {
-        /// The address whose access needs the mutable store.
-        addr: u64,
-    },
 }
 
 impl AccessDenied {
@@ -53,8 +44,7 @@ impl AccessDenied {
             AccessDenied::Unmapped { addr }
             | AccessDenied::Protection { addr }
             | AccessDenied::Watch { addr, .. }
-            | AccessDenied::NoMemory { addr }
-            | AccessDenied::NeedStore { addr } => *addr,
+            | AccessDenied::NoMemory { addr } => *addr,
         }
     }
 }

@@ -1001,59 +1001,6 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// User-mode write against a *frozen* object store, used by the
-    /// sharded scheduler's speculative parallel phase (the store is
-    /// shared read-only across worker threads, so nothing here may
-    /// touch it). Commits only the one case [`AddressSpace::write_user`]
-    /// serves without a store: a dTLB hit landing wholly in an already
-    /// materialised private overlay page. Everything else — TLB miss,
-    /// shared mapping, unmaterialised COW page, any case whose
-    /// classification or completion might need the store (growth,
-    /// pressure rolls, write-through) — returns
-    /// [`AccessDenied::NeedStore`] *before any side effect* (no stat
-    /// counting, no watch-bypass consumption, no epoch bumps), so the
-    /// caller can abort the slice and re-run the access through the
-    /// full-store path with an identical outcome.
-    pub fn write_user_frozen(&mut self, addr: u64, data: &[u8]) -> Result<(), AccessDenied> {
-        let len = (data.len() as u64).max(1);
-        if !self.fast_path || data.is_empty() {
-            return Err(AccessDenied::NeedStore { addr });
-        }
-        let Some((mi, watched)) = self.tlb_lookup(addr, len, Mode::Write) else {
-            return Err(AccessDenied::NeedStore { addr });
-        };
-        // Pure pre-check (tlb_lookup and these map reads mutate nothing):
-        // the write must be frozen-satisfiable before the side-effectful
-        // steps below run, or an abort after a consumed watch bypass
-        // would change the serial re-run's outcome.
-        let vpage = addr / PAGE_SIZE;
-        {
-            let m = &self.maps[mi];
-            let rel_page = vpage - m.base / PAGE_SIZE;
-            if m.flags.shared || !m.overlay.contains_key(&rel_page) {
-                return Err(AccessDenied::NeedStore { addr });
-            }
-        }
-        // From here this is exactly `write_user`'s fast path.
-        if watched {
-            self.watch_screen(addr, len, Mode::Write)?;
-        }
-        self.tlb[(vpage as usize) & (TLB_WAYS - 1)].frame = None;
-        let m = &mut self.maps[mi];
-        let rel_page = vpage - m.base / PAGE_SIZE;
-        let off = (addr % PAGE_SIZE) as usize;
-        let Some(frame) = m.overlay.get_mut(&rel_page) else {
-            return Err(AccessDenied::NeedStore { addr });
-        };
-        frame.make_mut()[off..off + data.len()].copy_from_slice(data);
-        if m.prot.exec {
-            m.bump_page_epoch(rel_page);
-            self.page_epoch_bumps += 1;
-        }
-        self.tlb_stats.hits += 1;
-        Ok(())
-    }
-
     /// Instruction fetch: exec permission + watch check, then read. Hits
     /// the same dTLB lines as data reads (one cache, three probe modes).
     pub fn fetch_user(

@@ -617,39 +617,27 @@ fn target_death_mid_wstop_is_typed_and_counted() {
     assert_all_released(&mut sys, 0x3D0_7EA);
 }
 
-/// PR 10: the 32-seed fault matrix re-run through the sharded gang-round
-/// engine at `shards ∈ {1, 2, 4}`. Kernel fault injection consumes
-/// generator state per *site visit*, so the schedule — and therefore the
-/// controller transcripts, the injection counters and the final clock —
-/// must be byte-identical across shard counts: the commit permutation
-/// reorders host threads, never observable kernel work.
+/// The 32-seed fault matrix under a seeded gang-round commit order, run
+/// twice per seed. Kernel fault injection consumes generator state per
+/// *site visit*, and the round order is a pure function of the
+/// interleave seed, so the controller transcripts, the injection
+/// counters and the final clock must be byte-identical between runs.
 #[test]
 fn fault_matrix_transcripts_identical_across_shard_counts() {
     for (i, seed) in seeds().enumerate() {
-        let run = |shards: u32| {
+        let run = || {
             let (mut sys, ctl) = boot_cfg(
-                config()
-                    .shards(shards)
-                    .interleave_seed(seed)
-                    .kernel_faults(seed, rates_for(i as u64)),
+                config().interleave_seed(seed).kernel_faults(seed, rates_for(i as u64)),
             );
             let t = drive(&mut sys, ctl);
             assert_all_released(&mut sys, seed);
             (t, sys.kfault_stats(), sys.kernel.clock)
         };
-        let base = run(1);
-        for shards in [2u32, 4] {
-            let got = run(shards);
-            assert_eq!(
-                base.0, got.0,
-                "seed {seed:#x}: transcripts diverged between shards=1 and shards={shards}"
-            );
-            assert_eq!(
-                base.1, got.1,
-                "seed {seed:#x}: injection counters diverged at shards={shards}"
-            );
-            assert_eq!(base.2, got.2, "seed {seed:#x}: clock diverged at shards={shards}");
-        }
+        let base = run();
+        let got = run();
+        assert_eq!(base.0, got.0, "seed {seed:#x}: transcripts diverged between two runs");
+        assert_eq!(base.1, got.1, "seed {seed:#x}: injection counters diverged between two runs");
+        assert_eq!(base.2, got.2, "seed {seed:#x}: clock diverged between two runs");
     }
 }
 
@@ -657,17 +645,15 @@ fn fault_matrix_transcripts_identical_across_shard_counts() {
 /// hosted controller that holds a target stopped (with run-on-last-close
 /// latched) dies between two gang rounds. Its exit closes its `/proc`
 /// descriptors, which must clear the stop directive and set the target
-/// running: no shard count may deadlock or leak a stopped process, and
+/// running: no fault seed may deadlock or leak a stopped process, and
 /// the simulation keeps making progress after its controller is gone.
 #[test]
 fn controller_death_in_scheduler_releases_targets_at_every_shard_count() {
-    for shards in [1u32, 2, 4] {
-        let (mut sys, ctl) = boot_cfg(
-            config().shards(shards).interleave_seed(0xC0DE).kernel_faults(
-                0x0C01_70DE + u64::from(shards),
-                KernelFaultRates { controller_death: 1000, ..Default::default() },
-            ),
-        );
+    for k in [1u64, 2, 4] {
+        let (mut sys, ctl) = boot_cfg(config().interleave_seed(0xC0DE).kernel_faults(
+            0x0C01_70DE + k,
+            KernelFaultRates { controller_death: 1000, ..Default::default() },
+        ));
         let pid = sys.spawn_program(ctl, "/bin/spin", &["spin"]).expect("spawn");
         // Host-API setup does not step the machine, so the certain-death
         // roll cannot have fired yet: open a writable handle, latch
@@ -680,27 +666,27 @@ fn controller_death_in_scheduler_releases_targets_at_every_shard_count() {
         // error from the corpse — never a hang.
         match h.stop(&mut sys) {
             Ok(_) => {}
-            Err(e) => assert!(clean_errno(e), "shards={shards}: stop died dirty: {e}"),
+            Err(e) => assert!(clean_errno(e), "run {k}: stop died dirty: {e}"),
         }
         let _ = h.close(&mut sys);
         sys.run_idle(200);
         let st = sys.kfault_stats();
-        assert!(st.controller_deaths >= 1, "shards={shards}: the scheduler site never fired");
+        assert!(st.controller_deaths >= 1, "run {k}: the scheduler site never fired");
         assert!(
             sys.kernel.proc(ctl).map(|p| p.zombie).unwrap_or(true),
-            "shards={shards}: certain controller death left the controller alive"
+            "run {k}: certain controller death left the controller alive"
         );
         assert!(
             sys.kernel.proc(pid).map(|p| !p.zombie).unwrap_or(false),
-            "shards={shards}: the target must survive its controller"
+            "run {k}: the target must survive its controller"
         );
-        assert_all_released(&mut sys, u64::from(shards));
+        assert_all_released(&mut sys, k);
         // Progress after the controller died: the released target keeps
         // retiring instructions.
         let before = sys.kernel.proc(pid).map(|p| p.cpu_time).unwrap_or(0);
         sys.run_idle(20);
         let after = sys.kernel.proc(pid).map(|p| p.cpu_time).unwrap_or(0);
-        assert!(after > before, "shards={shards}: no progress after controller death");
+        assert!(after > before, "run {k}: no progress after controller death");
     }
 }
 

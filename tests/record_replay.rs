@@ -120,49 +120,38 @@ fn replay_matrix_32_seeds_byte_identical() {
     assert!(total > 32 * 20, "matrix workload too small ({total} records across seeds)");
 }
 
-/// PR 10: the replay matrix with the sharded gang-round engine in the
-/// loop. Every seed records at `shards ∈ {1, 2, 4}` with the kernel
-/// fault plan and the adversarial wire both live; the three logs must
-/// be record-for-record identical — the shard count shapes host
-/// parallelism, never recorded work — and each seed's `shards=4` log
-/// must replay byte-identically (the recorded config carries the shard
-/// dimension, so the replay re-executes through the sharded engine).
+/// The replay matrix with a seeded gang-round commit order. Every seed
+/// records twice with the kernel fault plan and the adversarial wire
+/// both live; the two logs must be record-for-record identical, and
+/// the second must replay byte-identically (the recorded config carries
+/// the interleave seed, so the replay runs the same round order).
 #[test]
 fn replay_matrix_holds_at_every_shard_count() {
     for i in 0..32u64 {
         let seed = 0x5AD0_C0DE + i * 0x9E37;
-        let at = |shards: u32| {
-            let mut sys = tools::boot_demo_cfg(
-                faulted_recorded_config(seed).shards(shards).interleave_seed(seed ^ 0x1EAF),
-            );
+        let at = || {
+            let mut sys =
+                tools::boot_demo_cfg(faulted_recorded_config(seed).interleave_seed(seed ^ 0x1EAF));
             let ctl = sys.spawn_hosted("rr-oracle", Cred::superuser());
             drive(&mut sys, ctl);
             sys
         };
-        let base = at(1).recording().expect("recording on");
+        let base = at().recording().expect("recording on");
         assert!(base.len() > 15, "seed {seed:#x}: workload too small ({} records)", base.len());
-        for shards in [2u32, 4] {
-            let got = at(shards).recording().expect("recording on");
-            assert_eq!(
-                base.records, got.records,
-                "seed {seed:#x}: log diverged between shards=1 and shards={shards}"
-            );
-            if shards == 4 {
-                let replayed = match procfs::replay(&got) {
-                    Ok(s) => s,
-                    Err(d) => panic!(
-                        "seed {seed:#x}: shards=4 replay diverged at tick {} \
-                         (expected {:#018x}, got {:#018x})",
-                        d.tick, d.expected, d.got
-                    ),
-                };
-                assert_eq!(
-                    replayed.recording().expect("recording on after replay").records,
-                    got.records,
-                    "seed {seed:#x}: shards=4 replay produced a different log"
-                );
-            }
-        }
+        let got = at().recording().expect("recording on");
+        assert_eq!(base.records, got.records, "seed {seed:#x}: log diverged between two runs");
+        let replayed = match procfs::replay(&got) {
+            Ok(s) => s,
+            Err(d) => panic!(
+                "seed {seed:#x}: replay diverged at tick {} (expected {:#018x}, got {:#018x})",
+                d.tick, d.expected, d.got
+            ),
+        };
+        assert_eq!(
+            replayed.recording().expect("recording on after replay").records,
+            got.records,
+            "seed {seed:#x}: replay produced a different log"
+        );
     }
 }
 
