@@ -89,7 +89,7 @@ fn print_comparison() {
 }
 
 fn count_table() -> usize {
-    (0x5001..=0x5026u32).filter(|r| procfs::ioctl::wire_spec(*r).is_some()).count()
+    procfs::ioctl::Ioctl::ALL.iter().filter(|i| i.wire_spec().is_some()).count()
 }
 
 /// Like [`boot_remote`] but the hierarchical mount's wire injects faults

@@ -10,7 +10,9 @@
 //! dispatcher ([`prioctl`]), the hierarchical interface's control batch
 //! parser ([`Ioctl::from_ctl_op`]) and the remote wire codec
 //! ([`wire_table`]). One encode/decode, not three. Replies decode into
-//! a typed [`IoctlPayload`] via [`Ioctl::decode_reply`].
+//! a typed [`IoctlPayload`] via [`Ioctl::decode_reply`]. Each request's
+//! number, name and read-only flag are one row of the `PIOC*` table
+//! below.
 
 use crate::ops;
 use crate::types::{PrCacheStats, PrCred, PrMap, PrStatus, PrUsage, PrWatch, PrXStats, PsInfo};
@@ -22,229 +24,189 @@ use ksim::Kernel;
 use vfs::remote::WireStats;
 use vfs::{Errno, IoctlReply, Pid, SysResult};
 
-/// Get process status (`prstatus`).
-pub const PIOCSTATUS: u32 = 0x5001;
-/// Direct the process to stop and wait for it; returns `prstatus`.
-pub const PIOCSTOP: u32 = 0x5002;
-/// Wait for the process to stop on an event of interest; returns
-/// `prstatus`.
-pub const PIOCWSTOP: u32 = 0x5003;
-/// Make the stopped process runnable (operand: `prrun`).
-pub const PIOCRUN: u32 = 0x5004;
-/// Define the set of traced signals (operand: `sigset`).
-pub const PIOCSTRACE: u32 = 0x5005;
-/// Get the set of traced signals.
-pub const PIOCGTRACE: u32 = 0x5006;
-/// Define the set of traced machine faults (operand: `fltset`).
-pub const PIOCSFAULT: u32 = 0x5007;
-/// Get the set of traced machine faults.
-pub const PIOCGFAULT: u32 = 0x5008;
-/// Define the set of traced system call entries (operand: `sysset`).
-pub const PIOCSENTRY: u32 = 0x5009;
-/// Get the traced entry set.
-pub const PIOCGENTRY: u32 = 0x500A;
-/// Define the set of traced system call exits (operand: `sysset`).
-pub const PIOCSEXIT: u32 = 0x500B;
-/// Get the traced exit set.
-pub const PIOCGEXIT: u32 = 0x500C;
-/// Get the general registers.
-pub const PIOCGREG: u32 = 0x500D;
-/// Set the general registers (process must be stopped).
-pub const PIOCSREG: u32 = 0x500E;
-/// Get the floating-point registers.
-pub const PIOCGFPREG: u32 = 0x500F;
-/// Set the floating-point registers (process must be stopped).
-pub const PIOCSFPREG: u32 = 0x5010;
-/// Number of mappings in the address space.
-pub const PIOCNMAP: u32 = 0x5011;
-/// Get the address map (array of `prmap`).
-pub const PIOCMAP: u32 = 0x5012;
-/// Open the object mapped at a virtual address (operand: `u64` vaddr;
-/// returns a descriptor number).
-pub const PIOCOPENM: u32 = 0x5013;
-/// Get credentials (`prcred`).
-pub const PIOCCRED: u32 = 0x5014;
-/// Get supplementary groups (array of `u32`).
-pub const PIOCGROUPS: u32 = 0x5015;
-/// Get the kernel `proc` structure (deprecated; implementation-revealing
-/// by design — "their very existence reveals details of system
-/// implementation").
-pub const PIOCGETPR: u32 = 0x5016;
-/// Get the user area (deprecated, as above).
-pub const PIOCGETU: u32 = 0x5017;
-/// Get the `ps` snapshot (`psinfo`).
-pub const PIOCPSINFO: u32 = 0x5018;
-/// Post a signal (operand: `u32`).
-pub const PIOCKILL: u32 = 0x5019;
-/// Delete a pending signal (operand: `u32`).
-pub const PIOCUNKILL: u32 = 0x501A;
-/// Set or clear the current signal (operand: `u32`, 0 clears).
-pub const PIOCSSIG: u32 = 0x501B;
-/// Set the held-signal mask (operand: `sigset`).
-pub const PIOCSHOLD: u32 = 0x501C;
-/// Get the held-signal mask.
-pub const PIOCGHOLD: u32 = 0x501D;
-/// Set inherit-on-fork.
-pub const PIOCSFORK: u32 = 0x501E;
-/// Clear inherit-on-fork.
-pub const PIOCRFORK: u32 = 0x501F;
-/// Set run-on-last-close.
-pub const PIOCSRLC: u32 = 0x5020;
-/// Clear run-on-last-close.
-pub const PIOCRRLC: u32 = 0x5021;
-/// Add (or, with size 0, remove) a watched area (operand: `prwatch`).
-pub const PIOCSWATCH: u32 = 0x5022;
-/// Get the watched areas (array of `prwatch`).
-pub const PIOCGWATCH: u32 = 0x5023;
-/// Get resource usage (`prusage`) — proposed extension.
-pub const PIOCUSAGE: u32 = 0x5024;
-/// Adjust priority (operand: `i32`).
-pub const PIOCNICE: u32 = 0x5025;
-/// Get snapshot-cache counters (`prcachestats`). Answered by the file
-/// system layer, not `prioctl`: the cache lives above the kernel.
-pub const PIOCCACHESTATS: u32 = 0x5026;
-/// Get kernel fault-injection counters (`KFaultStats`). Answered by
-/// `prioctl` — the fault plan lives on the kernel — so the reply crosses
-/// the remote wire like any other status request.
-pub const PIOCKFAULTSTATS: u32 = 0x5027;
-/// Get execution fast-path counters (`prxstats`): software-TLB and
-/// decoded-instruction-cache hits/misses/invalidations plus retired
-/// instructions. Answered by `prioctl` — the caches live on the
-/// address space and LWPs — so the reply crosses the remote wire.
-pub const PIOCXSTATS: u32 = 0x5028;
-/// Get record/replay counters (`RecStats`): inputs logged, snapshots
-/// taken, bytes digested, replays applied, divergences detected.
-/// Answered by `prioctl` — the recorder lives on the kernel.
-pub const PIOCRECSTATS: u32 = 0x5029;
-/// Checkpoint the stopped target into a self-describing image
-/// (registers, identity, held mask, sparse address-space content).
-/// Read-only: it inspects, never modifies. The reply is the image.
-pub const PIOCCKPT: u32 = 0x502A;
-/// Restore a checkpoint image (the operand) into the stopped target,
-/// replacing its registers, identity and entire address space —
-/// migration when the image came from another mount.
-pub const PIOCRESTORE: u32 = 0x502B;
-/// Live-migration sub-operation (BEGIN/CHUNK/COMMIT/ABORT multiplexed
-/// by the operand's first byte): stream a checkpoint image into the
-/// destination kernel chunk by chunk and materialise it into the target
-/// at COMMIT after an end-to-end digest check. Issued against the
-/// *destination's* placeholder process, usually over the remote mount.
-pub const PIOCMIGRATE: u32 = 0x502C;
-/// Get migration protocol counters (`MigStats`): transfers begun,
-/// chunks/bytes accepted, duplicates absorbed, commits, aborts, digest
-/// mismatches, resumes. Answered by `prioctl` on the destination.
-pub const PIOCMIGSTATS: u32 = 0x502D;
+/// Declares the `PIOC*` family from one table. Each row gives a
+/// request's doc, its [`Ioctl`] variant, its `PIOC*` constant and
+/// number, and whether it is `read`-only or needs `write` permission;
+/// the constants, the enum, [`Ioctl::ALL`] and the number, name and
+/// permission lookups are all generated from it.
+macro_rules! pioc_table {
+    (@needs_write read) => { false };
+    (@needs_write write) => { true };
+    ($($(#[$doc:meta])* $variant:ident: $name:ident = $num:expr, $access:ident;)*) => {
+        $($(#[$doc])* pub const $name: u32 = $num;)*
 
-/// Get remote-wire traffic/fault/recovery counters (`WireStats`).
-/// Answered locally by the [`vfs::remote::RemoteFs`] client shim — the
-/// counters live on the near side of the wire, so the request never
-/// crosses it. Re-exported here so flat tooling can name it alongside
-/// the other `PIOC*` requests.
-pub use vfs::remote::PIOCWIRESTATS;
+        /// One `PIOC*` request, typed. The single source of truth for a
+        /// request's number, name, write requirement, wire shape,
+        /// hierarchical control-op twin and reply decoding.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum Ioctl {
+            $(#[doc = concat!("`", stringify!($name), "`")] $variant,)*
+        }
 
-/// One `PIOC*` request, typed. The single source of truth for a
-/// request's number, name, write requirement, wire shape, hierarchical
-/// control-op twin and reply decoding.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Ioctl {
-    /// `PIOCSTATUS`
-    Status,
-    /// `PIOCSTOP`
-    Stop,
-    /// `PIOCWSTOP`
-    WStop,
-    /// `PIOCRUN`
-    Run,
-    /// `PIOCSTRACE`
-    SetSigTrace,
-    /// `PIOCGTRACE`
-    GetSigTrace,
-    /// `PIOCSFAULT`
-    SetFltTrace,
-    /// `PIOCGFAULT`
-    GetFltTrace,
-    /// `PIOCSENTRY`
-    SetEntryTrace,
-    /// `PIOCGENTRY`
-    GetEntryTrace,
-    /// `PIOCSEXIT`
-    SetExitTrace,
-    /// `PIOCGEXIT`
-    GetExitTrace,
-    /// `PIOCGREG`
-    GetRegs,
-    /// `PIOCSREG`
-    SetRegs,
-    /// `PIOCGFPREG`
-    GetFpRegs,
-    /// `PIOCSFPREG`
-    SetFpRegs,
-    /// `PIOCNMAP`
-    NMap,
-    /// `PIOCMAP`
-    Map,
-    /// `PIOCOPENM`
-    OpenMapped,
-    /// `PIOCCRED`
-    GetCred,
-    /// `PIOCGROUPS`
-    Groups,
-    /// `PIOCGETPR`
-    GetProc,
-    /// `PIOCGETU`
-    GetUArea,
-    /// `PIOCPSINFO`
-    GetPsInfo,
-    /// `PIOCKILL`
-    Kill,
-    /// `PIOCUNKILL`
-    UnKill,
-    /// `PIOCSSIG`
-    SetSig,
-    /// `PIOCSHOLD`
-    SetHold,
-    /// `PIOCGHOLD`
-    GetHold,
-    /// `PIOCSFORK`
-    SetForkInherit,
-    /// `PIOCRFORK`
-    ClearForkInherit,
-    /// `PIOCSRLC`
-    SetRunOnLastClose,
-    /// `PIOCRRLC`
-    ClearRunOnLastClose,
-    /// `PIOCSWATCH`
-    SetWatch,
-    /// `PIOCGWATCH`
-    GetWatch,
-    /// `PIOCUSAGE`
-    Usage,
-    /// `PIOCNICE`
-    Nice,
-    /// `PIOCCACHESTATS`
-    CacheStats,
-    /// `PIOCKFAULTSTATS`
-    KFaultStats,
-    /// `PIOCXSTATS`
-    XStats,
-    /// `PIOCWIRESTATS`
-    WireCounters,
-    /// `PIOCRECSTATS`
-    RecStats,
-    /// `PIOCCKPT`
-    Ckpt,
-    /// `PIOCRESTORE`
-    Restore,
-    /// `PIOCMIGRATE`
-    Migrate,
-    /// `PIOCMIGSTATS`
-    MigStats,
+        impl Ioctl {
+            /// Every request, in table order.
+            pub const ALL: &'static [Ioctl] = &[$(Ioctl::$variant),*];
+
+            /// Resolves a raw request number.
+            pub fn from_req(req: u32) -> Option<Ioctl> {
+                match req {
+                    $($name => Some(Ioctl::$variant),)*
+                    _ => None,
+                }
+            }
+
+            /// The raw `PIOC*` request number.
+            pub fn req(self) -> u32 {
+                match self {
+                    $(Ioctl::$variant => $name,)*
+                }
+            }
+
+            /// Symbolic name (diagnostics and `truss` decoding).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Ioctl::$variant => stringify!($name),)*
+                }
+            }
+
+            /// True if the request modifies process state or behaviour
+            /// and therefore requires a descriptor open for writing.
+            /// "The former are regarded as 'read/write' operations and
+            /// the latter as 'read-only.'"
+            pub fn needs_write(self) -> bool {
+                match self {
+                    $(Ioctl::$variant => pioc_table!(@needs_write $access),)*
+                }
+            }
+        }
+    };
+}
+
+pioc_table! {
+    /// Get process status (`prstatus`).
+    Status: PIOCSTATUS = 0x5001, read;
+    /// Direct the process to stop and wait for it; returns `prstatus`.
+    Stop: PIOCSTOP = 0x5002, write;
+    /// Wait for the process to stop on an event of interest; returns
+    /// `prstatus`.
+    WStop: PIOCWSTOP = 0x5003, read;
+    /// Make the stopped process runnable (operand: `prrun`).
+    Run: PIOCRUN = 0x5004, write;
+    /// Define the set of traced signals (operand: `sigset`).
+    SetSigTrace: PIOCSTRACE = 0x5005, write;
+    /// Get the set of traced signals.
+    GetSigTrace: PIOCGTRACE = 0x5006, read;
+    /// Define the set of traced machine faults (operand: `fltset`).
+    SetFltTrace: PIOCSFAULT = 0x5007, write;
+    /// Get the set of traced machine faults.
+    GetFltTrace: PIOCGFAULT = 0x5008, read;
+    /// Define the set of traced system call entries (operand: `sysset`).
+    SetEntryTrace: PIOCSENTRY = 0x5009, write;
+    /// Get the traced entry set.
+    GetEntryTrace: PIOCGENTRY = 0x500A, read;
+    /// Define the set of traced system call exits (operand: `sysset`).
+    SetExitTrace: PIOCSEXIT = 0x500B, write;
+    /// Get the traced exit set.
+    GetExitTrace: PIOCGEXIT = 0x500C, read;
+    /// Get the general registers.
+    GetRegs: PIOCGREG = 0x500D, read;
+    /// Set the general registers (process must be stopped).
+    SetRegs: PIOCSREG = 0x500E, write;
+    /// Get the floating-point registers.
+    GetFpRegs: PIOCGFPREG = 0x500F, read;
+    /// Set the floating-point registers (process must be stopped).
+    SetFpRegs: PIOCSFPREG = 0x5010, write;
+    /// Number of mappings in the address space.
+    NMap: PIOCNMAP = 0x5011, read;
+    /// Get the address map (array of `prmap`).
+    Map: PIOCMAP = 0x5012, read;
+    /// Open the object mapped at a virtual address (operand: `u64` vaddr;
+    /// returns a descriptor number).
+    OpenMapped: PIOCOPENM = 0x5013, read;
+    /// Get credentials (`prcred`).
+    GetCred: PIOCCRED = 0x5014, read;
+    /// Get supplementary groups (array of `u32`).
+    Groups: PIOCGROUPS = 0x5015, read;
+    /// Get the kernel `proc` structure (deprecated; implementation-revealing
+    /// by design — "their very existence reveals details of system
+    /// implementation").
+    GetProc: PIOCGETPR = 0x5016, read;
+    /// Get the user area (deprecated, as above).
+    GetUArea: PIOCGETU = 0x5017, read;
+    /// Get the `ps` snapshot (`psinfo`).
+    GetPsInfo: PIOCPSINFO = 0x5018, read;
+    /// Post a signal (operand: `u32`).
+    Kill: PIOCKILL = 0x5019, write;
+    /// Delete a pending signal (operand: `u32`).
+    UnKill: PIOCUNKILL = 0x501A, write;
+    /// Set or clear the current signal (operand: `u32`, 0 clears).
+    SetSig: PIOCSSIG = 0x501B, write;
+    /// Set the held-signal mask (operand: `sigset`).
+    SetHold: PIOCSHOLD = 0x501C, write;
+    /// Get the held-signal mask.
+    GetHold: PIOCGHOLD = 0x501D, read;
+    /// Set inherit-on-fork.
+    SetForkInherit: PIOCSFORK = 0x501E, write;
+    /// Clear inherit-on-fork.
+    ClearForkInherit: PIOCRFORK = 0x501F, write;
+    /// Set run-on-last-close.
+    SetRunOnLastClose: PIOCSRLC = 0x5020, write;
+    /// Clear run-on-last-close.
+    ClearRunOnLastClose: PIOCRRLC = 0x5021, write;
+    /// Add (or, with size 0, remove) a watched area (operand: `prwatch`).
+    SetWatch: PIOCSWATCH = 0x5022, write;
+    /// Get the watched areas (array of `prwatch`).
+    GetWatch: PIOCGWATCH = 0x5023, read;
+    /// Get resource usage (`prusage`) — proposed extension.
+    Usage: PIOCUSAGE = 0x5024, read;
+    /// Adjust priority (operand: `i32`).
+    Nice: PIOCNICE = 0x5025, write;
+    /// Get snapshot-cache counters (`prcachestats`). Answered by the file
+    /// system layer, not `prioctl`: the cache lives above the kernel.
+    CacheStats: PIOCCACHESTATS = 0x5026, read;
+    /// Get kernel fault-injection counters (`KFaultStats`). Answered by
+    /// `prioctl` — the fault plan lives on the kernel — so the reply crosses
+    /// the remote wire like any other status request.
+    KFaultStats: PIOCKFAULTSTATS = 0x5027, read;
+    /// Get execution fast-path counters (`prxstats`): software-TLB and
+    /// decoded-instruction-cache hits/misses/invalidations plus retired
+    /// instructions. Answered by `prioctl` — the caches live on the
+    /// address space and LWPs — so the reply crosses the remote wire.
+    XStats: PIOCXSTATS = 0x5028, read;
+    /// Get remote-wire traffic/fault/recovery counters (`WireStats`).
+    /// Answered locally by the [`vfs::remote::RemoteFs`] client shim — the
+    /// counters live on the near side of the wire, so the request never
+    /// crosses it. The number belongs to [`vfs::remote`]; it is named
+    /// here so flat tooling can issue it alongside the other requests.
+    WireCounters: PIOCWIRESTATS = vfs::remote::PIOCWIRESTATS, write;
+    /// Get record/replay counters (`RecStats`): inputs logged, snapshots
+    /// taken, bytes digested, replays applied, divergences detected.
+    /// Answered by `prioctl` — the recorder lives on the kernel.
+    RecStats: PIOCRECSTATS = 0x5029, read;
+    /// Checkpoint the stopped target into a self-describing image
+    /// (registers, identity, held mask, sparse address-space content).
+    /// Read-only: it inspects, never modifies. The reply is the image.
+    Ckpt: PIOCCKPT = 0x502A, read;
+    /// Restore a checkpoint image (the operand) into the stopped target,
+    /// replacing its registers, identity and entire address space —
+    /// migration when the image came from another mount.
+    Restore: PIOCRESTORE = 0x502B, write;
+    /// Live-migration sub-operation (BEGIN/CHUNK/COMMIT/ABORT multiplexed
+    /// by the operand's first byte): stream a checkpoint image into the
+    /// destination kernel chunk by chunk and materialise it into the target
+    /// at COMMIT after an end-to-end digest check. Issued against the
+    /// *destination's* placeholder process, usually over the remote mount.
+    Migrate: PIOCMIGRATE = 0x502C, write;
+    /// Get migration protocol counters (`MigStats`): transfers begun,
+    /// chunks/bytes accepted, duplicates absorbed, commits, aborts, digest
+    /// mismatches, resumes. Answered by `prioctl` on the destination.
+    MigStats: PIOCMIGSTATS = 0x502D, read;
 }
 
 /// One decoded counter family. Every stats-style `PIOC*` reply decodes
-/// into this single type, so tools render any family uniformly and a new
-/// family (the recorder's, in this PR) slots in as a variant instead of
-/// a fifth hand-rolled decode path.
+/// into this single type, so tools render any family uniformly. Each
+/// family is declared once with [`vfs::counters!`], which supplies its
+/// wire codec and the names and values [`StatsReport::counters`] zips.
 #[derive(Clone, Debug, PartialEq)]
 pub enum StatsReport {
     /// Snapshot-cache counters (`PIOCCACHESTATS`).
@@ -277,92 +239,16 @@ impl StatsReport {
     /// Every counter as a `(name, value)` pair, in wire order — the one
     /// flattening tools print from, whatever the family.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        fn zip(names: &[&'static str], values: &[u64]) -> Vec<(&'static str, u64)> {
+            names.iter().copied().zip(values.iter().copied()).collect()
+        }
         match self {
-            StatsReport::Cache(c) => vec![
-                ("hits", c.hits),
-                ("misses", c.misses),
-                ("invalidations", c.invalidations),
-                ("entries", c.entries),
-            ],
-            StatsReport::KernelFaults(f) => vec![
-                ("enomem_vm", f.enomem_vm),
-                ("eagain_fork", f.eagain_fork),
-                ("eagain_spawn", f.eagain_spawn),
-                ("eintr_wait", f.eintr_wait),
-                ("spurious_wakeups", f.spurious_wakeups),
-                ("deaths", f.deaths),
-                ("deaths_mid_op", f.deaths_mid_op),
-            ],
-            StatsReport::Exec(x) => vec![
-                ("enabled", x.enabled),
-                ("tlb_hits", x.tlb_hits),
-                ("tlb_misses", x.tlb_misses),
-                ("tlb_invalidations", x.tlb_invalidations),
-                ("icache_hits", x.icache_hits),
-                ("icache_misses", x.icache_misses),
-                ("icache_invalidations", x.icache_invalidations),
-                ("insns", x.insns),
-                ("tlb_frame_hits", x.tlb_frame_hits),
-                ("page_epoch_bumps", x.page_epoch_bumps),
-                ("sblock_built", x.sblock_built),
-                ("sblock_dispatched", x.sblock_dispatched),
-                ("sblock_insns", x.sblock_insns),
-                ("sblock_exit_end", x.sblock_exit_end),
-                ("sblock_exit_side", x.sblock_exit_side),
-                ("sblock_exit_trap", x.sblock_exit_trap),
-                ("sblock_exit_budget", x.sblock_exit_budget),
-                ("sblock_stale", x.sblock_stale),
-            ],
-            StatsReport::Wire(w) => vec![
-                ("ops", w.ops),
-                ("bytes_sent", w.bytes_sent),
-                ("bytes_received", w.bytes_received),
-                ("unsupported_ioctls", w.unsupported_ioctls),
-                ("frames_sent", w.frames_sent),
-                ("drops", w.drops),
-                ("truncations", w.truncations),
-                ("bitflips", w.bitflips),
-                ("duplicates", w.duplicates),
-                ("delays", w.delays),
-                ("checksum_rejects", w.checksum_rejects),
-                ("retries", w.retries),
-                ("dedup_hits", w.dedup_hits),
-                ("timeouts", w.timeouts),
-                ("sessions_opened", w.sessions_opened),
-                ("sessions_evicted", w.sessions_evicted),
-                ("frames_shed", w.frames_shed),
-                ("in_queue_hwm", w.in_queue_hwm),
-                ("out_queue_hwm", w.out_queue_hwm),
-                ("churn_events", w.churn_events),
-                ("resync_bytes", w.resync_bytes),
-                ("stale_replays", w.stale_replays),
-                ("eagain_rejected", w.eagain_rejected),
-                ("floods", w.floods),
-            ],
-            StatsReport::Recorder(r) => vec![
-                ("inputs", r.inputs),
-                ("steps", r.steps),
-                ("bytes_logged", r.bytes_logged),
-                ("snapshots", r.snapshots),
-                ("replays", r.replays),
-                ("divergences", r.divergences),
-                ("restores", r.restores),
-                ("ckpts", r.ckpts),
-                ("file_saves", r.file_saves),
-                ("file_loads", r.file_loads),
-                ("file_bytes", r.file_bytes),
-                ("file_errors", r.file_errors),
-            ],
-            StatsReport::Migrate(m) => vec![
-                ("begins", m.begins),
-                ("chunks", m.chunks),
-                ("bytes", m.bytes),
-                ("dup_chunks", m.dup_chunks),
-                ("commits", m.commits),
-                ("aborts", m.aborts),
-                ("digest_mismatches", m.digest_mismatches),
-                ("resumes", m.resumes),
-            ],
+            StatsReport::Cache(c) => zip(PrCacheStats::NAMES, &c.values()),
+            StatsReport::KernelFaults(f) => zip(ksim::kfault::KFaultStats::NAMES, &f.values()),
+            StatsReport::Exec(x) => zip(PrXStats::NAMES, &x.values()),
+            StatsReport::Wire(w) => zip(WireStats::NAMES, &w.values()),
+            StatsReport::Recorder(r) => zip(ksim::RecStats::NAMES, &r.values()),
+            StatsReport::Migrate(m) => zip(ksim::MigStats::NAMES, &m.values()),
         }
     }
 
@@ -415,8 +301,8 @@ pub enum IoctlPayload {
     Watches(Vec<PrWatch>),
     /// Resource usage.
     Usage(PrUsage),
-    /// A counter family — all four legacy stats requests plus the
-    /// recorder's decode through this one arm.
+    /// A counter family — all six stats requests decode through this
+    /// one arm.
     Stats(StatsReport),
     /// A checkpoint image (`PIOCCKPT`).
     Image(Vec<u8>),
@@ -425,198 +311,6 @@ pub enum IoctlPayload {
 }
 
 impl Ioctl {
-    /// Resolves a raw request number.
-    pub fn from_req(req: u32) -> Option<Ioctl> {
-        Some(match req {
-            PIOCSTATUS => Ioctl::Status,
-            PIOCSTOP => Ioctl::Stop,
-            PIOCWSTOP => Ioctl::WStop,
-            PIOCRUN => Ioctl::Run,
-            PIOCSTRACE => Ioctl::SetSigTrace,
-            PIOCGTRACE => Ioctl::GetSigTrace,
-            PIOCSFAULT => Ioctl::SetFltTrace,
-            PIOCGFAULT => Ioctl::GetFltTrace,
-            PIOCSENTRY => Ioctl::SetEntryTrace,
-            PIOCGENTRY => Ioctl::GetEntryTrace,
-            PIOCSEXIT => Ioctl::SetExitTrace,
-            PIOCGEXIT => Ioctl::GetExitTrace,
-            PIOCGREG => Ioctl::GetRegs,
-            PIOCSREG => Ioctl::SetRegs,
-            PIOCGFPREG => Ioctl::GetFpRegs,
-            PIOCSFPREG => Ioctl::SetFpRegs,
-            PIOCNMAP => Ioctl::NMap,
-            PIOCMAP => Ioctl::Map,
-            PIOCOPENM => Ioctl::OpenMapped,
-            PIOCCRED => Ioctl::GetCred,
-            PIOCGROUPS => Ioctl::Groups,
-            PIOCGETPR => Ioctl::GetProc,
-            PIOCGETU => Ioctl::GetUArea,
-            PIOCPSINFO => Ioctl::GetPsInfo,
-            PIOCKILL => Ioctl::Kill,
-            PIOCUNKILL => Ioctl::UnKill,
-            PIOCSSIG => Ioctl::SetSig,
-            PIOCSHOLD => Ioctl::SetHold,
-            PIOCGHOLD => Ioctl::GetHold,
-            PIOCSFORK => Ioctl::SetForkInherit,
-            PIOCRFORK => Ioctl::ClearForkInherit,
-            PIOCSRLC => Ioctl::SetRunOnLastClose,
-            PIOCRRLC => Ioctl::ClearRunOnLastClose,
-            PIOCSWATCH => Ioctl::SetWatch,
-            PIOCGWATCH => Ioctl::GetWatch,
-            PIOCUSAGE => Ioctl::Usage,
-            PIOCNICE => Ioctl::Nice,
-            PIOCCACHESTATS => Ioctl::CacheStats,
-            PIOCKFAULTSTATS => Ioctl::KFaultStats,
-            PIOCXSTATS => Ioctl::XStats,
-            PIOCWIRESTATS => Ioctl::WireCounters,
-            PIOCRECSTATS => Ioctl::RecStats,
-            PIOCCKPT => Ioctl::Ckpt,
-            PIOCRESTORE => Ioctl::Restore,
-            PIOCMIGRATE => Ioctl::Migrate,
-            PIOCMIGSTATS => Ioctl::MigStats,
-            _ => return None,
-        })
-    }
-
-    /// The raw `PIOC*` request number.
-    pub fn req(self) -> u32 {
-        match self {
-            Ioctl::Status => PIOCSTATUS,
-            Ioctl::Stop => PIOCSTOP,
-            Ioctl::WStop => PIOCWSTOP,
-            Ioctl::Run => PIOCRUN,
-            Ioctl::SetSigTrace => PIOCSTRACE,
-            Ioctl::GetSigTrace => PIOCGTRACE,
-            Ioctl::SetFltTrace => PIOCSFAULT,
-            Ioctl::GetFltTrace => PIOCGFAULT,
-            Ioctl::SetEntryTrace => PIOCSENTRY,
-            Ioctl::GetEntryTrace => PIOCGENTRY,
-            Ioctl::SetExitTrace => PIOCSEXIT,
-            Ioctl::GetExitTrace => PIOCGEXIT,
-            Ioctl::GetRegs => PIOCGREG,
-            Ioctl::SetRegs => PIOCSREG,
-            Ioctl::GetFpRegs => PIOCGFPREG,
-            Ioctl::SetFpRegs => PIOCSFPREG,
-            Ioctl::NMap => PIOCNMAP,
-            Ioctl::Map => PIOCMAP,
-            Ioctl::OpenMapped => PIOCOPENM,
-            Ioctl::GetCred => PIOCCRED,
-            Ioctl::Groups => PIOCGROUPS,
-            Ioctl::GetProc => PIOCGETPR,
-            Ioctl::GetUArea => PIOCGETU,
-            Ioctl::GetPsInfo => PIOCPSINFO,
-            Ioctl::Kill => PIOCKILL,
-            Ioctl::UnKill => PIOCUNKILL,
-            Ioctl::SetSig => PIOCSSIG,
-            Ioctl::SetHold => PIOCSHOLD,
-            Ioctl::GetHold => PIOCGHOLD,
-            Ioctl::SetForkInherit => PIOCSFORK,
-            Ioctl::ClearForkInherit => PIOCRFORK,
-            Ioctl::SetRunOnLastClose => PIOCSRLC,
-            Ioctl::ClearRunOnLastClose => PIOCRRLC,
-            Ioctl::SetWatch => PIOCSWATCH,
-            Ioctl::GetWatch => PIOCGWATCH,
-            Ioctl::Usage => PIOCUSAGE,
-            Ioctl::Nice => PIOCNICE,
-            Ioctl::CacheStats => PIOCCACHESTATS,
-            Ioctl::KFaultStats => PIOCKFAULTSTATS,
-            Ioctl::XStats => PIOCXSTATS,
-            Ioctl::WireCounters => PIOCWIRESTATS,
-            Ioctl::RecStats => PIOCRECSTATS,
-            Ioctl::Ckpt => PIOCCKPT,
-            Ioctl::Restore => PIOCRESTORE,
-            Ioctl::Migrate => PIOCMIGRATE,
-            Ioctl::MigStats => PIOCMIGSTATS,
-        }
-    }
-
-    /// Symbolic name (diagnostics and `truss` decoding).
-    pub fn name(self) -> &'static str {
-        match self {
-            Ioctl::Status => "PIOCSTATUS",
-            Ioctl::Stop => "PIOCSTOP",
-            Ioctl::WStop => "PIOCWSTOP",
-            Ioctl::Run => "PIOCRUN",
-            Ioctl::SetSigTrace => "PIOCSTRACE",
-            Ioctl::GetSigTrace => "PIOCGTRACE",
-            Ioctl::SetFltTrace => "PIOCSFAULT",
-            Ioctl::GetFltTrace => "PIOCGFAULT",
-            Ioctl::SetEntryTrace => "PIOCSENTRY",
-            Ioctl::GetEntryTrace => "PIOCGENTRY",
-            Ioctl::SetExitTrace => "PIOCSEXIT",
-            Ioctl::GetExitTrace => "PIOCGEXIT",
-            Ioctl::GetRegs => "PIOCGREG",
-            Ioctl::SetRegs => "PIOCSREG",
-            Ioctl::GetFpRegs => "PIOCGFPREG",
-            Ioctl::SetFpRegs => "PIOCSFPREG",
-            Ioctl::NMap => "PIOCNMAP",
-            Ioctl::Map => "PIOCMAP",
-            Ioctl::OpenMapped => "PIOCOPENM",
-            Ioctl::GetCred => "PIOCCRED",
-            Ioctl::Groups => "PIOCGROUPS",
-            Ioctl::GetProc => "PIOCGETPR",
-            Ioctl::GetUArea => "PIOCGETU",
-            Ioctl::GetPsInfo => "PIOCPSINFO",
-            Ioctl::Kill => "PIOCKILL",
-            Ioctl::UnKill => "PIOCUNKILL",
-            Ioctl::SetSig => "PIOCSSIG",
-            Ioctl::SetHold => "PIOCSHOLD",
-            Ioctl::GetHold => "PIOCGHOLD",
-            Ioctl::SetForkInherit => "PIOCSFORK",
-            Ioctl::ClearForkInherit => "PIOCRFORK",
-            Ioctl::SetRunOnLastClose => "PIOCSRLC",
-            Ioctl::ClearRunOnLastClose => "PIOCRRLC",
-            Ioctl::SetWatch => "PIOCSWATCH",
-            Ioctl::GetWatch => "PIOCGWATCH",
-            Ioctl::Usage => "PIOCUSAGE",
-            Ioctl::Nice => "PIOCNICE",
-            Ioctl::CacheStats => "PIOCCACHESTATS",
-            Ioctl::KFaultStats => "PIOCKFAULTSTATS",
-            Ioctl::XStats => "PIOCXSTATS",
-            Ioctl::WireCounters => "PIOCWIRESTATS",
-            Ioctl::RecStats => "PIOCRECSTATS",
-            Ioctl::Ckpt => "PIOCCKPT",
-            Ioctl::Restore => "PIOCRESTORE",
-            Ioctl::Migrate => "PIOCMIGRATE",
-            Ioctl::MigStats => "PIOCMIGSTATS",
-        }
-    }
-
-    /// True if the request modifies process state or behaviour and
-    /// therefore requires a descriptor open for writing. "The former are
-    /// regarded as 'read/write' operations and the latter as
-    /// 'read-only.'"
-    pub fn needs_write(self) -> bool {
-        !matches!(
-            self,
-            Ioctl::Status
-                | Ioctl::WStop
-                | Ioctl::GetSigTrace
-                | Ioctl::GetFltTrace
-                | Ioctl::GetEntryTrace
-                | Ioctl::GetExitTrace
-                | Ioctl::GetRegs
-                | Ioctl::GetFpRegs
-                | Ioctl::NMap
-                | Ioctl::Map
-                | Ioctl::OpenMapped
-                | Ioctl::GetCred
-                | Ioctl::Groups
-                | Ioctl::GetProc
-                | Ioctl::GetUArea
-                | Ioctl::GetPsInfo
-                | Ioctl::GetHold
-                | Ioctl::GetWatch
-                | Ioctl::Usage
-                | Ioctl::CacheStats
-                | Ioctl::KFaultStats
-                | Ioctl::XStats
-                | Ioctl::RecStats
-                | Ioctl::Ckpt
-                | Ioctl::MigStats
-        )
-    }
-
     /// Wire sizes of the request's operand, for the remote (RFS) shim —
     /// exactly the per-request knowledge the paper complains `ioctl`
     /// needs. Returns `(in_len, max_out_len)`; `None` for requests that
@@ -758,7 +452,7 @@ impl Ioctl {
                 PrCacheStats::from_bytes(bytes).ok_or(bad)?,
             )),
             Ioctl::KFaultStats => IoctlPayload::Stats(StatsReport::KernelFaults(
-                ksim::kfault::KFaultStats::from_bytes(bytes).map_err(|_| bad)?,
+                ksim::kfault::KFaultStats::from_bytes(bytes).ok_or(bad)?,
             )),
             Ioctl::XStats => IoctlPayload::Stats(StatsReport::Exec(
                 PrXStats::from_bytes(bytes).ok_or(bad)?,
@@ -1004,5 +698,180 @@ pub fn prioctl(
         // Answered above the kernel: the cache lives in the file-system
         // layer and the wire counters live on the client side.
         Ioctl::CacheStats | Ioctl::WireCounters => Err(Errno::ENOTTY),
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use ksim::kfault::KFaultStats;
+    use ksim::{MigStats, RecStats};
+
+    /// Pins one family's wire layout and rendering against its field
+    /// list, written out as literals in wire order: the k-th field is the
+    /// little-endian word at offset 8k, only an exact-length image
+    /// decodes, and `StatsReport::counters` lists every field in order.
+    macro_rules! pin_family {
+        ($variant:ident($ty:ident), $wire_len:expr, [$($field:ident),* $(,)?]) => {{
+            let names: &[&str] = &[$(stringify!($field)),*];
+            assert_eq!($ty::NAMES, names);
+            assert_eq!($ty::WIRE_LEN, $wire_len);
+            let mut k = 0;
+            let value = $ty { $($field: { k += 1; k },)* };
+            let bytes = value.to_bytes();
+            assert_eq!(bytes.len(), $wire_len);
+            for (i, word) in bytes.chunks_exact(8).enumerate() {
+                assert_eq!(u64::from_le_bytes(word.try_into().unwrap()), i as u64 + 1);
+            }
+            assert_eq!($ty::from_bytes(&bytes), Some(value));
+            assert_eq!($ty::from_bytes(&bytes[1..]), None);
+            let mut long = bytes.clone();
+            long.push(0);
+            assert_eq!($ty::from_bytes(&long), None);
+            let counters = StatsReport::$variant(value).counters();
+            assert_eq!(counters.len() * 8, $ty::WIRE_LEN, "{} drops a counter", stringify!($ty));
+            let expected: Vec<(&str, u64)> = names.iter().copied().zip(1..).collect();
+            assert_eq!(counters, expected);
+        }};
+    }
+
+    #[test]
+    fn counter_families_are_pinned() {
+        pin_family!(Cache(PrCacheStats), 32, [hits, misses, invalidations, entries]);
+        pin_family!(
+            Exec(PrXStats),
+            144,
+            [
+                enabled,
+                tlb_hits,
+                tlb_misses,
+                tlb_invalidations,
+                icache_hits,
+                icache_misses,
+                icache_invalidations,
+                insns,
+                tlb_frame_hits,
+                page_epoch_bumps,
+                sblock_built,
+                sblock_dispatched,
+                sblock_insns,
+                sblock_exit_end,
+                sblock_exit_side,
+                sblock_exit_trap,
+                sblock_exit_budget,
+                sblock_stale,
+            ]
+        );
+        pin_family!(
+            KernelFaults(KFaultStats),
+            64,
+            [
+                enomem_vm,
+                eagain_fork,
+                eagain_spawn,
+                eintr_wait,
+                spurious_wakeups,
+                deaths,
+                deaths_mid_op,
+                controller_deaths,
+            ]
+        );
+        pin_family!(
+            Wire(WireStats),
+            192,
+            [
+                ops,
+                bytes_sent,
+                bytes_received,
+                unsupported_ioctls,
+                frames_sent,
+                drops,
+                truncations,
+                bitflips,
+                duplicates,
+                delays,
+                checksum_rejects,
+                retries,
+                dedup_hits,
+                timeouts,
+                sessions_opened,
+                sessions_evicted,
+                frames_shed,
+                in_queue_hwm,
+                out_queue_hwm,
+                churn_events,
+                resync_bytes,
+                stale_replays,
+                eagain_rejected,
+                floods,
+            ]
+        );
+        pin_family!(
+            Recorder(RecStats),
+            96,
+            [
+                inputs,
+                steps,
+                bytes_logged,
+                snapshots,
+                replays,
+                divergences,
+                restores,
+                ckpts,
+                file_saves,
+                file_loads,
+                file_bytes,
+                file_errors,
+            ]
+        );
+        pin_family!(
+            Migrate(MigStats),
+            64,
+            [begins, chunks, bytes, dup_chunks, commits, aborts, digest_mismatches, resumes]
+        );
+    }
+
+    #[test]
+    fn request_table_is_pinned() {
+        assert_eq!(Ioctl::ALL.len(), 46);
+        let mut names = std::collections::HashSet::new();
+        for &ioc in Ioctl::ALL {
+            assert_eq!(Ioctl::from_req(ioc.req()), Some(ioc));
+            assert!(names.insert(ioc.name()), "{} named twice", ioc.name());
+            assert_eq!(req_name(ioc.req()), ioc.name());
+        }
+        // The requests a read-only descriptor may issue: the permission
+        // gate of the flat file system.
+        let read_only = [
+            Ioctl::Status,
+            Ioctl::WStop,
+            Ioctl::GetSigTrace,
+            Ioctl::GetFltTrace,
+            Ioctl::GetEntryTrace,
+            Ioctl::GetExitTrace,
+            Ioctl::GetRegs,
+            Ioctl::GetFpRegs,
+            Ioctl::NMap,
+            Ioctl::Map,
+            Ioctl::OpenMapped,
+            Ioctl::GetCred,
+            Ioctl::Groups,
+            Ioctl::GetProc,
+            Ioctl::GetUArea,
+            Ioctl::GetPsInfo,
+            Ioctl::GetHold,
+            Ioctl::GetWatch,
+            Ioctl::Usage,
+            Ioctl::CacheStats,
+            Ioctl::KFaultStats,
+            Ioctl::XStats,
+            Ioctl::RecStats,
+            Ioctl::Ckpt,
+            Ioctl::MigStats,
+        ];
+        let gated: Vec<Ioctl> = Ioctl::ALL.iter().copied().filter(|i| !i.needs_write()).collect();
+        assert_eq!(gated, read_only);
+        assert!(needs_write(0x5FFF), "unknown requests need write");
     }
 }

@@ -691,155 +691,70 @@ impl PrUsage {
     }
 }
 
-/// Snapshot-cache counters (`prcachestats`) — read through
-/// `PIOCCACHESTATS` or [`crate::mount_standard_with_cache`]; the
-/// observability half of the generation-stamped caching layer.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PrCacheStats {
-    /// Renders served from cache.
-    pub hits: u64,
-    /// Lookups that found no entry.
-    pub misses: u64,
-    /// Lookups that found a stale entry (a generation stamp moved).
-    pub invalidations: u64,
-    /// Entries currently cached.
-    pub entries: u64,
-}
-
-impl PrCacheStats {
-    /// Encoded length.
-    pub const WIRE_LEN: usize = 32;
-
-    /// Serialises.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(Self::WIRE_LEN);
-        for v in [self.hits, self.misses, self.invalidations, self.entries] {
-            b.extend_from_slice(&v.to_le_bytes());
-        }
-        b
-    }
-
-    /// Deserialises.
-    pub fn from_bytes(b: &[u8]) -> Option<PrCacheStats> {
-        if b.len() < Self::WIRE_LEN {
-            return None;
-        }
-        let u64_at = |o: usize| ksim::bytes::le_u64(&b[o..]);
-        Some(PrCacheStats {
-            hits: u64_at(0),
-            misses: u64_at(8),
-            invalidations: u64_at(16),
-            entries: u64_at(24),
-        })
+vfs::counters! {
+    /// Snapshot-cache counters (`prcachestats`) — read through
+    /// `PIOCCACHESTATS` or [`crate::mount_standard_with_cache`]; the
+    /// observability half of the generation-stamped caching layer.
+    pub struct PrCacheStats {
+        /// Renders served from cache.
+        hits,
+        /// Lookups that found no entry.
+        misses,
+        /// Lookups that found a stale entry (a generation stamp moved).
+        invalidations,
+        /// Entries currently cached.
+        entries,
     }
 }
 
-/// Execution fast-path counters (`prxstats`) — read through `PIOCXSTATS`
-/// or the hierarchical `xstats` file; the observability half of the
-/// per-LWP software TLB, decoded-instruction cache and superblock
-/// engine. Instruction-cache and superblock counters are summed over the
-/// process's current LWPs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PrXStats {
-    /// 1 if the fast path is enabled for this address space, else 0.
-    pub enabled: u64,
-    /// Software-TLB lookups served from a validated entry.
-    pub tlb_hits: u64,
-    /// Software-TLB lookups that fell to the slow path.
-    pub tlb_misses: u64,
-    /// Address-space generation bumps (structural invalidations).
-    pub tlb_invalidations: u64,
-    /// Instruction fetches served from a validated decoded slot.
-    pub icache_hits: u64,
-    /// Instruction fetches that decoded fresh.
-    pub icache_misses: u64,
-    /// Probes that matched on pc but failed stamp validation.
-    pub icache_invalidations: u64,
-    /// Instructions retired by this process (all LWPs).
-    pub insns: u64,
-    /// TLB hits served straight from a cached resolved frame.
-    pub tlb_frame_hits: u64,
-    /// Per-page text-epoch bumps (each invalidates one page's decoded
-    /// instructions and superblocks, not the whole mapping's).
-    pub page_epoch_bumps: u64,
-    /// Superblocks traced and installed.
-    pub sblock_built: u64,
-    /// Superblock dispatches.
-    pub sblock_dispatched: u64,
-    /// Instructions retired inside superblock dispatches.
-    pub sblock_insns: u64,
-    /// Dispatches that ran the whole trace.
-    pub sblock_exit_end: u64,
-    /// Dispatches that side-exited on an untaken prediction.
-    pub sblock_exit_side: u64,
-    /// Dispatches ended by a trapping instruction.
-    pub sblock_exit_trap: u64,
-    /// Dispatches cut short by the quantum budget.
-    pub sblock_exit_budget: u64,
-    /// Superblock probes that failed stamp validation.
-    pub sblock_stale: u64,
+vfs::counters! {
+    /// Execution fast-path counters (`prxstats`) — read through `PIOCXSTATS`
+    /// or the hierarchical `xstats` file; the observability half of the
+    /// per-LWP software TLB, decoded-instruction cache and superblock
+    /// engine. Instruction-cache and superblock counters are summed over the
+    /// process's current LWPs.
+    pub struct PrXStats {
+        /// 1 if the fast path is enabled for this address space, else 0.
+        enabled,
+        /// Software-TLB lookups served from a validated entry.
+        tlb_hits,
+        /// Software-TLB lookups that fell to the slow path.
+        tlb_misses,
+        /// Address-space generation bumps (structural invalidations).
+        tlb_invalidations,
+        /// Instruction fetches served from a validated decoded slot.
+        icache_hits,
+        /// Instruction fetches that decoded fresh.
+        icache_misses,
+        /// Probes that matched on pc but failed stamp validation.
+        icache_invalidations,
+        /// Instructions retired by this process (all LWPs).
+        insns,
+        /// TLB hits served straight from a cached resolved frame.
+        tlb_frame_hits,
+        /// Per-page text-epoch bumps (each invalidates one page's decoded
+        /// instructions and superblocks, not the whole mapping's).
+        page_epoch_bumps,
+        /// Superblocks traced and installed.
+        sblock_built,
+        /// Superblock dispatches.
+        sblock_dispatched,
+        /// Instructions retired inside superblock dispatches.
+        sblock_insns,
+        /// Dispatches that ran the whole trace.
+        sblock_exit_end,
+        /// Dispatches that side-exited on an untaken prediction.
+        sblock_exit_side,
+        /// Dispatches ended by a trapping instruction.
+        sblock_exit_trap,
+        /// Dispatches cut short by the quantum budget.
+        sblock_exit_budget,
+        /// Superblock probes that failed stamp validation.
+        sblock_stale,
+    }
 }
 
 impl PrXStats {
-    /// Encoded length: eighteen little-endian `u64` counters.
-    pub const WIRE_LEN: usize = 144;
-
-    /// Serialises in field order.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(Self::WIRE_LEN);
-        for v in [
-            self.enabled,
-            self.tlb_hits,
-            self.tlb_misses,
-            self.tlb_invalidations,
-            self.icache_hits,
-            self.icache_misses,
-            self.icache_invalidations,
-            self.insns,
-            self.tlb_frame_hits,
-            self.page_epoch_bumps,
-            self.sblock_built,
-            self.sblock_dispatched,
-            self.sblock_insns,
-            self.sblock_exit_end,
-            self.sblock_exit_side,
-            self.sblock_exit_trap,
-            self.sblock_exit_budget,
-            self.sblock_stale,
-        ] {
-            b.extend_from_slice(&v.to_le_bytes());
-        }
-        b
-    }
-
-    /// Deserialises.
-    pub fn from_bytes(b: &[u8]) -> Option<PrXStats> {
-        if b.len() < Self::WIRE_LEN {
-            return None;
-        }
-        let u64_at = |o: usize| ksim::bytes::le_u64(&b[o..]);
-        Some(PrXStats {
-            enabled: u64_at(0),
-            tlb_hits: u64_at(8),
-            tlb_misses: u64_at(16),
-            tlb_invalidations: u64_at(24),
-            icache_hits: u64_at(32),
-            icache_misses: u64_at(40),
-            icache_invalidations: u64_at(48),
-            insns: u64_at(56),
-            tlb_frame_hits: u64_at(64),
-            page_epoch_bumps: u64_at(72),
-            sblock_built: u64_at(80),
-            sblock_dispatched: u64_at(88),
-            sblock_insns: u64_at(96),
-            sblock_exit_end: u64_at(104),
-            sblock_exit_side: u64_at(112),
-            sblock_exit_trap: u64_at(120),
-            sblock_exit_budget: u64_at(128),
-            sblock_stale: u64_at(136),
-        })
-    }
-
     /// Captures the fast-path counters for `pid`.
     pub fn capture(k: &Kernel, pid: Pid) -> SysResult<PrXStats> {
         let proc = k.proc(pid)?;

@@ -35,8 +35,6 @@
 //! (vm pressure denials merged in), and the reply crosses the remote
 //! wire like any other ioctl.
 
-use vfs::Errno;
-
 /// Per-site injection rates, in permille (0 = never, 1000 = always).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelFaultRates {
@@ -83,74 +81,28 @@ impl KernelFaultRates {
     }
 }
 
-/// Injection counters, marshalled little-endian for `PIOCKFAULTSTATS`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct KFaultStats {
-    /// vm allocations denied (`ENOMEM`); merged from the object store's
-    /// pressure source at reply time.
-    pub enomem_vm: u64,
-    /// `fork` attempts failed with `EAGAIN`.
-    pub eagain_fork: u64,
-    /// `spawn_program` attempts failed with `EAGAIN`.
-    pub eagain_spawn: u64,
-    /// Blocking /proc waits interrupted with `EINTR`.
-    pub eintr_wait: u64,
-    /// `host_poll_in` calls returned spuriously with nothing ready.
-    pub spurious_wakeups: u64,
-    /// Targets killed or exited asynchronously.
-    pub deaths: u64,
-    /// Targets killed or exited *mid-op*, between two scheduler steps of
-    /// a single blocking host operation.
-    pub deaths_mid_op: u64,
-    /// Hosted *controllers* killed inside `System::step` (the
-    /// `controller_death` per-step site).
-    pub controller_deaths: u64,
-}
-
-impl KFaultStats {
-    /// Marshalled size: eight little-endian `u64` counters.
-    pub const WIRE_LEN: usize = 8 * 8;
-
-    /// Serialises in field order.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(Self::WIRE_LEN);
-        for v in [
-            self.enomem_vm,
-            self.eagain_fork,
-            self.eagain_spawn,
-            self.eintr_wait,
-            self.spurious_wakeups,
-            self.deaths,
-            self.deaths_mid_op,
-            self.controller_deaths,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Deserialises a `PIOCKFAULTSTATS` reply.
-    pub fn from_bytes(b: &[u8]) -> Result<KFaultStats, Errno> {
-        if b.len() != Self::WIRE_LEN {
-            return Err(Errno::EINVAL);
-        }
-        let at = |o: usize| -> u64 {
-            let mut w = [0u8; 8];
-            if let Some(s) = b.get(o..o + 8) {
-                w.copy_from_slice(s);
-            }
-            u64::from_le_bytes(w)
-        };
-        Ok(KFaultStats {
-            enomem_vm: at(0),
-            eagain_fork: at(8),
-            eagain_spawn: at(16),
-            eintr_wait: at(24),
-            spurious_wakeups: at(32),
-            deaths: at(40),
-            deaths_mid_op: at(48),
-            controller_deaths: at(56),
-        })
+vfs::counters! {
+    /// Injection counters, marshalled little-endian for `PIOCKFAULTSTATS`.
+    pub struct KFaultStats {
+        /// vm allocations denied (`ENOMEM`); merged from the object store's
+        /// pressure source at reply time.
+        enomem_vm,
+        /// `fork` attempts failed with `EAGAIN`.
+        eagain_fork,
+        /// `spawn_program` attempts failed with `EAGAIN`.
+        eagain_spawn,
+        /// Blocking /proc waits interrupted with `EINTR`.
+        eintr_wait,
+        /// `host_poll_in` calls returned spuriously with nothing ready.
+        spurious_wakeups,
+        /// Targets killed or exited asynchronously.
+        deaths,
+        /// Targets killed or exited *mid-op*, between two scheduler steps of
+        /// a single blocking host operation.
+        deaths_mid_op,
+        /// Hosted *controllers* killed inside `System::step` (the
+        /// `controller_death` per-step site).
+        controller_deaths,
     }
 }
 
@@ -348,7 +300,7 @@ mod tests {
         };
         let bytes = st.to_bytes();
         assert_eq!(bytes.len(), KFaultStats::WIRE_LEN);
-        assert_eq!(KFaultStats::from_bytes(&bytes), Ok(st));
-        assert_eq!(KFaultStats::from_bytes(&bytes[1..]), Err(Errno::EINVAL));
+        assert_eq!(KFaultStats::from_bytes(&bytes), Some(st));
+        assert_eq!(KFaultStats::from_bytes(&bytes[1..]), None);
     }
 }

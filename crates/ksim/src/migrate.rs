@@ -78,67 +78,27 @@ pub struct MigXfer {
     pub done: Option<u32>,
 }
 
-/// Migration protocol counters, marshalled little-endian for
-/// `PIOCMIGSTATS`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MigStats {
-    /// Transfers opened by `BEGIN`.
-    pub begins: u64,
-    /// Chunks accepted in sequence.
-    pub chunks: u64,
-    /// Image bytes accepted.
-    pub bytes: u64,
-    /// Duplicate or out-of-order chunks absorbed idempotently.
-    pub dup_chunks: u64,
-    /// Transfers committed (guest materialised).
-    pub commits: u64,
-    /// Transfers dropped by `ABORT`.
-    pub aborts: u64,
-    /// Commits rejected because the received image's digest did not
-    /// match the promised one.
-    pub digest_mismatches: u64,
-    /// `BEGIN`s that resumed an existing transfer after a lost reply.
-    pub resumes: u64,
-}
-
-impl MigStats {
-    /// Byte length of the wire image.
-    pub const WIRE_LEN: usize = 8 * 8;
-
-    /// Serialises to the `PIOCMIGSTATS` wire image.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(Self::WIRE_LEN);
-        for v in [
-            self.begins,
-            self.chunks,
-            self.bytes,
-            self.dup_chunks,
-            self.commits,
-            self.aborts,
-            self.digest_mismatches,
-            self.resumes,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Deserialises from the wire image; `None` if too short.
-    pub fn from_bytes(b: &[u8]) -> Option<MigStats> {
-        if b.len() < Self::WIRE_LEN {
-            return None;
-        }
-        let w = |i: usize| crate::bytes::le_u64(&b[i * 8..]);
-        Some(MigStats {
-            begins: w(0),
-            chunks: w(1),
-            bytes: w(2),
-            dup_chunks: w(3),
-            commits: w(4),
-            aborts: w(5),
-            digest_mismatches: w(6),
-            resumes: w(7),
-        })
+vfs::counters! {
+    /// Migration protocol counters, marshalled little-endian for
+    /// `PIOCMIGSTATS`.
+    pub struct MigStats {
+        /// Transfers opened by `BEGIN`.
+        begins,
+        /// Chunks accepted in sequence.
+        chunks,
+        /// Image bytes accepted.
+        bytes,
+        /// Duplicate or out-of-order chunks absorbed idempotently.
+        dup_chunks,
+        /// Transfers committed (guest materialised).
+        commits,
+        /// Transfers dropped by `ABORT`.
+        aborts,
+        /// Commits rejected because the received image's digest did not
+        /// match the promised one.
+        digest_mismatches,
+        /// `BEGIN`s that resumed an existing transfer after a lost reply.
+        resumes,
     }
 }
 

@@ -444,82 +444,34 @@ impl std::fmt::Display for ReplayDivergence {
 
 impl std::error::Error for ReplayDivergence {}
 
-/// Recorder counters, marshalled little-endian for `PIOCRECSTATS`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecStats {
-    /// Inputs recorded (records in the log).
-    pub inputs: u64,
-    /// Public scheduler steps folded into `Steps` records.
-    pub steps: u64,
-    /// Bytes of input + result encoding folded into digests.
-    pub bytes_logged: u64,
-    /// Copy-on-write snapshots taken.
-    pub snapshots: u64,
-    /// Inputs re-applied by replay/navigation on this kernel.
-    pub replays: u64,
-    /// Replay divergences detected.
-    pub divergences: u64,
-    /// Snapshot restores performed.
-    pub restores: u64,
-    /// Single-process checkpoint images built (`PIOCCKPT`) or applied
-    /// (`PIOCRESTORE`).
-    pub ckpts: u64,
-    /// Recordings serialised to the on-disk recfile format.
-    pub file_saves: u64,
-    /// Recfile images parsed back into recordings.
-    pub file_loads: u64,
-    /// Bytes written to or parsed from recfile images.
-    pub file_bytes: u64,
-    /// Recfile loads rejected with a typed error.
-    pub file_errors: u64,
-}
-
-impl RecStats {
-    /// Byte length of the wire image.
-    pub const WIRE_LEN: usize = 12 * 8;
-
-    /// Serialises to the `PIOCRECSTATS` wire image.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(Self::WIRE_LEN);
-        for v in [
-            self.inputs,
-            self.steps,
-            self.bytes_logged,
-            self.snapshots,
-            self.replays,
-            self.divergences,
-            self.restores,
-            self.ckpts,
-            self.file_saves,
-            self.file_loads,
-            self.file_bytes,
-            self.file_errors,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Deserialises from the wire image; `None` if too short.
-    pub fn from_bytes(b: &[u8]) -> Option<RecStats> {
-        if b.len() < Self::WIRE_LEN {
-            return None;
-        }
-        let w = |i: usize| crate::bytes::le_u64(&b[i * 8..]);
-        Some(RecStats {
-            inputs: w(0),
-            steps: w(1),
-            bytes_logged: w(2),
-            snapshots: w(3),
-            replays: w(4),
-            divergences: w(5),
-            restores: w(6),
-            ckpts: w(7),
-            file_saves: w(8),
-            file_loads: w(9),
-            file_bytes: w(10),
-            file_errors: w(11),
-        })
+vfs::counters! {
+    /// Recorder counters, marshalled little-endian for `PIOCRECSTATS`.
+    pub struct RecStats {
+        /// Inputs recorded (records in the log).
+        inputs,
+        /// Public scheduler steps folded into `Steps` records.
+        steps,
+        /// Bytes of input + result encoding folded into digests.
+        bytes_logged,
+        /// Copy-on-write snapshots taken.
+        snapshots,
+        /// Inputs re-applied by replay/navigation on this kernel.
+        replays,
+        /// Replay divergences detected.
+        divergences,
+        /// Snapshot restores performed.
+        restores,
+        /// Single-process checkpoint images built (`PIOCCKPT`) or applied
+        /// (`PIOCRESTORE`).
+        ckpts,
+        /// Recordings serialised to the on-disk recfile format.
+        file_saves,
+        /// Recfile images parsed back into recordings.
+        file_loads,
+        /// Bytes written to or parsed from recfile images.
+        file_bytes,
+        /// Recfile loads rejected with a typed error.
+        file_errors,
     }
 }
 

@@ -361,8 +361,8 @@ impl ProcHandle {
     /// `PIOCKFAULTSTATS`, `PIOCXSTATS`, `PIOCWIRESTATS`,
     /// `PIOCRECSTATS`, `PIOCMIGSTATS`), decoded through the one typed
     /// [`procfs::StatsReport`] path. The typed accessors below delegate
-    /// here; callers that iterate over families (e.g. a stats dumper)
-    /// can use this directly and walk `StatsReport::counters()`.
+    /// here; to print any family, walk `StatsReport::counters()` or
+    /// call `StatsReport::render()`.
     pub fn stats(
         &mut self,
         sys: &mut impl ProcTransport,

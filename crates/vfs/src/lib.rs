@@ -11,6 +11,8 @@
 //!
 //! * [`Errno`] and shared credential/identity types used across the
 //!   system;
+//! * [`counters!`] — the one declaration behind every counter family
+//!   and its wire image;
 //! * the [`FileSystem`] trait — the vnode-operations interface a file
 //!   system type implements (`lookup`, `readdir`, `read`, `write`,
 //!   `ioctl`, `getattr`, ...). It is generic over a kernel-context type
@@ -33,6 +35,7 @@
 // in per-module.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+pub mod counters;
 pub mod cred;
 pub mod errno;
 pub mod fs;

@@ -121,140 +121,66 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// descriptor, mirroring `PIOCCACHESTATS`.
 pub const PIOCWIRESTATS: u32 = 0x5030;
 
-/// Traffic, fault, recovery and server-side load counters for the
-/// simulated wire. The first fourteen fields are the PR 2/3 layout;
-/// the rest are the server counters (sessions, shedding, queue
-/// high-water marks, churn) grown for the readiness-loop server.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Remote operations performed.
-    pub ops: u64,
-    /// Request bytes sent client to server (framed, including retries).
-    pub bytes_sent: u64,
-    /// Response bytes sent server to client (framed).
-    pub bytes_received: u64,
-    /// ioctl requests refused because no wire specification exists.
-    pub unsupported_ioctls: u64,
-    /// Request frames transmitted (one per attempt).
-    pub frames_sent: u64,
-    /// Frames the network dropped.
-    pub drops: u64,
-    /// Frames the network truncated.
-    pub truncations: u64,
-    /// Frames the network bit-flipped.
-    pub bitflips: u64,
-    /// Frames the network duplicated.
-    pub duplicates: u64,
-    /// Frames the network delayed by [`LATE_TICKS`].
-    pub delays: u64,
-    /// Damaged frames rejected by the length/CRC check (either side).
-    pub checksum_rejects: u64,
-    /// Attempts beyond the first (client resends).
-    pub retries: u64,
-    /// Re-executed sequenced requests answered from the dedup window.
-    pub dedup_hits: u64,
-    /// Operations that exhausted their retry budget (`ETIMEDOUT`).
-    pub timeouts: u64,
-    /// Client sessions opened (the blocking mount face is not counted).
-    pub sessions_opened: u64,
-    /// Sessions evicted by the shedding policy.
-    pub sessions_evicted: u64,
-    /// Frames shed at a full queue or a dead link.
-    pub frames_shed: u64,
-    /// High-water mark across all inbound queues, in bytes.
-    pub in_queue_hwm: u64,
-    /// High-water mark across all outbound queues, in bytes.
-    pub out_queue_hwm: u64,
-    /// Connection-churn events (disconnects, reconnects, hangups).
-    pub churn_events: u64,
-    /// Junk bytes skipped while resynchronising to a frame magic.
-    pub resync_bytes: u64,
-    /// Stale sequenced frames replayed after a reconnect.
-    pub stale_replays: u64,
-    /// Submissions rejected with `EAGAIN` (session gone or
-    /// [`INFLIGHT_CAP`] reached).
-    pub eagain_rejected: u64,
-    /// Adversarial frame-flood bursts injected.
-    pub floods: u64,
+crate::counters! {
+    /// Traffic, fault, recovery and server-side load counters for the
+    /// simulated wire. The first fourteen fields are the client's
+    /// traffic and recovery counters; the rest are the server counters
+    /// (sessions, shedding, queue high-water marks, churn) grown for the
+    /// readiness-loop server.
+    pub struct WireStats {
+        /// Remote operations performed.
+        ops,
+        /// Request bytes sent client to server (framed, including retries).
+        bytes_sent,
+        /// Response bytes sent server to client (framed).
+        bytes_received,
+        /// ioctl requests refused because no wire specification exists.
+        unsupported_ioctls,
+        /// Request frames transmitted (one per attempt).
+        frames_sent,
+        /// Frames the network dropped.
+        drops,
+        /// Frames the network truncated.
+        truncations,
+        /// Frames the network bit-flipped.
+        bitflips,
+        /// Frames the network duplicated.
+        duplicates,
+        /// Frames the network delayed by [`LATE_TICKS`].
+        delays,
+        /// Damaged frames rejected by the length/CRC check (either side).
+        checksum_rejects,
+        /// Attempts beyond the first (client resends).
+        retries,
+        /// Re-executed sequenced requests answered from the dedup window.
+        dedup_hits,
+        /// Operations that exhausted their retry budget (`ETIMEDOUT`).
+        timeouts,
+        /// Client sessions opened (the blocking mount face is not counted).
+        sessions_opened,
+        /// Sessions evicted by the shedding policy.
+        sessions_evicted,
+        /// Frames shed at a full queue or a dead link.
+        frames_shed,
+        /// High-water mark across all inbound queues, in bytes.
+        in_queue_hwm,
+        /// High-water mark across all outbound queues, in bytes.
+        out_queue_hwm,
+        /// Connection-churn events (disconnects, reconnects, hangups).
+        churn_events,
+        /// Junk bytes skipped while resynchronising to a frame magic.
+        resync_bytes,
+        /// Stale sequenced frames replayed after a reconnect.
+        stale_replays,
+        /// Submissions rejected with `EAGAIN` (session gone or
+        /// [`INFLIGHT_CAP`] reached).
+        eagain_rejected,
+        /// Adversarial frame-flood bursts injected.
+        floods,
+    }
 }
 
 impl WireStats {
-    /// Encoded length of the wire image.
-    pub const WIRE_LEN: usize = 24 * 8;
-
-    /// Serialises, `PIOCWIRESTATS`'s reply format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(Self::WIRE_LEN);
-        for v in [
-            self.ops,
-            self.bytes_sent,
-            self.bytes_received,
-            self.unsupported_ioctls,
-            self.frames_sent,
-            self.drops,
-            self.truncations,
-            self.bitflips,
-            self.duplicates,
-            self.delays,
-            self.checksum_rejects,
-            self.retries,
-            self.dedup_hits,
-            self.timeouts,
-            self.sessions_opened,
-            self.sessions_evicted,
-            self.frames_shed,
-            self.in_queue_hwm,
-            self.out_queue_hwm,
-            self.churn_events,
-            self.resync_bytes,
-            self.stale_replays,
-            self.eagain_rejected,
-            self.floods,
-        ] {
-            b.extend_from_slice(&v.to_le_bytes());
-        }
-        b
-    }
-
-    /// Deserialises a `PIOCWIRESTATS` reply.
-    pub fn from_bytes(b: &[u8]) -> Option<WireStats> {
-        if b.len() < Self::WIRE_LEN {
-            return None;
-        }
-        let at = |o: usize| {
-            b.get(o..o + 8)
-                .and_then(|s| s.try_into().ok())
-                .map(u64::from_le_bytes)
-                .unwrap_or(0)
-        };
-        Some(WireStats {
-            ops: at(0),
-            bytes_sent: at(8),
-            bytes_received: at(16),
-            unsupported_ioctls: at(24),
-            frames_sent: at(32),
-            drops: at(40),
-            truncations: at(48),
-            bitflips: at(56),
-            duplicates: at(64),
-            delays: at(72),
-            checksum_rejects: at(80),
-            retries: at(88),
-            dedup_hits: at(96),
-            timeouts: at(104),
-            sessions_opened: at(112),
-            sessions_evicted: at(120),
-            frames_shed: at(128),
-            in_queue_hwm: at(136),
-            out_queue_hwm: at(144),
-            churn_events: at(152),
-            resync_bytes: at(160),
-            stale_replays: at(168),
-            eagain_rejected: at(176),
-            floods: at(184),
-        })
-    }
-
     /// Total frames the fault plan perturbed in any way.
     pub fn faults_injected(&self) -> u64 {
         self.drops + self.truncations + self.bitflips + self.duplicates + self.delays
