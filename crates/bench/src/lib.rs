@@ -269,6 +269,53 @@ fn faulted_remote_proc(
         ))
 }
 
+/// Pipelined ioctls awaiting completion, each with the wire tick it was
+/// submitted at. Futures resolved at submit (no tag) complete at the
+/// first drain; the rest complete as their tags come out of
+/// [`vfs::remote::RemoteClient::take_completed`], so a drain costs
+/// O(ops resolved), not O(ops pending).
+#[derive(Default)]
+struct PendingOps {
+    by_tag: std::collections::HashMap<u64, (vfs::remote::OpFuture<vfs::IoctlReply>, u64)>,
+    untagged: Vec<(vfs::remote::OpFuture<vfs::IoctlReply>, u64)>,
+}
+
+impl PendingOps {
+    fn add(&mut self, fut: vfs::remote::OpFuture<vfs::IoctlReply>, born: u64) {
+        match fut.tag() {
+            Some(tag) => {
+                self.by_tag.insert(tag, (fut, born));
+            }
+            None => self.untagged.push((fut, born)),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.by_tag.is_empty() && self.untagged.is_empty()
+    }
+
+    /// Completes every future resolved since the last drain, with its
+    /// submit tick.
+    fn drain_completed<K>(
+        &mut self,
+        client: &vfs::remote::RemoteClient<K>,
+    ) -> Vec<(vfs::SysResult<vfs::IoctlReply>, u64)> {
+        let mut out = Vec::new();
+        let taken = client.take_completed().into_iter().filter_map(|t| self.by_tag.remove(&t));
+        for (mut fut, born) in self.untagged.drain(..).chain(taken) {
+            if let Some(reply) = client.try_complete(&mut fut) {
+                out.push((reply, born));
+            }
+        }
+        out
+    }
+}
+
+/// True if a `PIOCSTATUS` reply carries a well-formed status image.
+fn status_ok(reply: vfs::SysResult<vfs::IoctlReply>) -> bool {
+    matches!(reply, Ok(vfs::IoctlReply::Done(b)) if procfs::PrStatus::from_bytes(&b).is_some())
+}
+
 /// Retries an idempotent wire call until the recovery machinery lands
 /// it; panics if the wire never delivers (bounded, deterministic).
 fn until_ok<T>(mut f: impl FnMut() -> vfs::SysResult<T>) -> T {
@@ -319,33 +366,21 @@ pub fn multi_client_wire_point(
     let node = until_ok(|| piped.lookup(&mut sys.kernel, ctl, root, &name));
     let tok = until_ok(|| piped.open(&mut sys.kernel, ctl, node, vfs::OFlags::rdonly(), &cred));
     let handles: Vec<_> = (0..clients).map(|_| piped.client()).collect();
-    let mut futs = Vec::with_capacity(ops as usize);
+    let mut futs = PendingOps::default();
     for _ in 0..ops_per_client {
         for h in &handles {
-            futs.push(h.submit_ioctl(ctl, node, tok, procfs::ioctl::PIOCSTATUS, &[]));
+            futs.add(h.submit_ioctl(ctl, node, tok, procfs::ioctl::PIOCSTATUS, &[]), 0);
         }
     }
     let pump = piped.client();
     let mut pipelined_ok = 0u64;
-    let mut seen = None;
     while !futs.is_empty() {
         let advanced = pump.pump(&mut sys.kernel);
-        // Poll the futures only after an event that resolved an op.
-        let done = pump.completions();
-        if advanced && seen == Some(done) {
-            continue;
-        }
-        seen = Some(done);
-        futs.retain_mut(|f| match pump.try_complete(f) {
-            Some(Ok(vfs::IoctlReply::Done(b))) => {
-                if procfs::PrStatus::from_bytes(&b).is_some() {
-                    pipelined_ok += 1;
-                }
-                false
+        for (reply, _) in futs.drain_completed(&pump) {
+            if status_ok(reply) {
+                pipelined_ok += 1;
             }
-            Some(_) => false,
-            None => true,
-        });
+        }
         if !advanced && !futs.is_empty() {
             // An idle wire with pending futures cannot make progress;
             // every remaining op has already timed out.
@@ -448,38 +483,26 @@ pub fn client_count_point(
     let tok = until_ok(|| fs.open(&mut sys.kernel, ctl, node, vfs::OFlags::rdonly(), &cred));
 
     let handles: Vec<_> = (0..clients).map(|_| fs.client()).collect();
-    let mut futs = Vec::with_capacity(ops as usize);
+    let mut futs = PendingOps::default();
     for _ in 0..ops_per_client {
         for h in &handles {
             let born = fs.ticks();
-            futs.push((h.submit_ioctl(ctl, node, tok, procfs::ioctl::PIOCSTATUS, &[]), born));
+            futs.add(h.submit_ioctl(ctl, node, tok, procfs::ioctl::PIOCSTATUS, &[]), born);
         }
     }
 
     let pump = fs.client();
     let mut ok = 0u64;
     let mut latencies: Vec<u64> = Vec::with_capacity(ops as usize);
-    let mut seen = None;
     while !futs.is_empty() {
         let advanced = pump.pump(&mut sys.kernel);
-        // Poll the futures only after an event that resolved an op.
-        let done = pump.completions();
-        if advanced && seen == Some(done) {
-            continue;
-        }
-        seen = Some(done);
         let now = fs.ticks();
-        futs.retain_mut(|(f, born)| match pump.try_complete(f) {
-            Some(Ok(vfs::IoctlReply::Done(b))) => {
-                if procfs::PrStatus::from_bytes(&b).is_some() {
-                    ok += 1;
-                    latencies.push(now.saturating_sub(*born));
-                }
-                false
+        for (reply, born) in futs.drain_completed(&pump) {
+            if status_ok(reply) {
+                ok += 1;
+                latencies.push(now.saturating_sub(born));
             }
-            Some(_) => false,
-            None => true,
-        });
+        }
         if !advanced && !futs.is_empty() {
             // Idle wire with pending futures: everything left has
             // already resolved to a typed failure.

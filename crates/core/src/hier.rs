@@ -381,7 +381,7 @@ impl HierFs {
 
     fn direct_stop_lwp(k: &mut Kernel, pid: Pid, tid: Tid) -> SysResult<()> {
         ops::live(k, pid)?;
-        let proc = k.proc_mut(pid)?;
+        let proc = k.procs.get_mut(&pid.0).ok_or(Errno::ESRCH)?;
         let lwp = proc.lwp_mut(tid).ok_or(Errno::ESRCH)?;
         match &lwp.state {
             LwpState::Zombie => return Err(Errno::ESRCH),
@@ -389,7 +389,7 @@ impl HierFs {
             LwpState::Stopped(_) => lwp.stop_directive = true,
             LwpState::Sleeping { interruptible: true, .. } => {
                 lwp.stop_directive = true;
-                lwp.state = LwpState::Runnable;
+                Kernel::make_runnable(&mut k.runq, pid, lwp);
                 lwp.sleep_interrupted = true;
                 lwp.user_return_pending = true;
             }

@@ -178,7 +178,7 @@ pioc_table! {
     /// counters live on the near side of the wire, so the request never
     /// crosses it. The number belongs to [`vfs::remote`]; it is named
     /// here so flat tooling can issue it alongside the other requests.
-    WireCounters: PIOCWIRESTATS = vfs::remote::PIOCWIRESTATS, write;
+    WireCounters: PIOCWIRESTATS = vfs::remote::PIOCWIRESTATS, read;
     /// Get record/replay counters (`RecStats`): inputs logged, snapshots
     /// taken, bytes digested, replays applied, divergences detected.
     /// Answered by `prioctl` — the recorder lives on the kernel.
@@ -866,6 +866,7 @@ mod tests {
             Ioctl::CacheStats,
             Ioctl::KFaultStats,
             Ioctl::XStats,
+            Ioctl::WireCounters,
             Ioctl::RecStats,
             Ioctl::Ckpt,
             Ioctl::MigStats,

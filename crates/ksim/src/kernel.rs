@@ -11,6 +11,7 @@ use crate::event::{Event, EventLog};
 use crate::fd::{FileTable, PipeTable};
 use crate::proc::{Lwp, LwpState, Proc, StopWhy, Tid, WaitChannel};
 use crate::signal::{is_stop_signal, DefaultDispo, SigSet, SIGCONT, SIGKILL};
+use std::collections::BTreeSet;
 use vfs::{Cred, Errno, Pid, SysResult};
 use vm::ObjectStore;
 
@@ -99,6 +100,20 @@ pub struct Kernel {
     /// permutation and rotates LWP selection, so it must travel with
     /// snapshots to keep `goto_tick` deterministic.
     pub sched_rounds: u64,
+    /// The run queue: every pid with a `Runnable` LWP, and possibly
+    /// others. Each transition to `Runnable` inserts through
+    /// [`Kernel::make_runnable`]; the gang round drops the pids it finds
+    /// with nothing to run, so a round never looks at a sleeping
+    /// process.
+    pub runq: BTreeSet<u32>,
+    /// Every pid with an LWP asleep on a channel other than `Ticks`
+    /// (those wait in `deadlines`), and possibly others. Inserted at the
+    /// sleep site; [`Kernel::wake_channel`] walks only these and drops
+    /// the pids left with no such sleeper.
+    pub sleepers: BTreeSet<u32>,
+    /// Every exited, unreaped pid, and possibly reaped ones. Inserted by
+    /// `do_exit`; init's autoreap walks only these.
+    pub zombies: BTreeSet<u32>,
 }
 
 // A manual impl so `clone()` *is* the copy-on-write snapshot operation:
@@ -127,6 +142,9 @@ impl Clone for Kernel {
             mig_stats: self.mig_stats,
             deadlines: self.deadlines.clone(),
             sched_rounds: self.sched_rounds,
+            runq: self.runq.clone(),
+            sleepers: self.sleepers.clone(),
+            zombies: self.zombies.clone(),
         }
     }
 }
@@ -223,8 +241,18 @@ impl Kernel {
             pr_gen: 0,
         };
         self.procs.insert(pid.0, proc);
+        self.runq.insert(pid.0);
         self.table_gen = self.table_gen.wrapping_add(1);
         pid
+    }
+
+    /// Makes `lwp` of process `pid` runnable and puts `pid` on the run
+    /// queue: the one way an existing LWP becomes `Runnable` (a new LWP
+    /// starts runnable, and its creator inserts the pid). It takes the
+    /// queue rather than `&mut self` so callers can hold the LWP.
+    pub fn make_runnable(runq: &mut BTreeSet<u32>, pid: Pid, lwp: &mut Lwp) {
+        lwp.state = LwpState::Runnable;
+        runq.insert(pid.0);
     }
 
     /// True if `sender` may signal `target` (effective or real uid match,
@@ -243,13 +271,11 @@ impl Kernel {
         if sig == 0 || sig >= SigSet::capacity() {
             return Err(Errno::EINVAL);
         }
-        let clock = self.clock;
-        let proc = self.proc_mut(pid)?;
+        let proc = self.procs.get_mut(&pid.0).ok_or(Errno::ESRCH)?;
         if proc.zombie {
             return Ok(());
         }
         proc.touch();
-        let _ = clock;
         if sig == SIGCONT {
             // SIGCONT discards pending stop signals and releases
             // job-control stops immediately (its "continue" side effect
@@ -259,7 +285,7 @@ impl Kernel {
             }
             for lwp in &mut proc.lwps {
                 if matches!(lwp.state, LwpState::Stopped(StopWhy::JobControl(_))) {
-                    lwp.state = LwpState::Runnable;
+                    Kernel::make_runnable(&mut self.runq, pid, lwp);
                     lwp.user_return_pending = true;
                 }
             }
@@ -280,12 +306,12 @@ impl Kernel {
                 LwpState::Sleeping { interruptible: true, .. } if deliverable_somewhere => {
                     let held = lwp.held.has(sig) && sig != SIGKILL;
                     if !held {
-                        lwp.state = LwpState::Runnable;
+                        Kernel::make_runnable(&mut self.runq, pid, lwp);
                         lwp.sleep_interrupted = true;
                     }
                 }
                 LwpState::Stopped(_) if sig == SIGKILL => {
-                    lwp.state = LwpState::Runnable;
+                    Kernel::make_runnable(&mut self.runq, pid, lwp);
                     lwp.user_return_pending = true;
                 }
                 _ => {}
@@ -320,7 +346,7 @@ impl Kernel {
     /// is not stopped, or is stopped for ptrace ("ptrace has control") or
     /// job control (only `SIGCONT` releases those).
     pub fn run_lwp(&mut self, pid: Pid, tid: Tid, opts: RunOpts) -> SysResult<()> {
-        let proc = self.proc_mut(pid)?;
+        let proc = self.procs.get_mut(&pid.0).ok_or(Errno::ESRCH)?;
         // A failed resume leaves state untouched; the spurious bump on
         // the error paths below merely costs one cache refill.
         proc.touch();
@@ -356,7 +382,7 @@ impl Kernel {
         if let Some(pc) = opts.set_pc {
             lwp.gregs.pc = pc;
         }
-        lwp.state = LwpState::Runnable;
+        Kernel::make_runnable(&mut self.runq, pid, lwp);
         // Unless the LWP is mid-system-call (entry stop, sleep retry or
         // exit stop — those paths resume inside the call), it must pass
         // issig() before touching user code.
@@ -389,7 +415,7 @@ impl Kernel {
     /// the wait). Sleeping LWPs are woken so the stop happens promptly
     /// ("a process can be directed to stop while it is sleeping").
     pub fn direct_stop(&mut self, pid: Pid) -> SysResult<()> {
-        let proc = self.proc_mut(pid)?;
+        let proc = self.procs.get_mut(&pid.0).ok_or(Errno::ESRCH)?;
         if proc.zombie {
             return Err(Errno::ESRCH);
         }
@@ -409,7 +435,7 @@ impl Kernel {
                 }
                 LwpState::Sleeping { interruptible: true, .. } => {
                     lwp.stop_directive = true;
-                    lwp.state = LwpState::Runnable;
+                    Kernel::make_runnable(&mut self.runq, pid, lwp);
                     lwp.sleep_interrupted = true;
                 }
                 _ => {
@@ -424,23 +450,42 @@ impl Kernel {
         Ok(())
     }
 
-    /// Wakes every LWP sleeping on `chan`.
+    /// Wakes every LWP sleeping on `chan`. Only `sleepers` is walked;
+    /// a pid left with no channel sleeper leaves the set.
     pub fn wake_channel(&mut self, chan: WaitChannel) {
-        for proc in self.procs.values_mut() {
+        #[cfg(debug_assertions)]
+        for proc in self.procs.values() {
+            let asleep = proc
+                .lwps
+                .iter()
+                .any(|l| matches!(l.state, LwpState::Sleeping { chan: c, .. } if c == chan));
+            assert!(
+                !asleep || self.sleepers.contains(&proc.pid.0),
+                "pid {} sleeps on {chan:?} but is not in the sleeper set",
+                proc.pid.0
+            );
+        }
+        let Kernel { procs, sleepers, runq, .. } = self;
+        sleepers.retain(|pid| {
+            let Some(proc) = procs.get_mut(pid) else { return false };
             let mut woke = false;
+            let mut still_asleep = false;
             for lwp in &mut proc.lwps {
                 if let LwpState::Sleeping { chan: c, .. } = lwp.state {
                     if c == chan {
-                        lwp.state = LwpState::Runnable;
+                        Kernel::make_runnable(runq, Pid(*pid), lwp);
                         lwp.sleep_interrupted = false;
                         woke = true;
+                    } else {
+                        still_asleep |= !matches!(c, WaitChannel::Ticks(_));
                     }
                 }
             }
             if woke {
                 proc.touch();
             }
-        }
+            still_asleep
+        });
     }
 
     /// Wakes every `poll` sleeper (after bumping the poll generation).

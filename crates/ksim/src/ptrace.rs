@@ -190,7 +190,7 @@ impl System {
     /// PC, replaces or clears the current signal, optionally
     /// single-steps.
     fn ptrace_cont(&mut self, target: Pid, addr: u64, sig: usize, step: bool) -> SysResult<u64> {
-        let proc = self.kernel.proc_mut(target)?;
+        let proc = self.kernel.procs.get_mut(&target.0).ok_or(Errno::ESRCH)?;
         proc.touch();
         let lwp = proc.rep_lwp_mut();
         let tid = lwp.tid;
@@ -215,7 +215,7 @@ impl System {
             lwp.ptrace_stop_taken = true;
         }
         lwp.single_step = step;
-        lwp.state = LwpState::Runnable;
+        Kernel::make_runnable(&mut self.kernel.runq, target, lwp);
         lwp.user_return_pending = true;
         self.kernel.log.push(crate::event::Event::Run { pid: target, tid });
         Ok(0)

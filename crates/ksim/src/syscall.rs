@@ -452,6 +452,7 @@ impl System {
                 let mut lwp = crate::proc::Lwp::new(tid_new, args[0], args[1]);
                 lwp.gregs.set_arg(0, args[2]);
                 proc.lwps.push(lwp);
+                self.kernel.runq.insert(pid.0);
                 done(Ok(tid_new.0 as u64))
             }
             SYS_THR_EXIT => {

@@ -426,7 +426,7 @@ impl System {
             for lwp in &mut proc.lwps {
                 if let LwpState::Sleeping { chan: WaitChannel::Ticks(t), .. } = lwp.state {
                     if t <= clock {
-                        lwp.state = LwpState::Runnable;
+                        Kernel::make_runnable(&mut self.kernel.runq, Pid(pid), lwp);
                         lwp.sleep_interrupted = false;
                         woke = true;
                     }
@@ -442,18 +442,27 @@ impl System {
     }
 
     /// Children of init are reaped automatically (init's only job).
+    /// Only `zombies` is walked; a pid leaves it once reaped here or by
+    /// `wait`.
     fn autoreap_init_children(&mut self) {
-        let dead: Vec<u32> = self
-            .kernel
-            .procs
-            .values()
-            .filter(|p| p.zombie && p.ppid == Pid(1) && p.pid != Pid(1))
-            .map(|p| p.pid.0)
-            .collect();
-        for pid in dead {
-            self.kernel.procs.remove(&pid);
-            self.kernel.table_gen = self.kernel.table_gen.wrapping_add(1);
+        #[cfg(debug_assertions)]
+        for p in self.kernel.procs.values().filter(|p| p.zombie) {
+            assert!(
+                self.kernel.zombies.contains(&p.pid.0),
+                "pid {} is a zombie but not in the zombie set",
+                p.pid.0
+            );
         }
+        let Kernel { procs, zombies, table_gen, .. } = &mut self.kernel;
+        zombies.retain(|pid| {
+            let Some(p) = procs.get(pid) else { return false };
+            if p.ppid != Pid(1) || *pid == 1 {
+                return true;
+            }
+            procs.remove(pid);
+            *table_gen = table_gen.wrapping_add(1);
+            false
+        });
     }
 
     /// The earliest live timer deadline, in O(stale entries) rather than
@@ -600,18 +609,31 @@ impl System {
         let round = self.kernel.sched_rounds;
         self.kernel.sched_rounds = round.wrapping_add(1);
 
-        let picked: Vec<(Pid, Tid)> = self
-            .kernel
-            .procs
-            .values()
-            .filter(|p| !p.hosted && !p.zombie)
-            .filter_map(|proc| {
-                let mut runnable = proc.lwps.iter().filter(|l| l.state == LwpState::Runnable);
-                let n = runnable.clone().count() as u64;
-                let lwp = runnable.nth((round % n.max(1)) as usize)?;
-                Some((proc.pid, lwp.tid))
-            })
-            .collect();
+        // One runnable LWP per scheduled process, in ascending pid
+        // order; the run queue loses every pid with nothing to run.
+        let pick = |proc: &crate::proc::Proc| {
+            if proc.hosted || proc.zombie {
+                return None;
+            }
+            let mut runnable = proc.lwps.iter().filter(|l| l.state == LwpState::Runnable);
+            let n = runnable.clone().count() as u64;
+            let lwp = runnable.nth((round % n.max(1)) as usize)?;
+            Some((proc.pid, lwp.tid))
+        };
+        let mut picked: Vec<(Pid, Tid)> = Vec::new();
+        let Kernel { procs, runq, .. } = &mut self.kernel;
+        runq.retain(|pid| match procs.get(pid).and_then(pick) {
+            Some(sel) => {
+                picked.push(sel);
+                true
+            }
+            None => false,
+        });
+        #[cfg(debug_assertions)]
+        {
+            let full: Vec<(Pid, Tid)> = procs.values().filter_map(pick).collect();
+            assert_eq!(picked, full, "round {round}: run-queue picks differ from a full scan");
+        }
         if picked.is_empty() {
             return self.idle_jump();
         }
@@ -843,6 +865,8 @@ impl System {
             SysOutcome::Sleep(chan) => {
                 if let WaitChannel::Ticks(t) = chan {
                     self.kernel.deadlines.arm(t, pid.0);
+                } else {
+                    self.kernel.sleepers.insert(pid.0);
                 }
                 if let Ok(p) = self.kernel.proc_mut(pid) {
                     if let Some(l) = p.lwp_mut(tid) {
@@ -867,10 +891,10 @@ impl System {
                     match self.kernel.issig_insleep(pid, tid) {
                         crate::sched::SleepSig::Stop => {}
                         crate::sched::SleepSig::Interrupt => {
-                            if let Ok(p) = self.kernel.proc_mut(pid) {
-                                if let Some(l) = p.lwp_mut(tid) {
-                                    l.state = LwpState::Runnable;
-                                }
+                            if let Some(l) =
+                                self.kernel.procs.get_mut(&pid.0).and_then(|p| p.lwp_mut(tid))
+                            {
+                                Kernel::make_runnable(&mut self.kernel.runq, pid, l);
                             }
                             self.finish_syscall(pid, tid, Err(Errno::EINTR));
                         }
@@ -1009,6 +1033,7 @@ impl System {
         proc.zombie = true;
         proc.exit_status = status;
         proc.touch();
+        self.kernel.zombies.insert(pid.0);
         // Reparent children to init.
         for other in self.kernel.procs.values_mut() {
             if other.ppid == pid {
@@ -1114,6 +1139,7 @@ impl System {
             pr_gen: 0,
         };
         procs.insert(child_pid.0, child);
+        self.kernel.runq.insert(child_pid.0);
         self.kernel.table_gen = self.kernel.table_gen.wrapping_add(1);
         self.kernel.log.push(crate::event::Event::Fork { parent, child: child_pid });
         // The child stops on exit from fork if (and only if) it inherited
@@ -1420,6 +1446,7 @@ impl System {
         }
         let vfork_parent = proc.vfork_parent.take();
         proc.touch();
+        self.kernel.runq.insert(pid.0);
         self.kernel.log.push(crate::event::Event::Exec {
             pid,
             path: path.to_string(),

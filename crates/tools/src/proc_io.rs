@@ -563,4 +563,19 @@ mod tests {
         assert!(calls > 0);
         h.close(&mut sys).expect("close");
     }
+
+    #[test]
+    fn wire_stats_on_a_local_mount_is_enotty_in_both_modes() {
+        let mut sys = procfs::boot_with_proc();
+        let ctl = sys.spawn_hosted("ctl", Cred::new(100, 10));
+        sys.install_program("/bin/spin", "_start:\nloop: jmp loop");
+        let pid = sys.spawn_program(ctl, "/bin/spin", &["spin"]).expect("spawn");
+        for mut h in [
+            ProcHandle::open_ro(&mut sys, ctl, pid).expect("open ro"),
+            ProcHandle::open_rw(&mut sys, ctl, pid).expect("open rw"),
+        ] {
+            assert_eq!(h.wire_stats(&mut sys).map(|_| ()), Err(Errno::ENOTTY));
+            h.close(&mut sys).expect("close");
+        }
+    }
 }

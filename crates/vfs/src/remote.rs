@@ -1193,10 +1193,11 @@ pub struct WireSession<K> {
     next_event_id: u64,
     events: BinaryHeap<Scheduled>,
     inflight: BTreeMap<u64, InFlight>,
-    /// Ops resolved so far, by reply, timeout or eviction. Host-side
-    /// only (not snapshotted): pollers compare it to skip futures when
-    /// nothing completed.
-    completed: u64,
+    /// Tags of ops resolved (by reply, timeout or eviction) and not yet
+    /// drained by [`RemoteClient::take_completed`]. Host-side only:
+    /// restore re-derives it from `inflight`. Pruned to the tags still
+    /// in `inflight` once it outgrows twice that table.
+    resolved: Vec<u64>,
     /// Server-side dedup window: `(tag, cached response body)`.
     dedup: VecDeque<(u64, Vec<u8>)>,
     /// Seeded service-jitter stream: reorders reply completions.
@@ -1234,7 +1235,7 @@ impl<K> WireSession<K> {
             next_event_id: 0,
             events: BinaryHeap::new(),
             inflight: BTreeMap::new(),
-            completed: 0,
+            resolved: Vec::new(),
             dedup: VecDeque::new(),
             jitter: 0x5EED_0F0F_CAFE_F00D,
             stats: WireStats::default(),
@@ -1643,7 +1644,6 @@ impl<K> WireSession<K> {
         if op.done.is_some() {
             return; // duplicate reply: first one won
         }
-        self.completed += 1;
         op.done = Some(match frame.0.get(FRAME_HEADER) {
             Some(0) => Ok(frame),
             Some(1) => {
@@ -1659,6 +1659,18 @@ impl<K> WireSession<K> {
         if let Some(s) = self.sessions.get_mut(sid as usize) {
             s.pending = s.pending.saturating_sub(1);
         }
+        self.note_resolved(tag);
+    }
+
+    /// Records that `tag` resolved, first pruning tags already taken
+    /// once the list outgrows twice the in-flight table (amortised
+    /// O(1): a prune halves the list at least).
+    fn note_resolved(&mut self, tag: u64) {
+        if self.resolved.len() >= 2 * self.inflight.len() + 16 {
+            let inflight = &self.inflight;
+            self.resolved.retain(|t| inflight.contains_key(t));
+        }
+        self.resolved.push(tag);
     }
 
     /// Retry timer: resend with doubled (capped) backoff, or degrade the
@@ -1671,11 +1683,11 @@ impl<K> WireSession<K> {
         if attempts >= self.retry.max_attempts.max(1) || budget < backoff {
             if let Some(op) = self.inflight.get_mut(&tag) {
                 op.done = Some(Err(Errno::ETIMEDOUT));
-                self.completed += 1;
                 let sid = op.sid;
                 if let Some(s) = self.sessions.get_mut(sid as usize) {
                     s.pending = s.pending.saturating_sub(1);
                 }
+                self.note_resolved(tag);
             }
             self.stats.timeouts += 1;
             return;
@@ -1752,11 +1764,15 @@ impl<K> WireSession<K> {
         sess.drain_armed = false;
         sess.pending = 0;
         let tokens = std::mem::take(&mut sess.open_tokens);
-        for op in self.inflight.values_mut() {
+        let mut evicted = Vec::new();
+        for (tag, op) in self.inflight.iter_mut() {
             if op.sid == sid && op.done.is_none() {
                 op.done = Some(Err(Errno::EAGAIN));
-                self.completed += 1;
+                evicted.push(*tag);
             }
+        }
+        for tag in evicted {
+            self.note_resolved(tag);
         }
         if churn {
             self.stats.churn_events += 1;
@@ -1849,6 +1865,8 @@ impl<K> WireSession<K> {
         self.next_event_id = snap.next_event_id;
         self.events = snap.events.iter().cloned().collect();
         self.inflight = snap.inflight.clone();
+        self.resolved =
+            self.inflight.iter().filter(|(_, op)| op.done.is_some()).map(|(t, _)| *t).collect();
         self.dedup = snap.dedup.iter().cloned().collect();
         self.jitter = snap.jitter;
         self.stats = snap.stats;
@@ -2097,11 +2115,14 @@ impl<K> RemoteClient<K> {
         (fut.parse)(raw.body())
     }
 
-    /// Ops resolved so far across all sessions, by reply, timeout or
-    /// eviction: a poller over many futures need only poll them again
-    /// once this has moved.
-    pub fn completions(&self) -> u64 {
-        lock(&self.session).completed
+    /// Drains the tags of ops resolved (by reply, timeout or eviction)
+    /// since the last drain, across all sessions, in resolution order.
+    /// A poller over many futures completes just these (see
+    /// [`OpFuture::tag`]) instead of polling every pending one; a tag
+    /// another poller has already taken may appear and is skipped.
+    /// Undrained, the list stays within about twice the in-flight table.
+    pub fn take_completed(&self) -> Vec<u64> {
+        std::mem::take(&mut lock(&self.session).resolved)
     }
 
     /// Ops submitted but not yet completed, across all sessions.

@@ -17,10 +17,14 @@
 //!  * the idle fast-forward fix: a long sleep consumes driver budget in
 //!    proportion to the simulated time it skips, so a small budget can
 //!    no longer be spent spinning a frozen frontier;
-//!  * the busy-budget rule: a round costs one unit per slice it ran.
+//!  * the busy-budget rule: a round costs one unit per slice it ran;
+//!  * the run queue and sleeper set: with many processes blocked in
+//!    `pause`, a round selects from the spinner alone, and a signal puts
+//!    one pauser into the very next round.
 
 use ksim::proc::{LwpState, WaitChannel};
 use ksim::{Cred, Pid, SimConfig, StepOutcome, System};
+use std::collections::BTreeSet;
 
 /// A recorded config for the gang round. The interleave seed is
 /// deliberately derived from the workload seed so every seed exercises a
@@ -345,6 +349,57 @@ fn busy_rounds_charge_budget_per_slice() {
         "run_idle({BUDGET}) retired {ran} insns, more than {BUDGET} quanta plus one round"
     );
     assert!(ran >= BUDGET * quantum, "run_idle({BUDGET}) retired only {ran} insns");
+}
+
+/// The scheduler's pid sets: after warm-up, every round's run queue
+/// holds only the spinner, the sleeper set holds exactly the pausers,
+/// and a signal to one pauser puts it on the queue so the next round
+/// runs it (its default action ends it there). In debug builds every
+/// round also checks its picks against a full process-table scan.
+#[test]
+fn pausers_stay_off_the_run_queue_until_signalled() {
+    const PAUSERS: usize = 32;
+    let mut sys = tools::boot_demo_cfg(SimConfig::standard());
+    sys.install_program("/bin/pauser", "_start:\n    movi rv, 29\n    syscall\n    jmp _start");
+    let ctl = sys.spawn_hosted("runq-test", Cred::superuser());
+    let pausers: BTreeSet<u32> = (0..PAUSERS)
+        .map(|_| sys.spawn_program(ctl, "/bin/pauser", &["pauser"]).expect("spawn pauser").0)
+        .collect();
+    let spinner = sys.spawn_program(ctl, "/bin/spin", &["spin"]).expect("spawn spin");
+    let all_paused = |s: &System| {
+        pausers.iter().all(|&p| {
+            s.kernel
+                .proc(Pid(p))
+                .expect("pauser alive")
+                .lwps
+                .iter()
+                .all(|l| matches!(l.state, LwpState::Sleeping { chan: WaitChannel::Pause, .. }))
+        })
+    };
+    assert!(sys.run_until(10_000, all_paused), "the pausers never all reached pause");
+    sys.step();
+    for round in 0..16 {
+        sys.step();
+        assert_eq!(
+            sys.kernel.runq,
+            BTreeSet::from([spinner.0]),
+            "round {round}: the run queue holds more than the spinner"
+        );
+        assert_eq!(sys.kernel.sleepers, pausers, "round {round}: the sleeper set moved");
+    }
+
+    let woken = Pid(*pausers.iter().nth(PAUSERS / 2).expect("a middle pauser"));
+    sys.host_kill(ctl, woken, ksim::signal::SIGTERM).expect("kill");
+    assert_eq!(sys.kernel.runq, BTreeSet::from([spinner.0, woken.0]));
+    let before = sys.kernel.proc(spinner).expect("spinner alive").cpu_time;
+    sys.step();
+    let target = sys.kernel.proc(woken).expect("zombie until reaped");
+    assert!(target.zombie, "the signalled pauser did not run in the next round");
+    assert_eq!(target.exit_status, ksim::Kernel::status_signalled(ksim::signal::SIGTERM, false));
+    assert!(sys.kernel.proc(spinner).expect("spinner alive").cpu_time > before);
+    assert!(sys.kernel.zombies.contains(&woken.0));
+    sys.step();
+    assert_eq!(sys.kernel.runq, BTreeSet::from([spinner.0]));
 }
 
 /// `step_outcome` distinguishes the three cases: real work, a timed
