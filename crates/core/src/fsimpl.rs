@@ -11,13 +11,10 @@
 //! open time; a set-id exec bumps the generation, after which "no further
 //! operation on that file descriptor will succeed except close(2)".
 
-use crate::ioctl::{
-    needs_write, prioctl, PIOCCACHESTATS, PIOCCRED, PIOCMAP, PIOCPSINFO, PIOCSTATUS, PIOCUSAGE,
-};
-use crate::snap::{snap_handle, DirSlot, SnapHandle};
-use ksim::proc::LwpState;
-use ksim::{Kernel, HZ};
-use std::sync::PoisonError;
+use crate::ioctl::{needs_write, prioctl, Ioctl};
+use crate::ops::{self, WRITABLE_BIT};
+use crate::snap::{self, snap_handle, DirSlot, SnapHandle};
+use ksim::Kernel;
 use vfs::{
     Cred, DirEntry, Errno, FileSystem, IoReply, IoctlReply, Metadata, NodeId, OFlags, OpenToken,
     Pid, PollStatus, SysResult, VnodeKind,
@@ -35,20 +32,6 @@ pub struct ProcFs {
 impl Default for ProcFs {
     fn default() -> ProcFs {
         ProcFs::new()
-    }
-}
-
-/// The snapshot-cache kind code a cacheable pure-read request maps to.
-/// The codes (and the cached bytes) are shared with the hierarchical
-/// interface, whose file images are byte-identical renders.
-fn flat_cache_kind(req: u32) -> Option<u8> {
-    match req {
-        PIOCSTATUS => Some(2),
-        PIOCPSINFO => Some(3),
-        PIOCMAP => Some(6),
-        PIOCCRED => Some(7),
-        PIOCUSAGE => Some(8),
-        _ => None,
     }
 }
 
@@ -71,16 +54,6 @@ impl ProcFs {
             return Err(Errno::EISDIR);
         }
         Ok(Pid((node.0 - 1) as u32))
-    }
-
-    fn check_gen(k: &Kernel, pid: Pid, token: OpenToken) -> SysResult<()> {
-        let proc = k.proc(pid)?;
-        if proc.exec_gen as u64 != token.0 & !WRITABLE_BIT {
-            // The descriptor predates a set-id exec: dead, except for
-            // close.
-            return Err(Errno::EBADF);
-        }
-        Ok(())
     }
 }
 
@@ -107,64 +80,33 @@ impl FileSystem<Kernel> for ProcFs {
 
     fn getattr(&mut self, k: &mut Kernel, node: NodeId) -> SysResult<Metadata> {
         if node.0 == 0 {
-            return Ok(Metadata {
-                kind: VnodeKind::Directory,
-                mode: 0o555,
-                uid: 0,
-                gid: 0,
-                size: k.procs.len() as u64,
-                nlink: 2,
-                mtime: k.clock / HZ,
-            });
+            return Ok(ops::root_attr(k));
         }
-        let pid = Self::node_pid(node)?;
-        let proc = k.proc(pid)?;
-        Ok(Metadata {
-            kind: VnodeKind::Proc,
-            mode: 0o600,
-            uid: proc.cred.ruid,
-            gid: proc.cred.rgid,
-            size: proc.aspace.total_size(),
-            nlink: 1,
-            mtime: proc.start_time / HZ,
-        })
+        let proc = k.proc(Self::node_pid(node)?)?;
+        Ok(ops::proc_attr(proc, VnodeKind::Proc, 0o600, proc.aspace.total_size()))
     }
 
     fn readdir(&mut self, k: &mut Kernel, _cur: Pid, dir: NodeId) -> SysResult<Vec<DirEntry>> {
         if dir.0 != 0 {
             return Err(Errno::ENOTDIR);
         }
-        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(list) = cache.dir(DirSlot::Flat, k.table_gen) {
-            return Ok(list);
-        }
         // Five-digit zero-padded names, exactly as in the paper's
         // Figure 1. Digits are emitted by hand into a reused buffer —
         // `format!` per pid dominated the listing profile.
         let mut name = [0u8; 10];
-        let list: Vec<DirEntry> = k
-            .procs
-            .values()
-            .map(|p| {
-                let mut v = p.pid.0;
-                let mut i = name.len();
-                while v > 0 || i > name.len() - 5 {
-                    i -= 1;
-                    name[i] = b'0' + (v % 10) as u8;
-                    v /= 10;
-                }
-                DirEntry {
-                    name: String::from_utf8_lossy(&name[i..]).into_owned(),
-                    node: NodeId(p.pid.0 as u64 + 1),
-                }
-            })
-            .collect();
-        // The table changed shape since the last rebuild: any cached
-        // image of a since-departed pid can never validate again (pids
-        // are not reused), so drop them here.
-        cache.retain_pids(|pid| k.procs.contains_key(&pid));
-        cache.set_dir(DirSlot::Flat, k.table_gen, list.clone());
-        Ok(list)
+        Ok(snap::lock(&self.cache).listing(DirSlot::Flat, k, |p| {
+            let mut v = p.pid.0;
+            let mut i = name.len();
+            while v > 0 || i > name.len() - 5 {
+                i -= 1;
+                name[i] = b'0' + (v % 10) as u8;
+                v /= 10;
+            }
+            DirEntry {
+                name: String::from_utf8_lossy(&name[i..]).into_owned(),
+                node: NodeId(p.pid.0 as u64 + 1),
+            }
+        }))
     }
 
     fn open(
@@ -181,66 +123,12 @@ impl FileSystem<Kernel> for ProcFs {
             }
             return Ok(OpenToken(0));
         }
-        let pid = Self::node_pid(node)?;
-        let proc = k.proc_mut(pid)?;
-        // "Permission to open a /proc file requires that both the uid and
-        // gid of the traced process match those of the controlling
-        // process; setuid and setgid processes can be opened only by the
-        // super-user."
-        if !cred.can_control(&proc.cred) {
-            return Err(Errno::EACCES);
-        }
-        if flags.write {
-            // Exclusive-use arbitration: "a /proc file can be opened for
-            // exclusive read/write use ... in this way a controlling
-            // process can avoid collisions with other controlling
-            // processes. Read-only opens are unaffected."
-            if proc.trace.excl {
-                return Err(Errno::EBUSY);
-            }
-            if flags.excl {
-                if proc.trace.writers > 0 {
-                    return Err(Errno::EBUSY);
-                }
-                proc.trace.excl = true;
-            }
-            proc.trace.writers += 1;
-        }
-        let mut token = proc.exec_gen as u64;
-        if flags.write {
-            token |= WRITABLE_BIT;
-        }
-        Ok(OpenToken(token))
+        ops::open(k, Self::node_pid(node)?, flags, cred, true)
     }
 
     fn close(&mut self, k: &mut Kernel, _cur: Pid, node: NodeId, _token: OpenToken, flags: OFlags) {
-        let Ok(pid) = Self::node_pid(node) else { return };
-        let Ok(proc) = k.proc_mut(pid) else { return };
-        if !flags.write {
-            return;
-        }
-        proc.trace.writers = proc.trace.writers.saturating_sub(1);
-        if flags.excl {
-            proc.trace.excl = false;
-        }
-        if proc.trace.writers == 0 && proc.trace.run_on_last_close {
-            // "When this flag is set and the last writable /proc file
-            // descriptor for the process is closed, all of the tracing
-            // flags are cleared and, if the process is stopped, it is set
-            // running."
-            proc.trace.clear_tracing();
-            let tids: Vec<_> = proc
-                .lwps
-                .iter()
-                .filter(|l| l.is_event_stopped())
-                .map(|l| l.tid)
-                .collect();
-            for l in &mut proc.lwps {
-                l.stop_directive = false;
-            }
-            for tid in tids {
-                let _ = k.run_lwp(pid, tid, ksim::RunOpts::default());
-            }
+        if let Ok(pid) = Self::node_pid(node) {
+            ops::close(k, pid, flags);
         }
     }
 
@@ -254,23 +142,8 @@ impl FileSystem<Kernel> for ProcFs {
         buf: &mut [u8],
     ) -> SysResult<IoReply> {
         let pid = Self::node_pid(node)?;
-        Self::check_gen(k, pid, token)?;
-        let proc = k.proc(pid)?;
-        if proc.zombie {
-            return Err(Errno::EIO);
-        }
-        // "A process file contains data only at file offsets that match
-        // valid virtual addresses ... operations with a file offset in an
-        // unmapped area fail. I/O operations that extend into unmapped
-        // areas do not fail but are truncated at the boundary."
-        let span = proc.aspace.valid_span(off, buf.len() as u64) as usize;
-        if span == 0 {
-            return Err(Errno::EIO);
-        }
-        proc.aspace
-            .kernel_read(&k.objects, off, &mut buf[..span])
-            .map_err(|_| Errno::EIO)?;
-        Ok(IoReply::Done(span))
+        ops::check_gen(k, pid, token)?;
+        Ok(IoReply::Done(ops::read_as(k, pid, off, buf)?))
     }
 
     fn write(
@@ -283,31 +156,8 @@ impl FileSystem<Kernel> for ProcFs {
         data: &[u8],
     ) -> SysResult<IoReply> {
         let pid = Self::node_pid(node)?;
-        Self::check_gen(k, pid, token)?;
-        let Kernel { procs, objects, .. } = k;
-        let proc = procs.get_mut(&pid.0).ok_or(Errno::ESRCH)?;
-        if proc.zombie {
-            return Err(Errno::EIO);
-        }
-        // Truncation applies to writes as well as reads; copy-on-write is
-        // performed by the VM layer so breakpoints planted through here
-        // never corrupt other processes or the executable file.
-        let span = proc.aspace.valid_span(off, data.len() as u64) as usize;
-        if span == 0 {
-            return Err(Errno::EIO);
-        }
-        proc.aspace
-            .kernel_write(objects, off, &data[..span])
-            .map_err(|d| match d {
-                // Copy-on-write frame materialisation failed under
-                // injected pressure: a typed ENOMEM, not a generic EIO.
-                vm::AccessDenied::NoMemory { .. } => Errno::ENOMEM,
-                _ => Errno::EIO,
-            })?;
-        // A private-overlay write bypasses the shared page cache's
-        // generation, so stamp the owner explicitly.
-        proc.touch();
-        Ok(IoReply::Done(span))
+        ops::check_gen(k, pid, token)?;
+        Ok(IoReply::Done(ops::write_as(k, pid, off, data)?))
     }
 
     fn ioctl(
@@ -320,39 +170,16 @@ impl FileSystem<Kernel> for ProcFs {
         arg: &[u8],
     ) -> SysResult<IoctlReply> {
         let pid = Self::node_pid(node).map_err(|_| Errno::ENOTTY)?;
-        Self::check_gen(k, pid, token)?;
-        if needs_write(req) {
-            // Enforced by the caller's open mode; the System layer stores
-            // the mode on the open file. The flat interface additionally
-            // re-derives it here from the kernel's writer accounting:
-            // a read-only opener never incremented `writers`, but that is
-            // shared state, so the mode check must come from the
-            // descriptor. The System layer passes it via the token's
-            // high bit.
-            if token.0 & WRITABLE_BIT == 0 {
-                return Err(Errno::EBADF);
-            }
+        ops::check_gen(k, pid, token)?;
+        // Write-class requests need a descriptor opened for writing; the
+        // System layer passes the open mode in the token's high bit.
+        // Unknown requests count as write-class.
+        if needs_write(req) && token.0 & WRITABLE_BIT == 0 {
+            return Err(Errno::EBADF);
         }
-        if req == PIOCCACHESTATS {
-            return Ok(IoctlReply::Done(self.cache.lock().unwrap_or_else(PoisonError::into_inner).stats().to_bytes()));
-        }
-        if let Some(kind) = flat_cache_kind(req) {
-            let pr_gen = k.proc(pid)?.pr_gen;
-            let mem_gen = k.objects.content_gen;
-            let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(bytes) =
-                cache.lookup(pid.0, kind, 0, pr_gen, mem_gen, 0, |b| b.to_vec())
-            {
-                return Ok(IoctlReply::Done(bytes));
-            }
-            let reply = prioctl(k, cur, pid, req, arg)?;
-            if let IoctlReply::Done(bytes) = &reply {
-                cache.insert(pid.0, kind, 0, pr_gen, mem_gen, 0, bytes.clone());
-            }
-            return Ok(reply);
-        }
-        let reply = prioctl(k, cur, pid, req, arg)?;
-        if needs_write(req) {
+        let ioc = Ioctl::from_req(req).ok_or(Errno::ENOTTY)?;
+        let reply = prioctl(k, &self.cache, cur, pid, None, ioc, arg)?;
+        if ioc.needs_write() {
             // The control operation may have changed process state the
             // kernel primitives did not stamp (trace sets, hold masks,
             // registers, flags); one bump here covers them all.
@@ -364,34 +191,6 @@ impl FileSystem<Kernel> for ProcFs {
     }
 
     fn poll(&mut self, k: &mut Kernel, node: NodeId, _token: OpenToken) -> SysResult<PollStatus> {
-        let Ok(pid) = Self::node_pid(node) else {
-            return Ok(PollStatus { readable: true, writable: false, hangup: false });
-        };
-        // "By appropriately defining what it means for a /proc file to be
-        // 'ready'": readable when stopped on an event of interest,
-        // hangup when gone.
-        match k.proc(pid) {
-            Err(_) => Ok(PollStatus { readable: false, writable: false, hangup: true }),
-            Ok(p) if p.zombie => Ok(PollStatus { readable: false, writable: false, hangup: true }),
-            Ok(p) => Ok(PollStatus {
-                readable: p.is_event_stopped(),
-                writable: true,
-                hangup: false,
-            }),
-        }
-    }
-}
-
-/// Token bit recording that the descriptor was opened writable (the
-/// token otherwise carries the exec generation).
-pub const WRITABLE_BIT: u64 = 1 << 63;
-
-impl ProcFs {
-    /// Helper used by tests: the number of live (non-zombie) LWPs of a
-    /// process.
-    pub fn live_lwps(k: &Kernel, pid: Pid) -> usize {
-        k.proc(pid)
-            .map(|p| p.lwps.iter().filter(|l| l.state != LwpState::Zombie).count())
-            .unwrap_or(0)
+        Ok(ops::poll(k, Self::node_pid(node).ok(), None))
     }
 }

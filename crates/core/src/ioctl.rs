@@ -15,12 +15,13 @@
 //! below.
 
 use crate::ops;
+use crate::snap::{self, Image, SnapHandle};
 use crate::types::{PrCacheStats, PrCred, PrMap, PrStatus, PrUsage, PrWatch, PrXStats, PsInfo};
 use isa::{FpregSet, GregSet};
 use ksim::fault::FltSet;
 use ksim::signal::SigSet;
 use ksim::sysno::SysSet;
-use ksim::Kernel;
+use ksim::{Kernel, Tid};
 use vfs::remote::WireStats;
 use vfs::{Errno, IoctlReply, Pid, SysResult};
 
@@ -501,112 +502,72 @@ pub fn req_name(req: u32) -> &'static str {
     Ioctl::from_req(req).map_or("PIOC???", Ioctl::name)
 }
 
-/// Dispatches one `PIOC*` request against the target process. `caller`
-/// is the process issuing the ioctl (its descriptor table receives
-/// `PIOCOPENM` results).
+/// The one control dispatcher: answers request `ioc` against the target
+/// process, or against its LWP `tid` when one is given (the flat face
+/// always passes `None`; a `/proc2/<pid>/lwp/<tid>/ctl` record passes
+/// the LWP). `caller` is the process issuing the request (its
+/// descriptor table receives `PIOCOPENM` results); the five cacheable
+/// images are served through `cache`.
 pub fn prioctl(
     k: &mut Kernel,
+    cache: &SnapHandle,
     caller: Pid,
     target: Pid,
-    req: u32,
+    tid: Option<Tid>,
+    ioc: Ioctl,
     arg: &[u8],
 ) -> SysResult<IoctlReply> {
     let done = |bytes: Vec<u8>| Ok(IoctlReply::Done(bytes));
-    let ioc = Ioctl::from_req(req).ok_or(Errno::ENOTTY)?;
+    let unit = |r: SysResult<()>| r.map(|()| IoctlReply::Done(Vec::new()));
+    let cached = |k: &Kernel, img: Image| {
+        snap::lock(cache).serve(k, target, img, Tid(0), |b| IoctlReply::Done(b.to_vec()))
+    };
     match ioc {
-        Ioctl::Status => done(ops::status_bytes(k, target, None)?),
-        Ioctl::Stop => {
-            ops::direct_stop(k, target)?;
-            if ops::event_stopped(k, target)? {
-                done(ops::status_bytes(k, target, None)?)
+        Ioctl::Status => cached(k, Image::Status),
+        Ioctl::GetPsInfo => cached(k, Image::PsInfo),
+        Ioctl::Map => cached(k, Image::Map),
+        Ioctl::GetCred => cached(k, Image::Cred),
+        Ioctl::Usage => cached(k, Image::Usage),
+        Ioctl::Stop | Ioctl::WStop => {
+            if ioc == Ioctl::Stop {
+                ops::direct_stop(k, target, tid)?;
+            }
+            if ops::event_stopped(k, target, tid)? {
+                done(ops::status_bytes(k, target, tid)?)
             } else {
                 Ok(IoctlReply::Block)
             }
         }
-        Ioctl::WStop => {
-            if ops::event_stopped(k, target)? {
-                done(ops::status_bytes(k, target, None)?)
-            } else {
-                Ok(IoctlReply::Block)
-            }
-        }
-        Ioctl::Run => {
-            ops::run(k, target, None, arg)?;
-            done(vec![])
-        }
-        Ioctl::SetSigTrace => {
-            ops::set_sig_trace(k, target, arg)?;
-            done(vec![])
-        }
+        Ioctl::Run => unit(ops::run(k, target, tid, arg)),
+        Ioctl::SetSigTrace => unit(ops::set_sig_trace(k, target, arg)),
         Ioctl::GetSigTrace => done(k.proc(target)?.trace.sig_trace.to_bytes()),
-        Ioctl::SetFltTrace => {
-            ops::set_flt_trace(k, target, arg)?;
-            done(vec![])
-        }
+        Ioctl::SetFltTrace => unit(ops::set_flt_trace(k, target, arg)),
         Ioctl::GetFltTrace => done(k.proc(target)?.trace.flt_trace.to_bytes()),
-        Ioctl::SetEntryTrace => {
-            ops::set_entry_trace(k, target, arg)?;
-            done(vec![])
-        }
+        Ioctl::SetEntryTrace => unit(ops::set_entry_trace(k, target, arg)),
         Ioctl::GetEntryTrace => done(k.proc(target)?.trace.entry_trace.to_bytes()),
-        Ioctl::SetExitTrace => {
-            ops::set_exit_trace(k, target, arg)?;
-            done(vec![])
-        }
+        Ioctl::SetExitTrace => unit(ops::set_exit_trace(k, target, arg)),
         Ioctl::GetExitTrace => done(k.proc(target)?.trace.exit_trace.to_bytes()),
         Ioctl::GetRegs => {
             ops::live(k, target)?;
-            done(k.proc(target)?.rep_lwp().gregs.to_bytes())
+            done(ops::lwp(k, target, tid)?.gregs.to_bytes())
         }
-        Ioctl::SetRegs => {
-            ops::live(k, target)?;
-            let mut regs = isa::GregSet::from_bytes(arg).ok_or(Errno::EINVAL)?;
-            regs.normalize();
-            let proc = k.proc_mut(target)?;
-            if !proc.rep_lwp().is_stopped() {
-                return Err(Errno::EBUSY);
-            }
-            proc.rep_lwp_mut().gregs = regs;
-            done(vec![])
-        }
+        Ioctl::SetRegs => unit(ops::set_regs(k, target, tid, arg)),
         Ioctl::GetFpRegs => {
             ops::live(k, target)?;
-            done(k.proc(target)?.rep_lwp().fpregs.to_bytes())
+            done(ops::lwp(k, target, tid)?.fpregs.to_bytes())
         }
-        Ioctl::SetFpRegs => {
-            ops::live(k, target)?;
-            let regs = isa::FpregSet::from_bytes(arg).ok_or(Errno::EINVAL)?;
-            let proc = k.proc_mut(target)?;
-            if !proc.rep_lwp().is_stopped() {
-                return Err(Errno::EBUSY);
-            }
-            proc.rep_lwp_mut().fpregs = regs;
-            done(vec![])
-        }
+        Ioctl::SetFpRegs => unit(ops::set_fpregs(k, target, tid, arg)),
         Ioctl::NMap => {
             let n = PrMap::capture_all(k, target)?.len() as u64;
             done(n.to_le_bytes().to_vec())
-        }
-        Ioctl::Map => {
-            let maps = PrMap::capture_all(k, target)?;
-            let mut out = Vec::with_capacity(maps.len() * PrMap::WIRE_LEN);
-            for m in &maps {
-                out.extend_from_slice(&m.to_bytes());
-            }
-            done(out)
         }
         Ioctl::OpenMapped => {
             let fd = ops::open_mapped(k, caller, target, arg)?;
             done(fd.to_le_bytes().to_vec())
         }
-        Ioctl::GetCred => done(PrCred::capture(k, target)?.to_bytes()),
         Ioctl::Groups => {
-            let groups = k.proc(target)?.cred.groups.clone();
-            let mut out = Vec::with_capacity(groups.len() * 4);
-            for g in groups {
-                out.extend_from_slice(&g.to_le_bytes());
-            }
-            done(out)
+            let groups = &k.proc(target)?.cred.groups;
+            done(groups.iter().flat_map(|g| g.to_le_bytes()).collect())
         }
         Ioctl::GetProc => {
             // Deprecated on purpose: a raw dump of the internal process
@@ -625,36 +586,23 @@ pub fn prioctl(
             );
             done(dump.into_bytes())
         }
-        Ioctl::GetPsInfo => done(PsInfo::capture(k, target)?.to_bytes()),
-        Ioctl::Kill => {
-            ops::kill(k, target, arg)?;
-            done(vec![])
-        }
-        Ioctl::UnKill => {
-            ops::unkill(k, target, arg)?;
-            done(vec![])
-        }
-        Ioctl::SetSig => {
-            ops::set_sig(k, target, None, arg)?;
-            done(vec![])
-        }
-        Ioctl::SetHold => {
-            ops::set_hold(k, target, None, arg)?;
-            done(vec![])
-        }
+        Ioctl::Kill => unit(ops::kill(k, target, arg)),
+        Ioctl::UnKill => unit(ops::unkill(k, target, arg)),
+        Ioctl::SetSig => unit(ops::set_sig(k, target, tid, arg)),
+        Ioctl::SetHold => unit(ops::set_hold(k, target, tid, arg)),
         Ioctl::GetHold => {
             ops::live(k, target)?;
-            done(k.proc(target)?.rep_lwp().held.to_bytes())
+            done(ops::lwp(k, target, tid)?.held.to_bytes())
         }
         Ioctl::SetForkInherit | Ioctl::ClearForkInherit => {
             ops::live(k, target)?;
             k.proc_mut(target)?.trace.inherit_on_fork = ioc == Ioctl::SetForkInherit;
-            done(vec![])
+            done(Vec::new())
         }
         Ioctl::SetRunOnLastClose | Ioctl::ClearRunOnLastClose => {
             ops::live(k, target)?;
             k.proc_mut(target)?.trace.run_on_last_close = ioc == Ioctl::SetRunOnLastClose;
-            done(vec![])
+            done(Vec::new())
         }
         Ioctl::SetWatch => {
             let n = ops::watch(k, target, arg)?;
@@ -671,13 +619,10 @@ pub fn prioctl(
             }
             done(out)
         }
-        Ioctl::Usage => done(PrUsage::capture(k, target)?.to_bytes()),
-        Ioctl::Nice => {
-            ops::nice(k, target, arg)?;
-            done(vec![])
-        }
-        // The fault plan lives on the kernel, so (unlike the two stats
-        // requests below) this one is answered here and crosses the
+        Ioctl::Nice => unit(ops::nice(k, target, arg)),
+        // The cache lives above the kernel, in the file-system layer.
+        Ioctl::CacheStats => done(snap::lock(cache).stats().to_bytes()),
+        // The fault plan lives on the kernel, so this one crosses the
         // remote wire to reach the server's kernel.
         Ioctl::KFaultStats => done(k.kfault_stats().to_bytes()),
         // Likewise kernel-resident: the TLB lives on the target's
@@ -687,17 +632,13 @@ pub fn prioctl(
         // remote mount reads the *server's* recording counters.
         Ioctl::RecStats => done(k.rec_stats().to_bytes()),
         Ioctl::Ckpt => done(ksim::ckpt::checkpoint(k, target)?),
-        Ioctl::Restore => {
-            ksim::ckpt::restore(k, target, arg)?;
-            done(vec![])
-        }
+        Ioctl::Restore => unit(ksim::ckpt::restore(k, target, arg)),
         // The destination half of a migration: sub-op multiplexed by the
         // operand, materialising into `target` at COMMIT.
         Ioctl::Migrate => done(ksim::migrate::handle(k, target, arg)?),
         Ioctl::MigStats => done(k.mig_stats.to_bytes()),
-        // Answered above the kernel: the cache lives in the file-system
-        // layer and the wire counters live on the client side.
-        Ioctl::CacheStats | Ioctl::WireCounters => Err(Errno::ENOTTY),
+        // Answered on the client side of the wire.
+        Ioctl::WireCounters => Err(Errno::ENOTTY),
     }
 }
 

@@ -17,10 +17,13 @@
 //! pure-read `PIOC*` replies are byte-identical to the corresponding
 //! hierarchical file images, so both interfaces hit the same entries.
 
-use crate::types::PrCacheStats;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-use vfs::DirEntry;
+use crate::ops;
+use crate::types::{PrCacheStats, PrCred, PrMap, PrUsage, PsInfo};
+use ksim::proc::Proc;
+use ksim::{Kernel, Tid};
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use vfs::{DirEntry, Errno, Pid, SysResult};
 
 /// Shared handle to a [`SnapCache`]; the two `/proc` file systems
 /// mounted by [`crate::mount_standard`] hold clones of one handle.
@@ -33,6 +36,13 @@ pub fn snap_handle() -> SnapHandle {
     Arc::new(Mutex::new(SnapCache::default()))
 }
 
+/// Locks a shared cache. A poisoned lock still guards consistent
+/// memoised bytes, so it is taken over rather than propagated.
+#[inline]
+pub fn lock(cache: &SnapHandle) -> MutexGuard<'_, SnapCache> {
+    cache.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Which cached directory listing (the two roots differ in entry names
 /// and node encodings).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,19 +53,110 @@ pub enum DirSlot {
     Hier,
 }
 
-#[derive(Debug)]
-struct Entry {
+/// A cacheable `/proc` image. The five whole-process images are both a
+/// pure-read `PIOC*` reply and the byte-identical `/proc2` file; the two
+/// LWP images are `/proc2/<pid>/lwp/<tid>/` files.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Image {
+    /// `prstatus` (`PIOCSTATUS`, `status`).
+    Status,
+    /// `psinfo` (`PIOCPSINFO`, `psinfo`).
+    PsInfo,
+    /// The `prmap` array (`PIOCMAP`, `map`).
+    Map,
+    /// `prcred` (`PIOCCRED`, `cred`).
+    Cred,
+    /// `prusage` (`PIOCUSAGE`, `usage`).
+    Usage,
+    /// One LWP's `prstatus` (`lwp/<tid>/status`).
+    LwpStatus,
+    /// One LWP's general registers (`lwp/<tid>/gregs`).
+    LwpGregs,
+}
+
+/// The generation stamps an image is validated against: the process's
+/// [`ksim::proc::Proc::pr_gen`], the page cache's
+/// [`vm::ObjectStore::content_gen`] and the LWP's own generation (0 for
+/// whole-process images).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Stamps {
     pr_gen: u64,
     mem_gen: u64,
     lwp_gen: u64,
+}
+
+impl Image {
+    /// True if the image depends on address-space contents (resident-set
+    /// sizes, map arrays) and must therefore also be validated against
+    /// the page-cache content generation. Credentials and register
+    /// images depend only on the process's own stamp.
+    fn mem_dependent(self) -> bool {
+        matches!(self, Image::Status | Image::PsInfo | Image::Map | Image::Usage | Image::LwpStatus)
+    }
+
+    /// True if the image is scoped to a single LWP and must therefore
+    /// also be validated against that LWP's own generation stamp.
+    /// LWP-scoped mutations bump only the per-LWP stamp (plus `pr_gen`
+    /// when the LWP is the representative one), so mutating one thread
+    /// leaves its siblings' entries — and the whole-process entries —
+    /// valid.
+    fn lwp_dependent(self) -> bool {
+        matches!(self, Image::LwpStatus | Image::LwpGregs)
+    }
+
+    /// True if an entry stamped `then` is still valid at `now`.
+    fn valid(self, then: Stamps, now: Stamps) -> bool {
+        then.pr_gen == now.pr_gen
+            && (!self.mem_dependent() || then.mem_gen == now.mem_gen)
+            && (!self.lwp_dependent() || then.lwp_gen == now.lwp_gen)
+    }
+
+    /// The current stamps of this image of process `pid` (LWP `tid`).
+    fn stamps(self, k: &Kernel, pid: Pid, tid: Tid) -> SysResult<Stamps> {
+        let proc = k.proc(pid)?;
+        let lwp_gen = if self.lwp_dependent() {
+            proc.lwp(tid).ok_or(Errno::ESRCH)?.lwp_gen
+        } else {
+            0
+        };
+        Ok(Stamps { pr_gen: proc.pr_gen, mem_gen: k.objects.content_gen, lwp_gen })
+    }
+
+    /// Renders the image from kernel state.
+    fn render(self, k: &Kernel, pid: Pid, tid: Tid) -> SysResult<Vec<u8>> {
+        match self {
+            Image::Status => ops::status_bytes(k, pid, None),
+            Image::PsInfo => Ok(PsInfo::capture(k, pid)?.to_bytes()),
+            Image::Map => {
+                let maps = PrMap::capture_all(k, pid)?;
+                let mut out = Vec::with_capacity(maps.len() * PrMap::WIRE_LEN);
+                for m in &maps {
+                    out.extend_from_slice(&m.to_bytes());
+                }
+                Ok(out)
+            }
+            Image::Cred => Ok(PrCred::capture(k, pid)?.to_bytes()),
+            Image::Usage => Ok(PrUsage::capture(k, pid)?.to_bytes()),
+            Image::LwpStatus => ops::status_bytes(k, pid, Some(tid)),
+            Image::LwpGregs => {
+                let lwp = k.proc(pid)?.lwp(tid).ok_or(Errno::ENOENT)?;
+                Ok(lwp.gregs.to_bytes())
+            }
+        }
+    }
+}
+
+#[derive(Debug)]
+struct Cached {
+    stamps: Stamps,
     bytes: Vec<u8>,
 }
 
 /// A cache of rendered `/proc` wire images keyed on
-/// `(pid, kind, tid)` and validated against generation stamps.
+/// `(pid, image, tid)` and validated against generation stamps.
 #[derive(Debug, Default)]
 pub struct SnapCache {
-    entries: HashMap<(u32, u8, u32), Entry>,
+    entries: HashMap<(u32, Image, u32), Cached>,
     dir_flat: Option<(u64, Vec<DirEntry>)>,
     dir_hier: Option<(u64, Vec<DirEntry>)>,
     hits: u64,
@@ -63,59 +164,21 @@ pub struct SnapCache {
     invalidations: u64,
 }
 
-/// True if the image for this node kind depends on address-space
-/// contents (resident-set sizes, map arrays) and must therefore also be
-/// validated against the page-cache content generation. Credentials and
-/// register images depend only on the process's own stamp.
-fn mem_dependent(kind: u8) -> bool {
-    // Kind codes follow the hierarchical node encoding: 2 status,
-    // 3 psinfo, 6 map, 8 usage, 11 lwp status.
-    matches!(kind, 2 | 3 | 6 | 8 | 11)
-}
-
-/// True if the image is scoped to a single LWP (`lwp/<tid>/status`,
-/// `lwp/<tid>/gregs`) and must therefore also be validated against that
-/// LWP's own generation stamp. LWP-scoped mutations bump only the
-/// per-LWP stamp (plus `pr_gen` when the LWP is the representative one),
-/// so mutating one thread leaves its siblings' entries — and the
-/// whole-process entries — valid.
-fn lwp_dependent(kind: u8) -> bool {
-    // Kind codes: 11 lwp status, 13 lwp gregs.
-    matches!(kind, 11 | 13)
-}
-
 impl SnapCache {
-    /// Looks up a cached image; on a hit, runs `f` over the bytes.
-    /// `pr_gen`, `mem_gen` and `lwp_gen` are the *current* stamps (pass
-    /// `lwp_gen` 0 for non-LWP kinds, where it is ignored); a stale
-    /// entry is counted as an invalidation and removed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn lookup<R>(
-        &mut self,
-        pid: u32,
-        kind: u8,
-        tid: u32,
-        pr_gen: u64,
-        mem_gen: u64,
-        lwp_gen: u64,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Option<R> {
-        let key = (pid, kind, tid);
-        match self.entries.get(&key) {
-            Some(e)
-                if e.pr_gen == pr_gen
-                    && (!mem_dependent(kind) || e.mem_gen == mem_gen)
-                    && (!lwp_dependent(kind) || e.lwp_gen == lwp_gen) =>
-            {
+    /// Looks up a cached image against the *current* stamps `now`; a
+    /// stale entry is counted as an invalidation and removed.
+    fn lookup(&mut self, pid: u32, img: Image, tid: u32, now: Stamps) -> Option<&[u8]> {
+        match self.entries.entry((pid, img, tid)) {
+            Entry::Occupied(e) if img.valid(e.get().stamps, now) => {
                 self.hits += 1;
-                Some(f(&e.bytes))
+                Some(e.into_mut().bytes.as_slice())
             }
-            Some(_) => {
+            Entry::Occupied(e) => {
                 self.invalidations += 1;
-                self.entries.remove(&key);
+                e.remove();
                 None
             }
-            None => {
+            Entry::Vacant(_) => {
                 self.misses += 1;
                 None
             }
@@ -123,34 +186,40 @@ impl SnapCache {
     }
 
     /// Stores a freshly rendered image under the given stamps.
-    #[allow(clippy::too_many_arguments)]
-    pub fn insert(
-        &mut self,
-        pid: u32,
-        kind: u8,
-        tid: u32,
-        pr_gen: u64,
-        mem_gen: u64,
-        lwp_gen: u64,
-        bytes: Vec<u8>,
-    ) {
-        self.entries.insert((pid, kind, tid), Entry { pr_gen, mem_gen, lwp_gen, bytes });
+    fn insert(&mut self, pid: u32, img: Image, tid: u32, now: Stamps, bytes: Vec<u8>) {
+        self.entries.insert((pid, img, tid), Cached { stamps: now, bytes });
     }
 
-    /// Drops every entry for a pid (the process is gone; pids are never
-    /// reused, so the entries can only waste memory).
-    pub fn drop_pid(&mut self, pid: u32) {
-        self.entries.retain(|k, _| k.0 != pid);
+    /// Serves image `img` of process `pid` (LWP `tid`): gathers its
+    /// current stamps, runs `f` over the cached bytes on a hit, and on a
+    /// miss renders the image, runs `f` over it and stores it.
+    #[inline]
+    pub fn serve<R>(
+        &mut self,
+        k: &Kernel,
+        pid: Pid,
+        img: Image,
+        tid: Tid,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> SysResult<R> {
+        let now = img.stamps(k, pid, tid)?;
+        if let Some(bytes) = self.lookup(pid.0, img, tid.0, now) {
+            return Ok(f(bytes));
+        }
+        let bytes = img.render(k, pid, tid)?;
+        let r = f(&bytes);
+        self.insert(pid.0, img, tid.0, now, bytes);
+        Ok(r)
     }
 
     /// Drops entries whose pid fails the `live` predicate — called when
     /// a directory rebuild observes the new process table.
-    pub fn retain_pids(&mut self, live: impl Fn(u32) -> bool) {
+    fn retain_pids(&mut self, live: impl Fn(u32) -> bool) {
         self.entries.retain(|k, _| live(k.0));
     }
 
     /// The cached root listing, if still valid for `table_gen`.
-    pub fn dir(&mut self, slot: DirSlot, table_gen: u64) -> Option<Vec<DirEntry>> {
+    fn dir(&mut self, slot: DirSlot, table_gen: u64) -> Option<Vec<DirEntry>> {
         let cached = match slot {
             DirSlot::Flat => &self.dir_flat,
             DirSlot::Hier => &self.dir_hier,
@@ -172,11 +241,31 @@ impl SnapCache {
     }
 
     /// Stores a rebuilt root listing under `table_gen`.
-    pub fn set_dir(&mut self, slot: DirSlot, table_gen: u64, list: Vec<DirEntry>) {
+    fn set_dir(&mut self, slot: DirSlot, table_gen: u64, list: Vec<DirEntry>) {
         match slot {
             DirSlot::Flat => self.dir_flat = Some((table_gen, list)),
             DirSlot::Hier => self.dir_hier = Some((table_gen, list)),
         }
+    }
+
+    /// Serves a root listing, one `entry` per process, rebuilding it when
+    /// the process table has changed shape since the last build.
+    #[inline]
+    pub fn listing(
+        &mut self,
+        slot: DirSlot,
+        k: &Kernel,
+        entry: impl FnMut(&Proc) -> DirEntry,
+    ) -> Vec<DirEntry> {
+        if let Some(list) = self.dir(slot, k.table_gen) {
+            return list;
+        }
+        let list: Vec<DirEntry> = k.procs.values().map(entry).collect();
+        // Any cached image of a since-departed pid can never validate
+        // again (pids are not reused), so drop them here.
+        self.retain_pids(|pid| k.procs.contains_key(&pid));
+        self.set_dir(slot, k.table_gen, list.clone());
+        list
     }
 
     /// Counter snapshot for the `PIOCCACHESTATS` read path.
@@ -194,14 +283,18 @@ impl SnapCache {
 mod tests {
     use super::*;
 
+    fn at(pr_gen: u64, mem_gen: u64, lwp_gen: u64) -> Stamps {
+        Stamps { pr_gen, mem_gen, lwp_gen }
+    }
+
     #[test]
     fn hit_miss_invalidate_accounting() {
         let mut c = SnapCache::default();
-        assert!(c.lookup(1, 3, 0, 7, 0, 0, |b| b.to_vec()).is_none());
-        c.insert(1, 3, 0, 7, 0, 0, vec![0xAA]);
-        assert_eq!(c.lookup(1, 3, 0, 7, 0, 0, |b| b.to_vec()), Some(vec![0xAA]));
+        assert!(c.lookup(1, Image::PsInfo, 0, at(7, 0, 0)).is_none());
+        c.insert(1, Image::PsInfo, 0, at(7, 0, 0), vec![0xAA]);
+        assert_eq!(c.lookup(1, Image::PsInfo, 0, at(7, 0, 0)), Some(&[0xAA][..]));
         // A moved pr_gen invalidates.
-        assert!(c.lookup(1, 3, 0, 8, 0, 0, |b| b.to_vec()).is_none());
+        assert!(c.lookup(1, Image::PsInfo, 0, at(8, 0, 0)).is_none());
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.invalidations), (1, 1, 1));
         assert_eq!(s.entries, 0);
@@ -210,29 +303,29 @@ mod tests {
     #[test]
     fn mem_gen_only_guards_memory_kinds() {
         let mut c = SnapCache::default();
-        // Cred (kind 7) ignores the content generation...
-        c.insert(1, 7, 0, 1, 10, 0, vec![1]);
-        assert!(c.lookup(1, 7, 0, 1, 99, 0, |_| ()).is_some());
-        // ...but psinfo (kind 3) does not.
-        c.insert(1, 3, 0, 1, 10, 0, vec![2]);
-        assert!(c.lookup(1, 3, 0, 1, 99, 0, |_| ()).is_none());
+        // Cred ignores the content generation...
+        c.insert(1, Image::Cred, 0, at(1, 10, 0), vec![1]);
+        assert!(c.lookup(1, Image::Cred, 0, at(1, 99, 0)).is_some());
+        // ...but psinfo does not.
+        c.insert(1, Image::PsInfo, 0, at(1, 10, 0), vec![2]);
+        assert!(c.lookup(1, Image::PsInfo, 0, at(1, 99, 0)).is_none());
     }
 
     #[test]
     fn lwp_gen_only_guards_lwp_kinds() {
         let mut c = SnapCache::default();
-        // A whole-process image (kind 2, status) ignores lwp_gen...
-        c.insert(1, 2, 0, 1, 1, 0, vec![1]);
-        assert!(c.lookup(1, 2, 0, 1, 1, 42, |_| ()).is_some());
-        // ...but an LWP gregs image (kind 13) is pinned to its stamp...
-        c.insert(1, 13, 2, 1, 1, 5, vec![2]);
-        assert!(c.lookup(1, 13, 2, 1, 1, 5, |_| ()).is_some());
-        assert!(c.lookup(1, 13, 2, 1, 1, 6, |_| ()).is_none());
-        // ...and an LWP status image (kind 11) checks all three stamps.
-        c.insert(1, 11, 2, 1, 1, 5, vec![3]);
-        assert!(c.lookup(1, 11, 2, 2, 1, 5, |_| ()).is_none());
-        c.insert(1, 11, 2, 1, 1, 5, vec![3]);
-        assert!(c.lookup(1, 11, 2, 1, 1, 6, |_| ()).is_none());
+        // A whole-process image (status) ignores lwp_gen...
+        c.insert(1, Image::Status, 0, at(1, 1, 0), vec![1]);
+        assert!(c.lookup(1, Image::Status, 0, at(1, 1, 42)).is_some());
+        // ...but an LWP gregs image is pinned to its stamp...
+        c.insert(1, Image::LwpGregs, 2, at(1, 1, 5), vec![2]);
+        assert!(c.lookup(1, Image::LwpGregs, 2, at(1, 1, 5)).is_some());
+        assert!(c.lookup(1, Image::LwpGregs, 2, at(1, 1, 6)).is_none());
+        // ...and an LWP status image checks all three stamps.
+        c.insert(1, Image::LwpStatus, 2, at(1, 1, 5), vec![3]);
+        assert!(c.lookup(1, Image::LwpStatus, 2, at(2, 1, 5)).is_none());
+        c.insert(1, Image::LwpStatus, 2, at(1, 1, 5), vec![3]);
+        assert!(c.lookup(1, Image::LwpStatus, 2, at(1, 1, 6)).is_none());
     }
 
     #[test]
@@ -249,12 +342,12 @@ mod tests {
     #[test]
     fn pid_pruning() {
         let mut c = SnapCache::default();
-        c.insert(1, 3, 0, 0, 0, 0, vec![]);
-        c.insert(2, 3, 0, 0, 0, 0, vec![]);
-        c.insert(2, 2, 0, 0, 0, 0, vec![]);
+        c.insert(1, Image::PsInfo, 0, Stamps::default(), vec![]);
+        c.insert(2, Image::PsInfo, 0, Stamps::default(), vec![]);
+        c.insert(2, Image::Status, 0, Stamps::default(), vec![]);
         c.retain_pids(|p| p == 1);
         assert_eq!(c.stats().entries, 1);
-        c.drop_pid(1);
+        c.retain_pids(|p| p != 1);
         assert_eq!(c.stats().entries, 0);
     }
 }

@@ -206,6 +206,20 @@ fn ctl_file_is_write_only_and_no_ioctl_anywhere() {
 }
 
 #[test]
+fn directories_refuse_write_opens_with_eisdir() {
+    let (mut sys, ctl, target) = setup(SPIN);
+    let dir = format!("/proc2/{}", target.0);
+    // Every /proc2 directory answers like the flat root does.
+    for path in ["/proc2", dir.as_str(), &format!("{dir}/lwp"), &format!("{dir}/lwp/1"), "/proc"] {
+        for flags in [OFlags::rdwr(), OFlags::wronly()] {
+            assert_eq!(sys.host_open(ctl, path, flags), Err(Errno::EISDIR), "{path}");
+        }
+        let fd = sys.host_open(ctl, path, OFlags::rdonly()).expect("read-only open");
+        sys.host_close(ctl, fd).expect("close");
+    }
+}
+
+#[test]
 fn lwp_subdirectories_expose_threads() {
     // A target that creates a second LWP spinning separately.
     let src = r#"

@@ -1,7 +1,7 @@
 //! Unified construction-time configuration for a simulated system.
 //!
 //! PRs 2–7 accreted one-off `System` knobs — `set_fast_path`, the
-//! kernel and wire `FaultPlan` installers, `with_queue_caps` — each set
+//! kernel and wire `FaultPlan` installers, the wire's queue caps — each set
 //! imperatively at a different point in a test's setup. [`SimConfig`]
 //! collapses them into one declarative value consumed once at
 //! construction ([`crate::System::with_config`]), which is also exactly

@@ -31,63 +31,6 @@ pub fn proc_path_at(mount: &str, pid: Pid) -> String {
 /// surfaced to the caller.
 pub const TRANSIENT_RETRIES: u32 = 8;
 
-/// The host-call surface a `/proc` client needs. [`ProcHandle`] (and
-/// everything built on it — the debugger, `truss`, `ps`, `pmap`) drives
-/// its descriptors exclusively through this trait, so one call path
-/// serves every kind of mount: the same typed accessors work whether
-/// `/proc` is the local file system or a [`vfs::remote::RemoteFs`] shim
-/// pipelining frames across a faulty wire. [`System`] is the canonical
-/// implementation; benches and tests can supply their own (e.g. to
-/// drive an unmounted file system directly or to count calls).
-pub trait ProcTransport {
-    /// `open(2)`.
-    fn pt_open(&mut self, ctl: Pid, path: &str, flags: OFlags) -> SysResult<usize>;
-    /// `close(2)`.
-    fn pt_close(&mut self, ctl: Pid, fd: usize) -> SysResult<()>;
-    /// `ioctl(2)`, blocking until the reply is complete.
-    fn pt_ioctl(&mut self, ctl: Pid, fd: usize, req: u32, arg: &[u8]) -> SysResult<Vec<u8>>;
-    /// `lseek(2)`.
-    fn pt_lseek(&mut self, ctl: Pid, fd: usize, off: i64, whence: u32) -> SysResult<u64>;
-    /// `read(2)`.
-    fn pt_read(&mut self, ctl: Pid, fd: usize, buf: &mut [u8]) -> SysResult<usize>;
-    /// `write(2)`.
-    fn pt_write(&mut self, ctl: Pid, fd: usize, data: &[u8]) -> SysResult<usize>;
-    /// Non-blocking readiness of one descriptor.
-    fn pt_poll_fd(&mut self, ctl: Pid, fd: usize) -> SysResult<PollStatus>;
-    /// `poll(2)` over a descriptor set: blocks until at least one is
-    /// input-ready (`POLLIN | POLLHUP`), then reports every
-    /// descriptor's status. Writability is ignored — `/proc` files of
-    /// live processes are always writable.
-    fn pt_poll(&mut self, ctl: Pid, fds: &[usize]) -> SysResult<Vec<PollStatus>>;
-}
-
-impl ProcTransport for System {
-    fn pt_open(&mut self, ctl: Pid, path: &str, flags: OFlags) -> SysResult<usize> {
-        self.host_open(ctl, path, flags)
-    }
-    fn pt_close(&mut self, ctl: Pid, fd: usize) -> SysResult<()> {
-        self.host_close(ctl, fd)
-    }
-    fn pt_ioctl(&mut self, ctl: Pid, fd: usize, req: u32, arg: &[u8]) -> SysResult<Vec<u8>> {
-        self.host_ioctl(ctl, fd, req, arg)
-    }
-    fn pt_lseek(&mut self, ctl: Pid, fd: usize, off: i64, whence: u32) -> SysResult<u64> {
-        self.host_lseek(ctl, fd, off, whence)
-    }
-    fn pt_read(&mut self, ctl: Pid, fd: usize, buf: &mut [u8]) -> SysResult<usize> {
-        self.host_read(ctl, fd, buf)
-    }
-    fn pt_write(&mut self, ctl: Pid, fd: usize, data: &[u8]) -> SysResult<usize> {
-        self.host_write(ctl, fd, data)
-    }
-    fn pt_poll_fd(&mut self, ctl: Pid, fd: usize) -> SysResult<PollStatus> {
-        self.poll_fd(ctl, fd)
-    }
-    fn pt_poll(&mut self, ctl: Pid, fds: &[usize]) -> SysResult<Vec<PollStatus>> {
-        self.host_poll_in(ctl, fds)
-    }
-}
-
 /// One open `/proc` descriptor, owned by hosted process `ctl`.
 #[derive(Debug)]
 pub struct ProcHandle {
@@ -104,44 +47,44 @@ pub struct ProcHandle {
 
 impl ProcHandle {
     /// Opens the target's process file with the given flags.
-    pub fn open(sys: &mut impl ProcTransport, ctl: Pid, pid: Pid, flags: OFlags) -> SysResult<ProcHandle> {
-        let fd = sys.pt_open(ctl, &proc_path(pid), flags)?;
+    pub fn open(sys: &mut System, ctl: Pid, pid: Pid, flags: OFlags) -> SysResult<ProcHandle> {
+        let fd = sys.host_open(ctl, &proc_path(pid), flags)?;
         Ok(ProcHandle { pid, ctl, fd, calls: 1 })
     }
 
     /// Opens read/write (the debugger's usual mode).
-    pub fn open_rw(sys: &mut impl ProcTransport, ctl: Pid, pid: Pid) -> SysResult<ProcHandle> {
+    pub fn open_rw(sys: &mut System, ctl: Pid, pid: Pid) -> SysResult<ProcHandle> {
         Self::open(sys, ctl, pid, OFlags::rdwr())
     }
 
     /// Opens read-only (the `ps` mode: "the opens always succeed and no
     /// interference is created").
-    pub fn open_ro(sys: &mut impl ProcTransport, ctl: Pid, pid: Pid) -> SysResult<ProcHandle> {
+    pub fn open_ro(sys: &mut System, ctl: Pid, pid: Pid) -> SysResult<ProcHandle> {
         Self::open(sys, ctl, pid, OFlags::rdonly())
     }
 
     /// Opens for exclusive control.
-    pub fn open_excl(sys: &mut impl ProcTransport, ctl: Pid, pid: Pid) -> SysResult<ProcHandle> {
+    pub fn open_excl(sys: &mut System, ctl: Pid, pid: Pid) -> SysResult<ProcHandle> {
         Self::open(sys, ctl, pid, OFlags::rdwr_excl())
     }
 
     /// Opens the target's process file under an arbitrary mount point
     /// (for remote `/proc` mounts).
     pub fn open_at(
-        sys: &mut impl ProcTransport,
+        sys: &mut System,
         ctl: Pid,
         pid: Pid,
         mount: &str,
         flags: OFlags,
     ) -> SysResult<ProcHandle> {
-        let fd = sys.pt_open(ctl, &proc_path_at(mount, pid), flags)?;
+        let fd = sys.host_open(ctl, &proc_path_at(mount, pid), flags)?;
         Ok(ProcHandle { pid, ctl, fd, calls: 1 })
     }
 
     /// Closes the descriptor.
-    pub fn close(mut self, sys: &mut impl ProcTransport) -> SysResult<()> {
+    pub fn close(mut self, sys: &mut System) -> SysResult<()> {
         self.calls += 1;
-        sys.pt_close(self.ctl, self.fd)
+        sys.host_close(self.ctl, self.fd)
     }
 
     /// Runs `f` with a freshly opened handle and closes it on *every*
@@ -152,26 +95,26 @@ impl ProcHandle {
     /// running again rather than left stopped forever.
     ///
     /// (`ProcHandle` cannot do this from `Drop`: closing needs `&mut`
-    /// access to the transport, which a `Drop` impl cannot borrow.)
-    pub fn scoped<S: ProcTransport, T>(
-        sys: &mut S,
+    /// access to the `System`, which a `Drop` impl cannot borrow.)
+    pub fn scoped<T>(
+        sys: &mut System,
         ctl: Pid,
         pid: Pid,
         flags: OFlags,
-        f: impl FnOnce(&mut S, &mut ProcHandle) -> SysResult<T>,
+        f: impl FnOnce(&mut System, &mut ProcHandle) -> SysResult<T>,
     ) -> SysResult<T> {
         Self::scoped_at(sys, ctl, pid, "/proc", flags, f)
     }
 
     /// [`ProcHandle::scoped`] under an arbitrary mount point — the same
     /// unwind-safe last-close guarantee over a remote `/proc`.
-    pub fn scoped_at<S: ProcTransport, T>(
-        sys: &mut S,
+    pub fn scoped_at<T>(
+        sys: &mut System,
         ctl: Pid,
         pid: Pid,
         mount: &str,
         flags: OFlags,
-        f: impl FnOnce(&mut S, &mut ProcHandle) -> SysResult<T>,
+        f: impl FnOnce(&mut System, &mut ProcHandle) -> SysResult<T>,
     ) -> SysResult<T> {
         let mut h = Self::open_at(sys, ctl, pid, mount, flags)?;
         let (ctl, fd) = (h.ctl, h.fd);
@@ -180,16 +123,16 @@ impl ProcHandle {
         // Close no matter how the body ended. A close failure after a
         // successful body is not surfaced: the target may legitimately
         // have died while we held the descriptor.
-        let _ = sys.pt_close(ctl, fd);
+        let _ = sys.host_close(ctl, fd);
         match result {
             Ok(r) => r,
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
 
-    fn ioctl(&mut self, sys: &mut impl ProcTransport, req: u32, arg: &[u8]) -> SysResult<Vec<u8>> {
+    fn ioctl(&mut self, sys: &mut System, req: u32, arg: &[u8]) -> SysResult<Vec<u8>> {
         self.calls += 1;
-        sys.pt_ioctl(self.ctl, self.fd, req, arg)
+        sys.host_ioctl(self.ctl, self.fd, req, arg)
     }
 
     /// Like [`ProcHandle::ioctl`], but retries a bounded number of times
@@ -199,7 +142,7 @@ impl ProcHandle {
     /// surfaces, typed, after [`TRANSIENT_RETRIES`] attempts.
     fn ioctl_retry_intr(
         &mut self,
-        sys: &mut impl ProcTransport,
+        sys: &mut System,
         req: u32,
         arg: &[u8],
     ) -> SysResult<Vec<u8>> {
@@ -213,146 +156,146 @@ impl ProcHandle {
     }
 
     /// `PIOCSTATUS`: the full status in one operation.
-    pub fn status(&mut self, sys: &mut impl ProcTransport) -> SysResult<PrStatus> {
+    pub fn status(&mut self, sys: &mut System) -> SysResult<PrStatus> {
         let out = self.ioctl(sys, PIOCSTATUS, &[])?;
         PrStatus::from_bytes(&out).ok_or(Errno::EIO)
     }
 
     /// `PIOCSTOP`: direct the process to stop and wait for the stop.
     /// Interrupted waits are retried (bounded).
-    pub fn stop(&mut self, sys: &mut impl ProcTransport) -> SysResult<PrStatus> {
+    pub fn stop(&mut self, sys: &mut System) -> SysResult<PrStatus> {
         let out = self.ioctl_retry_intr(sys, PIOCSTOP, &[])?;
         PrStatus::from_bytes(&out).ok_or(Errno::EIO)
     }
 
     /// `PIOCWSTOP`: wait for the next event-of-interest stop.
     /// Interrupted waits are retried (bounded).
-    pub fn wstop(&mut self, sys: &mut impl ProcTransport) -> SysResult<PrStatus> {
+    pub fn wstop(&mut self, sys: &mut System) -> SysResult<PrStatus> {
         let out = self.ioctl_retry_intr(sys, PIOCWSTOP, &[])?;
         PrStatus::from_bytes(&out).ok_or(Errno::EIO)
     }
 
     /// `PIOCRUN` with options.
-    pub fn run(&mut self, sys: &mut impl ProcTransport, run: PrRun) -> SysResult<()> {
+    pub fn run(&mut self, sys: &mut System, run: PrRun) -> SysResult<()> {
         self.ioctl(sys, PIOCRUN, &run.to_bytes())?;
         Ok(())
     }
 
     /// `PIOCRUN` with no options.
-    pub fn resume(&mut self, sys: &mut impl ProcTransport) -> SysResult<()> {
+    pub fn resume(&mut self, sys: &mut System) -> SysResult<()> {
         self.run(sys, PrRun::default())
     }
 
     /// `PIOCSTRACE`: set traced signals.
-    pub fn set_sig_trace(&mut self, sys: &mut impl ProcTransport, set: SigSet) -> SysResult<()> {
+    pub fn set_sig_trace(&mut self, sys: &mut System, set: SigSet) -> SysResult<()> {
         self.ioctl(sys, PIOCSTRACE, &set.to_bytes())?;
         Ok(())
     }
 
     /// `PIOCGTRACE`: get traced signals.
-    pub fn sig_trace(&mut self, sys: &mut impl ProcTransport) -> SysResult<SigSet> {
+    pub fn sig_trace(&mut self, sys: &mut System) -> SysResult<SigSet> {
         let out = self.ioctl(sys, PIOCGTRACE, &[])?;
         SigSet::from_bytes(&out).ok_or(Errno::EIO)
     }
 
     /// `PIOCSFAULT`: set traced faults.
-    pub fn set_flt_trace(&mut self, sys: &mut impl ProcTransport, set: FltSet) -> SysResult<()> {
+    pub fn set_flt_trace(&mut self, sys: &mut System, set: FltSet) -> SysResult<()> {
         self.ioctl(sys, PIOCSFAULT, &set.to_bytes())?;
         Ok(())
     }
 
     /// `PIOCSENTRY`: set traced system call entries.
-    pub fn set_entry_trace(&mut self, sys: &mut impl ProcTransport, set: SysSet) -> SysResult<()> {
+    pub fn set_entry_trace(&mut self, sys: &mut System, set: SysSet) -> SysResult<()> {
         self.ioctl(sys, PIOCSENTRY, &set.to_bytes())?;
         Ok(())
     }
 
     /// `PIOCSEXIT`: set traced system call exits.
-    pub fn set_exit_trace(&mut self, sys: &mut impl ProcTransport, set: SysSet) -> SysResult<()> {
+    pub fn set_exit_trace(&mut self, sys: &mut System, set: SysSet) -> SysResult<()> {
         self.ioctl(sys, PIOCSEXIT, &set.to_bytes())?;
         Ok(())
     }
 
     /// `PIOCGREG`: fetch the general registers.
-    pub fn gregs(&mut self, sys: &mut impl ProcTransport) -> SysResult<GregSet> {
+    pub fn gregs(&mut self, sys: &mut System) -> SysResult<GregSet> {
         let out = self.ioctl(sys, PIOCGREG, &[])?;
         GregSet::from_bytes(&out).ok_or(Errno::EIO)
     }
 
     /// `PIOCSREG`: install the general registers.
-    pub fn set_gregs(&mut self, sys: &mut impl ProcTransport, regs: &GregSet) -> SysResult<()> {
+    pub fn set_gregs(&mut self, sys: &mut System, regs: &GregSet) -> SysResult<()> {
         self.ioctl(sys, PIOCSREG, &regs.to_bytes())?;
         Ok(())
     }
 
     /// `PIOCGFPREG`: fetch the floating registers.
-    pub fn fpregs(&mut self, sys: &mut impl ProcTransport) -> SysResult<FpregSet> {
+    pub fn fpregs(&mut self, sys: &mut System) -> SysResult<FpregSet> {
         let out = self.ioctl(sys, PIOCGFPREG, &[])?;
         FpregSet::from_bytes(&out).ok_or(Errno::EIO)
     }
 
     /// `PIOCSFPREG`: install the floating registers.
-    pub fn set_fpregs(&mut self, sys: &mut impl ProcTransport, regs: &FpregSet) -> SysResult<()> {
+    pub fn set_fpregs(&mut self, sys: &mut System, regs: &FpregSet) -> SysResult<()> {
         self.ioctl(sys, PIOCSFPREG, &regs.to_bytes())?;
         Ok(())
     }
 
     /// `PIOCMAP`: the address map.
-    pub fn maps(&mut self, sys: &mut impl ProcTransport) -> SysResult<Vec<PrMap>> {
+    pub fn maps(&mut self, sys: &mut System) -> SysResult<Vec<PrMap>> {
         let out = self.ioctl(sys, PIOCMAP, &[])?;
         Ok(PrMap::decode_list(&out))
     }
 
     /// `PIOCPSINFO`: the `ps` snapshot.
-    pub fn psinfo(&mut self, sys: &mut impl ProcTransport) -> SysResult<PsInfo> {
+    pub fn psinfo(&mut self, sys: &mut System) -> SysResult<PsInfo> {
         let out = self.ioctl(sys, PIOCPSINFO, &[])?;
         PsInfo::from_bytes(&out).ok_or(Errno::EIO)
     }
 
     /// `PIOCCRED`: credentials.
-    pub fn cred(&mut self, sys: &mut impl ProcTransport) -> SysResult<PrCred> {
+    pub fn cred(&mut self, sys: &mut System) -> SysResult<PrCred> {
         let out = self.ioctl(sys, PIOCCRED, &[])?;
         PrCred::from_bytes(&out).ok_or(Errno::EIO)
     }
 
     /// `PIOCUSAGE`: resource usage.
-    pub fn usage(&mut self, sys: &mut impl ProcTransport) -> SysResult<PrUsage> {
+    pub fn usage(&mut self, sys: &mut System) -> SysResult<PrUsage> {
         let out = self.ioctl(sys, PIOCUSAGE, &[])?;
         PrUsage::from_bytes(&out).ok_or(Errno::EIO)
     }
 
     /// `PIOCKILL`: post a signal.
-    pub fn kill(&mut self, sys: &mut impl ProcTransport, sig: usize) -> SysResult<()> {
+    pub fn kill(&mut self, sys: &mut System, sig: usize) -> SysResult<()> {
         self.ioctl(sys, PIOCKILL, &(sig as u32).to_le_bytes())?;
         Ok(())
     }
 
     /// `PIOCUNKILL`: delete a pending signal.
-    pub fn unkill(&mut self, sys: &mut impl ProcTransport, sig: usize) -> SysResult<()> {
+    pub fn unkill(&mut self, sys: &mut System, sig: usize) -> SysResult<()> {
         self.ioctl(sys, PIOCUNKILL, &(sig as u32).to_le_bytes())?;
         Ok(())
     }
 
     /// `PIOCSSIG`: set (0 clears) the current signal.
-    pub fn set_cursig(&mut self, sys: &mut impl ProcTransport, sig: usize) -> SysResult<()> {
+    pub fn set_cursig(&mut self, sys: &mut System, sig: usize) -> SysResult<()> {
         self.ioctl(sys, PIOCSSIG, &(sig as u32).to_le_bytes())?;
         Ok(())
     }
 
     /// `PIOCSFORK`/`PIOCRFORK`: inherit-on-fork.
-    pub fn set_inherit_on_fork(&mut self, sys: &mut impl ProcTransport, on: bool) -> SysResult<()> {
+    pub fn set_inherit_on_fork(&mut self, sys: &mut System, on: bool) -> SysResult<()> {
         self.ioctl(sys, if on { PIOCSFORK } else { PIOCRFORK }, &[])?;
         Ok(())
     }
 
     /// `PIOCSRLC`/`PIOCRRLC`: run-on-last-close.
-    pub fn set_run_on_last_close(&mut self, sys: &mut impl ProcTransport, on: bool) -> SysResult<()> {
+    pub fn set_run_on_last_close(&mut self, sys: &mut System, on: bool) -> SysResult<()> {
         self.ioctl(sys, if on { PIOCSRLC } else { PIOCRRLC }, &[])?;
         Ok(())
     }
 
     /// `PIOCSWATCH`: add (or with `size == 0` remove) a watched area.
-    pub fn set_watch(&mut self, sys: &mut impl ProcTransport, w: PrWatch) -> SysResult<()> {
+    pub fn set_watch(&mut self, sys: &mut System, w: PrWatch) -> SysResult<()> {
         self.ioctl(sys, PIOCSWATCH, &w.to_bytes())?;
         Ok(())
     }
@@ -365,7 +308,7 @@ impl ProcHandle {
     /// call `StatsReport::render()`.
     pub fn stats(
         &mut self,
-        sys: &mut impl ProcTransport,
+        sys: &mut System,
         req: u32,
     ) -> SysResult<procfs::StatsReport> {
         let out = self.ioctl(sys, req, &[])?;
@@ -377,7 +320,7 @@ impl ProcHandle {
 
     /// `PIOCCACHESTATS`: the snapshot-cache counters of the `/proc`
     /// mount serving this descriptor.
-    pub fn cache_stats(&mut self, sys: &mut impl ProcTransport) -> SysResult<procfs::PrCacheStats> {
+    pub fn cache_stats(&mut self, sys: &mut System) -> SysResult<procfs::PrCacheStats> {
         match self.stats(sys, PIOCCACHESTATS)? {
             procfs::StatsReport::Cache(c) => Ok(c),
             _ => Err(Errno::EIO),
@@ -389,7 +332,7 @@ impl ProcHandle {
     /// Answered by the client stub without crossing the wire, so it works
     /// even when the network is down; over a local mount it fails with
     /// the mount's unknown-ioctl errno.
-    pub fn wire_stats(&mut self, sys: &mut impl ProcTransport) -> SysResult<vfs::remote::WireStats> {
+    pub fn wire_stats(&mut self, sys: &mut System) -> SysResult<vfs::remote::WireStats> {
         match self.stats(sys, vfs::remote::PIOCWIRESTATS)? {
             procfs::StatsReport::Wire(w) => Ok(w),
             _ => Err(Errno::EIO),
@@ -400,7 +343,7 @@ impl ProcHandle {
     /// by the kernel owning the target, so over a remote mount the reply
     /// reports the *server's* fault plan. All zeros when no plan is
     /// installed.
-    pub fn kfault_stats(&mut self, sys: &mut impl ProcTransport) -> SysResult<ksim::KFaultStats> {
+    pub fn kfault_stats(&mut self, sys: &mut System) -> SysResult<ksim::KFaultStats> {
         match self.stats(sys, PIOCKFAULTSTATS)? {
             procfs::StatsReport::KernelFaults(f) => Ok(f),
             _ => Err(Errno::EIO),
@@ -411,7 +354,7 @@ impl ProcHandle {
     /// decoded-instruction cache) for the target. Kernel-resident like
     /// `PIOCKFAULTSTATS`, so over a remote mount the reply crosses the
     /// wire and reports the server's caches.
-    pub fn xstats(&mut self, sys: &mut impl ProcTransport) -> SysResult<PrXStats> {
+    pub fn xstats(&mut self, sys: &mut System) -> SysResult<PrXStats> {
         match self.stats(sys, PIOCXSTATS)? {
             procfs::StatsReport::Exec(x) => Ok(x),
             _ => Err(Errno::EIO),
@@ -420,7 +363,7 @@ impl ProcHandle {
 
     /// `PIOCRECSTATS`: the record/replay counters of the kernel owning
     /// the target. All zeros when recording is off.
-    pub fn rec_stats(&mut self, sys: &mut impl ProcTransport) -> SysResult<ksim::RecStats> {
+    pub fn rec_stats(&mut self, sys: &mut System) -> SysResult<ksim::RecStats> {
         match self.stats(sys, PIOCRECSTATS)? {
             procfs::StatsReport::Recorder(r) => Ok(r),
             _ => Err(Errno::EIO),
@@ -434,7 +377,7 @@ impl ProcHandle {
     /// always means the wire, never the protocol.
     pub fn migrate_op(
         &mut self,
-        sys: &mut impl ProcTransport,
+        sys: &mut System,
         arg: &[u8],
     ) -> SysResult<ksim::MigReply> {
         let out = self.ioctl(sys, PIOCMIGRATE, arg)?;
@@ -444,7 +387,7 @@ impl ProcHandle {
     /// `PIOCMIGSTATS`: the migration counters of the kernel owning the
     /// target (begins, chunks, duplicate absorptions, commits, aborts,
     /// digest mismatches, resumes).
-    pub fn mig_stats(&mut self, sys: &mut impl ProcTransport) -> SysResult<ksim::MigStats> {
+    pub fn mig_stats(&mut self, sys: &mut System) -> SysResult<ksim::MigStats> {
         match self.stats(sys, PIOCMIGSTATS)? {
             procfs::StatsReport::Migrate(m) => Ok(m),
             _ => Err(Errno::EIO),
@@ -455,7 +398,7 @@ impl ProcHandle {
     /// image (identity, registers, signal mask, sparse address space).
     /// Works over local and remote mounts alike — the image crosses the
     /// wire as an ordinary variable-length reply.
-    pub fn checkpoint(&mut self, sys: &mut impl ProcTransport) -> SysResult<Vec<u8>> {
+    pub fn checkpoint(&mut self, sys: &mut System) -> SysResult<Vec<u8>> {
         let out = self.ioctl(sys, PIOCCKPT, &[])?;
         match Ioctl::Ckpt.decode_reply(&out)? {
             IoctlPayload::Image(img) => Ok(img),
@@ -467,7 +410,7 @@ impl ProcHandle {
     /// the stopped target, replacing its address space, registers and
     /// signal mask. A malformed image fails with `EINVAL` before any
     /// state is touched.
-    pub fn restore(&mut self, sys: &mut impl ProcTransport, image: &[u8]) -> SysResult<()> {
+    pub fn restore(&mut self, sys: &mut System, image: &[u8]) -> SysResult<()> {
         self.ioctl(sys, PIOCRESTORE, image)?;
         Ok(())
     }
@@ -476,41 +419,41 @@ impl ProcHandle {
     /// proposed extension: the process file is "ready" (readable) when
     /// the target is stopped on an event of interest, and in `hangup`
     /// when it has terminated.
-    pub fn poll(&mut self, sys: &mut impl ProcTransport) -> SysResult<PollStatus> {
+    pub fn poll(&mut self, sys: &mut System) -> SysResult<PollStatus> {
         self.calls += 1;
-        sys.pt_poll_fd(self.ctl, self.fd)
+        sys.poll_fd(self.ctl, self.fd)
     }
 
     /// `PIOCOPENM`: open the object mapped at `vaddr`, returning a plain
     /// descriptor in the controller's table.
-    pub fn open_mapped(&mut self, sys: &mut impl ProcTransport, vaddr: u64) -> SysResult<usize> {
+    pub fn open_mapped(&mut self, sys: &mut System, vaddr: u64) -> SysResult<usize> {
         let out = self.ioctl(sys, PIOCOPENM, &vaddr.to_le_bytes())?;
         Ok(u64::from_le_bytes(out.try_into().map_err(|_| Errno::EIO)?) as usize)
     }
 
     /// Reads target memory at `addr` (lseek + read: two calls).
-    pub fn read_mem(&mut self, sys: &mut impl ProcTransport, addr: u64, buf: &mut [u8]) -> SysResult<usize> {
+    pub fn read_mem(&mut self, sys: &mut System, addr: u64, buf: &mut [u8]) -> SysResult<usize> {
         self.calls += 2;
-        sys.pt_lseek(self.ctl, self.fd, addr as i64, 0)?;
-        sys.pt_read(self.ctl, self.fd, buf)
+        sys.host_lseek(self.ctl, self.fd, addr as i64, 0)?;
+        sys.host_read(self.ctl, self.fd, buf)
     }
 
     /// Writes target memory at `addr` (lseek + write: two calls).
-    pub fn write_mem(&mut self, sys: &mut impl ProcTransport, addr: u64, data: &[u8]) -> SysResult<usize> {
+    pub fn write_mem(&mut self, sys: &mut System, addr: u64, data: &[u8]) -> SysResult<usize> {
         self.calls += 2;
-        sys.pt_lseek(self.ctl, self.fd, addr as i64, 0)?;
-        sys.pt_write(self.ctl, self.fd, data)
+        sys.host_lseek(self.ctl, self.fd, addr as i64, 0)?;
+        sys.host_write(self.ctl, self.fd, data)
     }
 
     /// Reads one 64-bit word of target memory.
-    pub fn peek(&mut self, sys: &mut impl ProcTransport, addr: u64) -> SysResult<u64> {
+    pub fn peek(&mut self, sys: &mut System, addr: u64) -> SysResult<u64> {
         let mut b = [0u8; 8];
         self.read_mem(sys, addr, &mut b)?;
         Ok(u64::from_le_bytes(b))
     }
 
     /// Writes one 64-bit word of target memory.
-    pub fn poke(&mut self, sys: &mut impl ProcTransport, addr: u64, value: u64) -> SysResult<()> {
+    pub fn poke(&mut self, sys: &mut System, addr: u64, value: u64) -> SysResult<()> {
         self.write_mem(sys, addr, &value.to_le_bytes())?;
         Ok(())
     }
@@ -518,21 +461,21 @@ impl ProcHandle {
     /// Reads the target's executable image via `PIOCOPENM` at the current
     /// program counter and parses it (symbol-table access without
     /// pathnames).
-    pub fn read_aout(&mut self, sys: &mut impl ProcTransport) -> SysResult<ksim::Aout> {
+    pub fn read_aout(&mut self, sys: &mut System) -> SysResult<ksim::Aout> {
         let pc = self.status(sys)?.reg.pc;
         let objfd = self.open_mapped(sys, pc)?;
         let mut image = Vec::new();
         let mut buf = [0u8; 4096];
         loop {
             self.calls += 1;
-            let n = sys.pt_read(self.ctl, objfd, &mut buf)?;
+            let n = sys.host_read(self.ctl, objfd, &mut buf)?;
             if n == 0 {
                 break;
             }
             image.extend_from_slice(&buf[..n]);
         }
         self.calls += 1;
-        sys.pt_close(self.ctl, objfd)?;
+        sys.host_close(self.ctl, objfd)?;
         ksim::Aout::from_bytes(&image)
     }
 }

@@ -30,7 +30,7 @@
 //!
 //! The server half is structured the way a real `poll(2)`-driven daemon
 //! is. Each connection is a session with a **bounded inbound and
-//! outbound byte queue** (builder: [`RemoteFs::with_queue_caps`]).
+//! outbound byte queue** (set by [`WireConfig::queue_caps`]).
 //! Frames arrive as raw bytes appended to the inbound queue; a FIFO
 //! ready-set records which sessions hold servable bytes, and the
 //! service loop pops ready sessions and extracts **at most
@@ -2200,12 +2200,10 @@ impl<K> RemoteClient<K> {
     }
 }
 
-/// Declarative wire configuration: everything the ad-hoc
-/// [`RemoteFs::with_faults`] / [`RemoteFs::with_retry_policy`] /
-/// [`RemoteFs::with_queue_caps`] builders used to set, as one plain
-/// value. A `SimConfig` mount plan carries one of these so a recorded
-/// run can reconstruct its wire byte-for-byte; apply it with
-/// [`RemoteFs::with_config`].
+/// Declarative wire configuration: faults, retry discipline and queue
+/// caps as one plain value. A `SimConfig` mount plan carries one of
+/// these so a recorded run can reconstruct its wire byte-for-byte;
+/// apply it with [`RemoteFs::with_config`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WireConfig {
     /// Seed for the fault plan (unused when `faults` is `None`).
@@ -2360,54 +2358,32 @@ impl<K> RemoteFs<K> {
         self
     }
 
-    /// Makes the wire lossy under a deterministic fault plan. The
-    /// service-jitter stream reseeds from the plan so one seed fixes the
-    /// whole schedule — faults, personas and reorderings.
-    pub fn with_faults(self, plan: FaultPlan) -> RemoteFs<K> {
-        {
-            let mut s = lock(&self.session);
-            s.jitter = plan.state ^ 0xA5A5_5A5A_0DDC_0DE5;
-            s.fault = Some(plan);
-        }
-        self
-    }
-
-    /// Overrides the client retry discipline.
-    pub fn with_retry_policy(self, policy: RetryPolicy) -> RemoteFs<K> {
-        lock(&self.session).retry = policy;
-        self
-    }
-
-    /// Overrides the per-session queue caps (bytes per direction).
-    /// Smaller caps shed sooner; see [`DEFAULT_QUEUE_CAP`].
-    pub fn with_queue_caps(self, in_cap: usize, out_cap: usize) -> RemoteFs<K> {
-        {
-            let mut s = lock(&self.session);
-            s.in_cap = in_cap.max(1);
-            s.out_cap = out_cap.max(1);
-        }
-        self
-    }
-
-    /// Applies a declarative [`WireConfig`] — the construction-time
-    /// path `SimConfig` mount plans use instead of chaining the
-    /// individual builders.
+    /// Applies a declarative [`WireConfig`]: a fault plan (the
+    /// service-jitter stream reseeds from it, so one seed fixes the whole
+    /// schedule — faults, personas and reorderings), a retry policy and
+    /// per-session queue caps (smaller caps shed sooner; see
+    /// [`DEFAULT_QUEUE_CAP`]). Unset fields keep the perfect-wire
+    /// defaults.
     pub fn with_config(self, cfg: &WireConfig) -> RemoteFs<K> {
-        let mut fs = self;
-        if let Some(rates) = cfg.faults {
-            let mut plan = FaultPlan::new(cfg.fault_seed, rates);
-            if let Some(adv) = cfg.adversary {
-                plan = plan.with_adversary(adv);
+        {
+            let mut s = lock(&self.session);
+            if let Some(rates) = cfg.faults {
+                let mut plan = FaultPlan::new(cfg.fault_seed, rates);
+                if let Some(adv) = cfg.adversary {
+                    plan = plan.with_adversary(adv);
+                }
+                s.jitter = plan.state ^ 0xA5A5_5A5A_0DDC_0DE5;
+                s.fault = Some(plan);
             }
-            fs = fs.with_faults(plan);
+            if let Some(policy) = cfg.retry {
+                s.retry = policy;
+            }
+            if let Some((in_cap, out_cap)) = cfg.queue_caps {
+                s.in_cap = in_cap.max(1);
+                s.out_cap = out_cap.max(1);
+            }
         }
-        if let Some(policy) = cfg.retry {
-            fs = fs.with_retry_policy(policy);
-        }
-        if let Some((i, o)) = cfg.queue_caps {
-            fs = fs.with_queue_caps(i, o);
-        }
-        fs
+        self
     }
 
     /// Mints a pipelined client handle with its own session (bounded
@@ -2605,7 +2581,7 @@ mod tests {
     fn faulty_memfs(seed: u64, rates: FaultRates) -> RemoteFs<()> {
         let mut fs = MemFs::<()>::new();
         fs.install("/bin/tool", 0o755, 0, 0, b"payload-bytes".to_vec());
-        RemoteFs::new(Box::new(fs)).with_faults(FaultPlan::new(seed, rates))
+        RemoteFs::new(Box::new(fs)).with_config(&WireConfig::faulty(seed, rates))
     }
 
     /// Forces a persona on a client's session (tests drive personas
@@ -2857,7 +2833,7 @@ mod tests {
         let rates = FaultRates { duplicate: 1000, ..FaultRates::default() };
         let mut fs = MemFs::<()>::new();
         fs.install("/log", 0o644, 0, 0, Vec::new());
-        let mut r = RemoteFs::new(Box::new(fs)).with_faults(FaultPlan::new(9, rates));
+        let mut r = RemoteFs::new(Box::new(fs)).with_config(&WireConfig::faulty(9, rates));
         let cred = Cred::superuser();
         let log = r.lookup(&mut (), P, NodeId(0), "log").expect("log");
         let tok = r.open(&mut (), P, log, OFlags::rdwr(), &cred).expect("open");
@@ -3089,7 +3065,7 @@ mod tests {
         // queue: every reply is shed, the shed counter passes the
         // eviction limit, and the pending futures resolve to EAGAIN
         // instead of hanging wait() forever.
-        let r = remote_memfs().with_queue_caps(4096, 8);
+        let r = remote_memfs().with_config(&WireConfig::clean().queue_caps(4096, 8));
         let c = r.client();
         force_persona(&c, Persona::HalfOpen);
         let f1 = c.submit_lookup(P, NodeId(0), "bin");
@@ -3173,7 +3149,7 @@ mod tests {
         let mut fs = MemFs::<()>::new();
         fs.install("/log", 0o644, 0, 0, Vec::new());
         let r = RemoteFs::new(Box::new(fs))
-            .with_faults(FaultPlan::new(0xC0FFEE, FaultRates::default()).with_adversary(adv));
+            .with_config(&WireConfig::faulty(0xC0FFEE, FaultRates::default()).adversarial(adv));
         let c = r.client();
         let cred = Cred::superuser();
         let log = c.wait(&mut (), c.submit_lookup(P, NodeId(0), "log")).expect("log");
@@ -3214,7 +3190,7 @@ mod tests {
         let mut fs = MemFs::<()>::new();
         fs.install("/log", 0o644, 0, 0, Vec::new());
         let r = RemoteFs::new(Box::new(fs))
-            .with_faults(FaultPlan::new(0xF100D, FaultRates::default()).with_adversary(adv));
+            .with_config(&WireConfig::faulty(0xF100D, FaultRates::default()).adversarial(adv));
         let c = r.client();
         let cred = Cred::superuser();
         let log = c.wait(&mut (), c.submit_lookup(P, NodeId(0), "log")).expect("log");
@@ -3239,9 +3215,10 @@ mod tests {
     #[test]
     fn adversarial_schedules_replay_identically() {
         let run = || {
-            let plan = FaultPlan::new(0x00AD_5EED, FaultRates::uniform(60))
-                .with_adversary(AdversaryRates::uniform(120));
-            let r = remote_memfs().with_faults(plan).with_queue_caps(2048, 2048);
+            let cfg = WireConfig::faulty(0x00AD_5EED, FaultRates::uniform(60))
+                .adversarial(AdversaryRates::uniform(120))
+                .queue_caps(2048, 2048);
+            let r = remote_memfs().with_config(&cfg);
             let mut outcomes = Vec::new();
             for round in 0..6 {
                 let c = r.client();
