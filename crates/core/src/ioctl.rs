@@ -182,8 +182,10 @@ pioc_table! {
     WireCounters: PIOCWIRESTATS = vfs::remote::PIOCWIRESTATS, read;
     /// Get record/replay counters (`RecStats`): inputs logged, snapshots
     /// taken, bytes digested, replays applied, divergences detected.
-    /// Answered by `prioctl` — the recorder lives on the kernel.
-    RecStats: PIOCRECSTATS = 0x5029, read;
+    /// Answered by `prioctl` — the recorder lives on the kernel. The
+    /// number belongs to [`ksim::record`], whose digest folds only the
+    /// reply's status and length.
+    RecStats: PIOCRECSTATS = ksim::record::PIOCRECSTATS, read;
     /// Checkpoint the stopped target into a self-describing image
     /// (registers, identity, held mask, sparse address-space content).
     /// Read-only: it inspects, never modifies. The reply is the image.

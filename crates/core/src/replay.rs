@@ -15,7 +15,10 @@
 //!   can keep recording seamlessly from wherever it landed.
 //! * [`goto_tick`] re-materializes a *live* recorded system at an
 //!   earlier position: restore the nearest copy-on-write snapshot at or
-//!   below the target and replay the remainder. Remote mounts take the
+//!   below the target and replay the remainder. It reads the live log in
+//!   place, and the restored system shares the snapshot bank up to the
+//!   snapshot it resumed from, so navigating again from there resumes
+//!   from a banked state too. Remote mounts take the
 //!   fast path too — their wire-session state (sequence numbers,
 //!   fault-generator position, queues) travels in the snapshot's
 //!   [`Snap::wires`] bank and is replanted into the freshly built
@@ -29,7 +32,8 @@
 
 use ksim::record::Snap;
 use ksim::{
-    FsSlot, Input, MountPlan, Pid, Recorder, Recording, ReplayDivergence, SimConfig, System,
+    FsSlot, Input, MountPlan, Pid, Record, Recorder, Recording, ReplayDivergence, SimConfig,
+    System,
 };
 use vfs::remote::RemoteFs;
 
@@ -120,25 +124,25 @@ fn apply(sys: &mut System, input: &Input) {
     }
 }
 
-/// Applies records `from..to` of `rec` to `sys` (which must hold the
-/// first `from` records in its own log), comparing each re-computed
+/// Applies records `from..to` of `records` to `sys` (which must hold
+/// the first `from` records in its own log), comparing each re-computed
 /// digest against the original. The first mismatch is returned as a
 /// typed divergence at its exact tick and counted on the recorder.
 fn apply_range(
     sys: &mut System,
-    rec: &Recording,
+    records: &[Record],
     from: usize,
     to: usize,
 ) -> Result<(), ReplayDivergence> {
-    for i in from..to {
-        apply(sys, &rec.records[i].input);
+    for (i, record) in (from..).zip(&records[from..to]) {
+        apply(sys, &record.input);
         let got = sys
             .kernel
             .recorder
             .as_ref()
             .and_then(|r| r.records.get(i))
             .map(|r| r.digest);
-        let expected = rec.records[i].digest;
+        let expected = record.digest;
         if let Some(r) = sys.kernel.recorder.as_mut() {
             r.stats.replays += 1;
         }
@@ -156,8 +160,13 @@ fn apply_range(
 /// On success the returned system's own log equals the applied prefix,
 /// and recording continues from there.
 pub fn replay_to(rec: &Recording, k: usize) -> Result<System, ReplayDivergence> {
-    let mut sys = build_sim(&rec.config);
-    apply_range(&mut sys, rec, 0, k.min(rec.len()))?;
+    replay_log(&rec.config, &rec.records, k)
+}
+
+/// [`replay_to`] over a borrowed config and log.
+fn replay_log(cfg: &SimConfig, records: &[Record], k: usize) -> Result<System, ReplayDivergence> {
+    let mut sys = build_sim(cfg);
+    apply_range(&mut sys, records, 0, k.min(records.len()))?;
     Ok(sys)
 }
 
@@ -170,11 +179,12 @@ pub fn replay(rec: &Recording) -> Result<System, ReplayDivergence> {
 /// Resumes from a copy-on-write snapshot: fresh mounts from
 /// [`build_sim`], the snapshot's kernel and root file system
 /// transplanted in, the banked wire-transport state replanted into the
-/// remote mounts, a recorder pre-loaded with the applied prefix, then
-/// records `snap.pos..k` replayed on top. `None` when the snapshot
-/// cannot be applied to this config's mounts (the full rebuild is the
-/// caller's fallback).
-fn resume_from_snap(rec: &Recording, snap: &Snap, k: usize) -> Option<System> {
+/// remote mounts, a recorder pre-loaded with the applied prefix and
+/// `rec`'s snapshot bank up to and including `snap`, then records
+/// `snap.pos..k` replayed on top. `None` when the snapshot cannot be
+/// applied to this config's mounts (the full rebuild is the caller's
+/// fallback).
+fn resume_from_snap(rec: &Recorder, snap: &Snap, k: usize) -> Option<System> {
     let mut sys = build_sim(&rec.config);
     sys.kernel = (*snap.kernel).clone();
     sys.fss[0] = FsSlot::Mem(snap.root.clone());
@@ -193,9 +203,10 @@ fn resume_from_snap(rec: &Recording, snap: &Snap, k: usize) -> Option<System> {
     }
     let mut r = Recorder::new(rec.config.clone());
     r.records = rec.records[..snap.pos].to_vec();
+    r.snaps = rec.snaps.iter().take_while(|s| s.pos <= snap.pos).cloned().collect();
     r.stats.restores = 1;
     sys.kernel.recorder = Some(Box::new(r));
-    apply_range(&mut sys, rec, snap.pos, k).ok()?;
+    apply_range(&mut sys, &rec.records, snap.pos, k).ok()?;
     Some(sys)
 }
 
@@ -209,19 +220,18 @@ pub fn goto_tick(sys: &System, k: usize) -> Result<System, ReplayDivergence> {
     let Some(rec) = sys.kernel.recorder.as_ref() else {
         return Ok(build_sim(&SimConfig::new().record(true)));
     };
-    let recording = rec.recording();
-    let k = k.min(recording.len());
+    let k = k.min(rec.records.len());
     if let Some(snap) = rec.nearest_snap(k) {
         if snap.pos > 0 {
             // A failed resume (divergence from non-snapshotted
             // file-system-layer state, or a mount-shape mismatch) falls
             // through to the full rebuild, which is always exact.
-            if let Some(restored) = resume_from_snap(&recording, snap, k) {
+            if let Some(restored) = resume_from_snap(rec, snap, k) {
                 return Ok(restored);
             }
         }
     }
-    replay_to(&recording, k)
+    replay_log(&rec.config, &rec.records, k)
 }
 
 /// Why a recfile image failed to become a live system.

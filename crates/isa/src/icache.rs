@@ -24,7 +24,8 @@ use crate::insn::Insn;
 
 /// Number of direct-mapped entries (power of two). 256 entries cover a
 /// 2 KiB straight-line window — comfortably larger than the hot loops
-/// the experiments execute, small enough to clone cheaply on LWP copies.
+/// the experiments execute. The table is allocated on first insert, so
+/// an LWP that never runs guest code carries none.
 const ICACHE_WAYS: usize = 256;
 
 /// One cache slot: a decoded instruction plus the stamps that were
@@ -61,10 +62,14 @@ pub struct InsnCacheStats {
 }
 
 /// A per-LWP direct-mapped decoded-instruction cache. `Clone` because
-/// LWPs are cloned wholesale in places; fork/exec paths construct fresh
-/// LWPs, so children start cold.
+/// LWPs are cloned wholesale in places (recorder snapshots clone every
+/// LWP); fork/exec paths construct fresh LWPs, so children start cold.
+/// A cold cache owns no table: the first [`InsnCache::insert`]
+/// allocates it, so cloning an LWP that never ran guest code copies
+/// nothing.
 #[derive(Clone, Debug)]
 pub struct InsnCache {
+    /// Empty while cold, else `ICACHE_WAYS` slots.
     slots: Vec<InsnSlot>,
     stats: InsnCacheStats,
 }
@@ -76,8 +81,19 @@ impl Default for InsnCache {
 }
 
 impl InsnCache {
-    /// An empty cache.
+    /// An empty, cold cache: no table until the first insert.
     pub fn new() -> InsnCache {
+        InsnCache { slots: Vec::new(), stats: InsnCacheStats::default() }
+    }
+
+    /// True while no slot has ever been filled (no table allocated).
+    pub fn is_cold(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Allocates the table of empty slots.
+    #[cold]
+    fn warm(&mut self) {
         let empty = InsnSlot {
             pc: 0,
             as_gen: 0,
@@ -86,7 +102,7 @@ impl InsnCache {
             content_gen: 0,
             insn: Insn::bare(crate::insn::Opcode::Nop),
         };
-        InsnCache { slots: vec![empty; ICACHE_WAYS], stats: InsnCacheStats::default() }
+        self.slots = vec![empty; ICACHE_WAYS];
     }
 
     #[inline]
@@ -95,21 +111,21 @@ impl InsnCache {
     }
 
     /// Returns the slot for `pc` if one is filled and keyed by exactly
-    /// that pc. The caller must still validate the stamps; call
-    /// [`InsnCache::note_hit`] or [`InsnCache::note_stale`] accordingly.
+    /// that pc (a cold cache misses). The caller must still validate the
+    /// stamps; call [`InsnCache::note_hit`] or [`InsnCache::note_stale`]
+    /// accordingly.
     #[inline]
     pub fn probe(&self, pc: u64) -> Option<&InsnSlot> {
-        let s = &self.slots[Self::index(pc)];
-        if s.as_gen != 0 && s.pc == pc {
-            Some(s)
-        } else {
-            None
-        }
+        self.slots.get(Self::index(pc)).filter(|s| s.as_gen != 0 && s.pc == pc)
     }
 
-    /// Installs (or replaces) the slot for `pc`.
+    /// Installs (or replaces) the slot for `pc`, allocating the table on
+    /// the first insert.
     #[inline]
     pub fn insert(&mut self, slot: InsnSlot) {
+        if self.slots.is_empty() {
+            self.warm();
+        }
         self.slots[Self::index(slot.pc)] = slot;
     }
 
@@ -131,7 +147,8 @@ impl InsnCache {
         self.stats.invalidations += 1;
     }
 
-    /// Drops every slot (exec within the same LWP identity).
+    /// Drops every slot (exec within the same LWP identity). The table,
+    /// if any, stays allocated; a cold cache is left cold.
     pub fn clear(&mut self) {
         for s in &mut self.slots {
             s.as_gen = 0;
@@ -187,5 +204,18 @@ mod tests {
         c.insert(slot(0x1000, 5));
         c.clear();
         assert!(c.probe(0x1000).is_none());
+    }
+
+    #[test]
+    fn new_cache_is_cold_until_the_first_insert() {
+        let mut c = InsnCache::new();
+        assert!(c.is_cold());
+        assert!(c.probe(0x1000).is_none());
+        c.clear();
+        assert!(c.is_cold(), "clear on a cold cache allocates nothing");
+        c.insert(slot(0x1000, 1));
+        assert!(!c.is_cold());
+        assert_eq!(c.probe(0x1000).expect("filled").pc, 0x1000);
+        assert_eq!(c.stats(), InsnCacheStats::default(), "warming counts nothing");
     }
 }

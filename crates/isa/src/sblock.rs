@@ -108,13 +108,18 @@ pub struct SBlockStats {
 }
 
 /// A per-LWP two-way set-associative superblock cache. `Clone` because
-/// LWPs are cloned wholesale in places; fork/exec paths construct fresh
-/// LWPs, so children start cold.
+/// LWPs are cloned wholesale in places (recorder snapshots clone every
+/// LWP); fork/exec paths construct fresh LWPs, so children start cold.
+/// A cold cache owns no table: the first [`SBlockCache::insert`]
+/// allocates it, so cloning an LWP that never ran guest code copies
+/// nothing.
 #[derive(Clone, Debug)]
 pub struct SBlockCache {
-    /// `SBLOCK_SETS * SBLOCK_ASSOC` entries, set-major.
+    /// Empty while cold, else `SBLOCK_SETS * SBLOCK_ASSOC` entries,
+    /// set-major.
     ways: Vec<SuperBlock>,
-    /// Per-set index of the most recently probed-or-inserted way.
+    /// Per-set index of the most recently probed-or-inserted way (empty
+    /// while cold).
     mru: Vec<u8>,
     stats: SBlockStats,
 }
@@ -126,8 +131,19 @@ impl Default for SBlockCache {
 }
 
 impl SBlockCache {
-    /// An empty cache.
+    /// An empty, cold cache: no table until the first insert.
     pub fn new() -> SBlockCache {
+        SBlockCache { ways: Vec::new(), mru: Vec::new(), stats: SBlockStats::default() }
+    }
+
+    /// True while no block has ever been installed (no table allocated).
+    pub fn is_cold(&self) -> bool {
+        self.ways.is_empty()
+    }
+
+    /// Allocates the table of empty ways.
+    #[cold]
+    fn warm(&mut self) {
         let empty = SuperBlock {
             start_pc: 0,
             as_gen: 0,
@@ -136,11 +152,8 @@ impl SBlockCache {
             content_gen: 0,
             slots: Vec::new(),
         };
-        SBlockCache {
-            ways: vec![empty; SBLOCK_SETS * SBLOCK_ASSOC],
-            mru: vec![0; SBLOCK_SETS],
-            stats: SBlockStats::default(),
-        }
+        self.ways = vec![empty; SBLOCK_SETS * SBLOCK_ASSOC];
+        self.mru = vec![0; SBLOCK_SETS];
     }
 
     /// Set selector. Straight-line code produces block heads exactly
@@ -156,11 +169,14 @@ impl SBlockCache {
     }
 
     /// Returns the block rooted at exactly `pc`, if one is installed,
-    /// and marks its way most-recently-used. The caller must still
-    /// validate the stamps; call [`SBlockCache::note_stale`] when they
-    /// have moved.
+    /// and marks its way most-recently-used (a cold cache misses). The
+    /// caller must still validate the stamps; call
+    /// [`SBlockCache::note_stale`] when they have moved.
     #[inline]
     pub fn probe(&mut self, pc: u64) -> Option<&SuperBlock> {
+        if self.ways.is_empty() {
+            return None;
+        }
         let set = Self::index(pc);
         for way in 0..SBLOCK_ASSOC {
             let b = &self.ways[set * SBLOCK_ASSOC + way];
@@ -174,9 +190,13 @@ impl SBlockCache {
 
     /// Installs (or replaces) the block rooted at its `start_pc`. An
     /// existing block with the same head is replaced in place; otherwise
-    /// an empty way, then the least-recently-used way, takes it.
+    /// an empty way, then the least-recently-used way, takes it. The
+    /// first insert allocates the table.
     pub fn insert(&mut self, block: SuperBlock) {
         self.stats.built += 1;
+        if self.ways.is_empty() {
+            self.warm();
+        }
         let set = Self::index(block.start_pc);
         let slot = |way: usize| set * SBLOCK_ASSOC + way;
         let way = (0..SBLOCK_ASSOC)
@@ -214,7 +234,8 @@ impl SBlockCache {
         self.stats.stale += 1;
     }
 
-    /// Drops every block (exec within the same LWP identity).
+    /// Drops every block (exec within the same LWP identity). The table,
+    /// if any, stays allocated; a cold cache is left cold.
     pub fn clear(&mut self) {
         for b in &mut self.ways {
             b.as_gen = 0;
@@ -269,5 +290,18 @@ mod tests {
         c.insert(block(0x2000, 4, 2));
         c.clear();
         assert!(c.probe(0x2000).is_none());
+    }
+
+    #[test]
+    fn new_cache_is_cold_until_the_first_insert() {
+        let mut c = SBlockCache::new();
+        assert!(c.is_cold());
+        assert!(c.probe(0x2000).is_none());
+        c.clear();
+        assert!(c.is_cold(), "clear on a cold cache allocates nothing");
+        c.insert(block(0x2000, 4, 2));
+        assert!(!c.is_cold());
+        assert_eq!(c.probe(0x2000).expect("installed").slots.len(), 2);
+        assert_eq!(c.stats().built, 1);
     }
 }

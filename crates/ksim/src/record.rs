@@ -38,13 +38,35 @@
 //! copy-on-write snapshot: a deep [`Kernel`] clone (page frames are
 //! `Arc`-shared [`vm::PageFrame`]s — PR 5–6's COW machinery makes the
 //! clone cheap and lazily materialized) plus a clone of the root memfs.
-//! A snapshot at position `p` is the machine state after applying the
-//! first `p` records; `goto`-style navigation restores the nearest
-//! snapshot at or below the target and replays the remainder.
+//! Per-LWP decode caches are derived state and cost nothing until used:
+//! an LWP that never ran guest code (every hosted controller) owns no
+//! cache table, so its clone copies none. A snapshot at position `p` is
+//! the machine state after applying the first `p` records;
+//! `goto`-style navigation restores the nearest snapshot at or below
+//! the target and replays the remainder.
+//!
+//! Snapshots are immutable once taken and banked as `Arc<Snap>`: a
+//! system re-materialized from the snapshot at `p` shares the bank up
+//! to and including `p` with the system it came from, since both have
+//! the same history that far. Navigating again from it resumes from a
+//! banked state rather than recomputing one.
+//!
+//! `PIOCRECSTATS` replies with these counters, which describe the host's
+//! own replay machinery (`replays`, `restores`, the `file_*` counters)
+//! and so cannot be reproduced by any replay: the digest of a recorded
+//! `PIOCRECSTATS` folds only the reply's status and length.
+
+use std::sync::Arc;
 
 use crate::config::SimConfig;
 use crate::kernel::Kernel;
 use vfs::{Cred, OFlags, PollStatus, SysResult};
+
+/// The `/proc` request that reads the recorder's counters ([`RecStats`]).
+/// It belongs to the recorder because the digest treats its reply
+/// specially (see the module docs); the flat interface's `PIOC*` table
+/// names it.
+pub const PIOCRECSTATS: u32 = 0x5029;
 
 /// Maximum public `step()` calls coalesced into one `Steps` record.
 /// Bounds how far apart snapshot opportunities can drift during long
@@ -507,8 +529,9 @@ pub struct Recorder {
     pub suppress: u32,
     /// Snapshot interval in records; 0 disables snapshots.
     pub snap_every: usize,
-    /// Snapshots, ascending by position.
-    pub snaps: Vec<Snap>,
+    /// Snapshots, ascending by position. Shared with the systems that
+    /// navigation re-materializes from them.
+    pub snaps: Vec<Arc<Snap>>,
     /// Counters behind `PIOCRECSTATS`.
     pub stats: RecStats,
 }
@@ -592,12 +615,12 @@ impl Recorder {
         wires: Vec<(usize, vfs::remote::WireSnapshot)>,
     ) {
         self.stats.snapshots += 1;
-        self.snaps.push(Snap { pos: self.records.len(), kernel, root, wires });
+        self.snaps.push(Arc::new(Snap { pos: self.records.len(), kernel, root, wires }));
     }
 
     /// The nearest snapshot at or below `pos`, if any.
     pub fn nearest_snap(&self, pos: usize) -> Option<&Snap> {
-        self.snaps.iter().rev().find(|s| s.pos <= pos)
+        self.snaps.iter().rev().find(|s| s.pos <= pos).map(|s| s.as_ref())
     }
 
     /// Extracts the recording (config + log) for storage or replay.

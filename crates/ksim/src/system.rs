@@ -2059,7 +2059,11 @@ impl System {
             },
             |bytes, out| {
                 out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-                out.extend_from_slice(bytes);
+                // The recorder's counters count this host's replays and
+                // restores, which no replay reproduces.
+                if req != record::PIOCRECSTATS {
+                    out.extend_from_slice(bytes);
+                }
             },
         )
     }

@@ -26,6 +26,7 @@
 //! kill                    kill the target and finish
 //! detach                  release the target and finish
 //! tick                    show the recording position
+//! stats                   show the recorder and target exec counters
 //! reverse-step            undo the last step/cont stop  (alias: rs)
 //! reverse-cont            undo back past the last cont  (alias: rc)
 //! goto-tick <k>           re-materialize the run at tick k
@@ -357,6 +358,13 @@ impl Sdb {
                 self.finished = true;
                 self.say("detached");
             }
+            ("stats", []) => {
+                let h = &mut self.dbg()?.h;
+                let rec = h.stats(sys, procfs::ioctl::PIOCRECSTATS)?;
+                let exec = h.stats(sys, procfs::ioctl::PIOCXSTATS)?;
+                self.transcript.push_str(&rec.render());
+                self.transcript.push_str(&exec.render());
+            }
             ("tick", []) => match rec_pos(sys) {
                 Some(pos) => self.say(&format!("tick {pos}")),
                 None => self.say("sdb: recording is off"),
@@ -676,6 +684,52 @@ mod tests {
         sdb.exec(&mut sys, "cont").expect("cont again");
         let forward = sdb.dbg().expect("dbg").regs(&mut sys).expect("regs");
         assert_eq!(second_hit, forward, "re-running forward must reproduce the second hit");
+    }
+
+    /// `stats` prints the recorder and exec families. The recorded
+    /// `PIOCRECSTATS` it issues must not break a reverse-step whose
+    /// replayed tail includes it.
+    #[test]
+    fn stats_reports_the_restore_after_a_reverse_step() {
+        let mut sys = crate::userland::boot_demo_cfg(
+            ksim::SimConfig::standard().record(true).snapshot_every(10),
+        );
+        let ctl = sys.spawn_hosted("sdb", Cred::new(100, 10));
+        let mut sdb = Sdb::launch(&mut sys, ctl, "/bin/ticker", &["ticker"]).expect("launch");
+        for line in ["break tick", "stats", "cont", "cont"] {
+            sdb.exec(&mut sys, line).expect(line);
+        }
+        let t = sdb.transcript().to_string();
+        assert!(t.contains("recorder.restores 0\n"), "{t}");
+        assert!(t.contains("exec.icache_hits "), "{t}");
+        let stats_at = sys
+            .kernel
+            .recorder
+            .as_ref()
+            .and_then(|r| {
+                r.records.iter().rposition(|x| {
+                    matches!(x.input, ksim::Input::HostIoctl { req, .. }
+                        if req == procfs::ioctl::PIOCRECSTATS)
+                })
+            })
+            .expect("stats recorded a PIOCRECSTATS");
+
+        sdb.exec(&mut sys, "reverse-step").expect("reverse-step");
+        let target: usize = sdb
+            .transcript()
+            .split("reversed to tick ")
+            .nth(1)
+            .and_then(|t| t.split(',').next())
+            .and_then(|t| t.parse().ok())
+            .expect("reversed to a tick");
+        let replays = sys.kernel.recorder.as_ref().expect("recorder").stats.replays as usize;
+        assert!(target - replays <= stats_at, "the replayed tail missed the PIOCRECSTATS");
+
+        let from = sdb.transcript().len();
+        sdb.exec(&mut sys, "stats").expect("stats again");
+        let t = &sdb.transcript()[from..];
+        assert!(t.contains("recorder.restores 1\n"), "{t}");
+        assert!(t.lines().all(|l| l.starts_with("recorder.") || l.starts_with("exec.")), "{t}");
     }
 
     #[test]

@@ -309,3 +309,111 @@ fn goto_tick_through_a_snapshot_matches_full_replay_per_lwp() {
         );
     }
 }
+
+/// A spinner read through `/proc` twelve times under a snapshot every 8
+/// records: 51 records, snapshot marks at 0, 8, …, 48.
+fn spinner_reads(every: usize) -> System {
+    let mut sys = procfs::build_sim(&SimConfig::standard().record(true).snapshot_every(every));
+    sys.install_program("/bin/spin", tools::userland::SPIN);
+    let ctl = sys.spawn_hosted("rr-bank", Cred::superuser());
+    let spin = sys.spawn_program(ctl, "/bin/spin", &["spin"]).expect("spawn spin");
+    for _ in 0..12 {
+        sys.step();
+        let fd = sys.host_open(ctl, &format!("/proc/{:05}", spin.0), OFlags::rdonly()).expect("open");
+        let mut buf = [0u8; 64];
+        let _ = sys.host_read(ctl, fd, &mut buf);
+        sys.host_close(ctl, fd).expect("close");
+    }
+    sys
+}
+
+fn snap_marks(sys: &System) -> Vec<usize> {
+    sys.kernel.recorder.as_ref().expect("recorder").snaps.iter().map(|s| s.pos).collect()
+}
+
+/// The snapshot bank survives navigation: the system `goto_tick`
+/// returns carries every snapshot up to the one it resumed from, so a
+/// second, earlier goto on it resumes from a snapshot instead of
+/// rebuilding from tick zero, and its recfile lists the same marks.
+#[test]
+fn goto_tick_carries_the_snapshot_bank() {
+    let sys = spinner_reads(8);
+    let n = sys.recording().expect("recording on").len();
+    assert_eq!(n, 51);
+    let marks: Vec<usize> = (0..=48).step_by(8).collect();
+    assert_eq!(snap_marks(&sys), marks);
+
+    let mut back = procfs::goto_tick(&sys, n - 2).expect("goto n-2");
+    assert_eq!(back.kernel.recorder.as_ref().expect("recorder").stats.restores, 1);
+    assert_eq!(snap_marks(&back), marks, "the restored bank lost the original marks");
+    let file = ksim::recfile::load(&back.save_recfile().expect("recording on")).expect("load");
+    assert_eq!(file.snap_marks, marks);
+
+    let again = procfs::goto_tick(&back, 20).expect("goto 20");
+    let stats = again.kernel.recorder.as_ref().expect("recorder").stats;
+    assert_eq!(stats.restores, 1, "the second goto rebuilt from tick zero: {stats:?}");
+    assert!(stats.replays <= 8, "the second goto replayed {} records", stats.replays);
+    assert_eq!(
+        again.recording().expect("recording on").records[..],
+        sys.recording().expect("recording on").records[..20]
+    );
+}
+
+/// `PIOCRECSTATS` reports the host's own replay machinery (replays,
+/// restores, file counters), which no replay reproduces, so the digest
+/// folds only its status and length: a recorded run that reads it
+/// replays, and navigation through it resumes from a snapshot.
+#[test]
+fn recorded_rec_stats_calls_replay_and_resume() {
+    let mut sys = procfs::build_sim(&SimConfig::standard().record(true).snapshot_every(4));
+    sys.install_program("/bin/spin", tools::userland::SPIN);
+    let ctl = sys.spawn_hosted("rr-stats", Cred::superuser());
+    let spin = sys.spawn_program(ctl, "/bin/spin", &["spin"]).expect("spawn spin");
+    let mut h = ProcHandle::open_ro(&mut sys, ctl, spin).expect("open");
+    for _ in 0..3 {
+        sys.step();
+        h.rec_stats(&mut sys).expect("rec_stats");
+        sys.step();
+    }
+    h.close(&mut sys).expect("close");
+    let rec = sys.recording().expect("recording on");
+    let replayed = procfs::replay(&rec).expect("a recorded PIOCRECSTATS must replay");
+    assert_eq!(replayed.recording().expect("recording on").records, rec.records);
+    for k in 4..=rec.len() {
+        let back = procfs::goto_tick(&sys, k).expect("goto_tick");
+        let restores = back.kernel.recorder.as_ref().expect("recorder").stats.restores;
+        assert_eq!(restores, 1, "position {k} did not resume from a snapshot");
+    }
+}
+
+/// A snapshot clones every LWP, so caches must cost nothing until used:
+/// after a recorded `sdb` session the hosted processes' LWPs, live and
+/// in every banked snapshot, still own no cache table, while the
+/// target's, which ran guest code, do.
+#[test]
+fn hosted_lwp_caches_stay_cold_through_a_recorded_session() {
+    let mut sys = tools::boot_demo_cfg(SimConfig::standard().record(true).snapshot_every(8));
+    let ctl = sys.spawn_hosted("rr-sdb", Cred::superuser());
+    let mut sdb = tools::Sdb::launch(&mut sys, ctl, "/bin/ticker", &["ticker"]).expect("launch");
+    for line in ["break tick", "cont", "cont", "reverse-step", "cont", "step 3"] {
+        sdb.exec(&mut sys, line).expect(line);
+    }
+    let check = |k: &ksim::Kernel, live: bool| {
+        assert!(k.procs.values().filter(|p| p.hosted).count() >= 2);
+        for p in k.procs.values() {
+            for l in &p.lwps {
+                if p.hosted {
+                    assert!(l.icache.is_cold() && l.sblocks.is_cold(), "hosted pid {} warmed", p.pid);
+                } else if live && p.fname == "ticker" {
+                    assert!(!l.icache.is_cold() && !l.sblocks.is_cold(), "the target stayed cold");
+                }
+            }
+        }
+    };
+    check(&sys.kernel, true);
+    let r = sys.kernel.recorder.as_ref().expect("recorder");
+    assert!(r.snaps.len() > 1, "the session banked no snapshot past the start");
+    for s in &r.snaps {
+        check(&s.kernel, false);
+    }
+}
