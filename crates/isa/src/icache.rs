@@ -24,8 +24,9 @@ use crate::insn::Insn;
 
 /// Number of direct-mapped entries (power of two). 256 entries cover a
 /// 2 KiB straight-line window — comfortably larger than the hot loops
-/// the experiments execute. The table is allocated on first insert, so
-/// an LWP that never runs guest code carries none.
+/// the experiments execute. The table is allocated on first insert or
+/// [`InsnCache::reserve`], so an LWP that never runs guest code carries
+/// none.
 const ICACHE_WAYS: usize = 256;
 
 /// One cache slot: a decoded instruction plus the stamps that were
@@ -63,10 +64,10 @@ pub struct InsnCacheStats {
 
 /// A per-LWP direct-mapped decoded-instruction cache. `Clone` because
 /// LWPs are cloned wholesale in places (recorder snapshots clone every
-/// LWP); fork/exec paths construct fresh LWPs, so children start cold.
-/// A cold cache owns no table: the first [`InsnCache::insert`]
-/// allocates it, so cloning an LWP that never ran guest code copies
-/// nothing.
+/// LWP); fork/exec paths construct fresh LWPs, so children start empty.
+/// A cold cache owns no table: the first [`InsnCache::insert`] (or a
+/// [`InsnCache::reserve`]) allocates it, so cloning an LWP that never
+/// ran guest code copies nothing.
 #[derive(Clone, Debug)]
 pub struct InsnCache {
     /// Empty while cold, else `ICACHE_WAYS` slots.
@@ -86,9 +87,18 @@ impl InsnCache {
         InsnCache { slots: Vec::new(), stats: InsnCacheStats::default() }
     }
 
-    /// True while no slot has ever been filled (no table allocated).
+    /// True while the cache owns no table (nothing inserted or reserved).
     pub fn is_cold(&self) -> bool {
         self.slots.is_empty()
+    }
+
+    /// Allocates the table now if the cache is cold; a warm cache keeps
+    /// its slots. Contents and counters are unchanged: a reserved cache
+    /// still misses every probe until something is inserted.
+    pub fn reserve(&mut self) {
+        if self.slots.is_empty() {
+            self.warm();
+        }
     }
 
     /// Allocates the table of empty slots.
@@ -217,5 +227,17 @@ mod tests {
         assert!(!c.is_cold());
         assert_eq!(c.probe(0x1000).expect("filled").pc, 0x1000);
         assert_eq!(c.stats(), InsnCacheStats::default(), "warming counts nothing");
+    }
+
+    #[test]
+    fn reserve_allocates_without_filling_and_keeps_a_warm_table() {
+        let mut c = InsnCache::new();
+        c.reserve();
+        assert!(!c.is_cold());
+        assert!(c.probe(0x1000).is_none(), "a reserved table holds no slot");
+        c.insert(slot(0x1000, 1));
+        c.reserve();
+        assert!(c.probe(0x1000).is_some(), "reserve on a warm cache dropped a slot");
+        assert_eq!(c.stats(), InsnCacheStats::default());
     }
 }

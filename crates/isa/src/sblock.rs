@@ -109,10 +109,10 @@ pub struct SBlockStats {
 
 /// A per-LWP two-way set-associative superblock cache. `Clone` because
 /// LWPs are cloned wholesale in places (recorder snapshots clone every
-/// LWP); fork/exec paths construct fresh LWPs, so children start cold.
-/// A cold cache owns no table: the first [`SBlockCache::insert`]
-/// allocates it, so cloning an LWP that never ran guest code copies
-/// nothing.
+/// LWP); fork/exec paths construct fresh LWPs, so children start empty.
+/// A cold cache owns no table: the first [`SBlockCache::insert`] (or a
+/// [`SBlockCache::reserve`]) allocates it, so cloning an LWP that never
+/// ran guest code copies nothing.
 #[derive(Clone, Debug)]
 pub struct SBlockCache {
     /// Empty while cold, else `SBLOCK_SETS * SBLOCK_ASSOC` entries,
@@ -136,9 +136,19 @@ impl SBlockCache {
         SBlockCache { ways: Vec::new(), mru: Vec::new(), stats: SBlockStats::default() }
     }
 
-    /// True while no block has ever been installed (no table allocated).
+    /// True while the cache owns no table (nothing installed or
+    /// reserved).
     pub fn is_cold(&self) -> bool {
         self.ways.is_empty()
+    }
+
+    /// Allocates the table now if the cache is cold; a warm cache keeps
+    /// its blocks. Contents and counters are unchanged: a reserved cache
+    /// still misses every probe until a block is installed.
+    pub fn reserve(&mut self) {
+        if self.ways.is_empty() {
+            self.warm();
+        }
     }
 
     /// Allocates the table of empty ways.
@@ -302,6 +312,18 @@ mod tests {
         c.insert(block(0x2000, 4, 2));
         assert!(!c.is_cold());
         assert_eq!(c.probe(0x2000).expect("installed").slots.len(), 2);
+        assert_eq!(c.stats().built, 1);
+    }
+
+    #[test]
+    fn reserve_allocates_without_installing_and_keeps_a_warm_table() {
+        let mut c = SBlockCache::new();
+        c.reserve();
+        assert!(!c.is_cold());
+        assert!(c.probe(0x2000).is_none(), "a reserved table holds no block");
+        c.insert(block(0x2000, 4, 2));
+        c.reserve();
+        assert!(c.probe(0x2000).is_some(), "reserve on a warm cache dropped a block");
         assert_eq!(c.stats().built, 1);
     }
 }

@@ -189,7 +189,7 @@ pub struct Lwp {
     pub insns: u64,
     /// Per-LWP decoded-instruction cache. Every LWP construction path
     /// (boot, `fork`, `exec`, `lwp_create`) goes through [`Lwp::new`],
-    /// so new threads of control always start with a cold cache;
+    /// so new threads of control always start with an empty cache;
     /// validity is checked per fetch against the address-space
     /// generation, the backing mapping's content epoch and the object
     /// store's content generation.
@@ -197,7 +197,7 @@ pub struct Lwp {
     /// Per-LWP superblock cache: traced straight-line runs the CPU
     /// executes in one dispatch. Same lifecycle as the icache — every
     /// LWP construction path goes through [`Lwp::new`], so children
-    /// start cold; blocks validate against the address-space
+    /// start empty; blocks validate against the address-space
     /// generation, their text page's content epoch and the object
     /// store's content generation before every dispatch.
     pub sblocks: isa::SBlockCache,

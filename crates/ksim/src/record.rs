@@ -39,8 +39,8 @@
 //! `Arc`-shared [`vm::PageFrame`]s — PR 5–6's COW machinery makes the
 //! clone cheap and lazily materialized) plus a clone of the root memfs.
 //! Per-LWP decode caches are derived state and cost nothing until used:
-//! an LWP that never ran guest code (every hosted controller) owns no
-//! cache table, so its clone copies none. A snapshot at position `p` is
+//! an LWP that never took a guest image (every hosted controller) owns
+//! no cache table, so its clone copies none. A snapshot at position `p` is
 //! the machine state after applying the first `p` records;
 //! `goto`-style navigation restores the nearest snapshot at or below
 //! the target and replays the remainder.

@@ -1418,6 +1418,14 @@ impl System {
         let lwp = &mut proc.lwps[0];
         let old_syscall = lwp.syscall.clone();
         *lwp = crate::proc::Lwp::new(keep_tid, aout_entry, sp);
+        // The LWP now holds a guest image, so it will run guest code:
+        // take its decode tables here, with the rest of the image,
+        // rather than at its first fetch. Tables taken mid-run land on
+        // the allocator's top of heap, which is handed back to the host
+        // whenever their process goes and faulted in again later; the
+        // number of page faults a run takes then varies from run to run.
+        lwp.icache.reserve();
+        lwp.sblocks.reserve();
         lwp.held = held;
         lwp.syscall = old_syscall;
         lwp.gregs.set_arg(0, argv.len() as u64);

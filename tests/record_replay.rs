@@ -417,3 +417,22 @@ fn hosted_lwp_caches_stay_cold_through_a_recorded_session() {
         check(&s.kernel, false);
     }
 }
+
+/// `exec` reserves the decode tables of the LWP it loads a guest image
+/// into, before that LWP has fetched anything, so a guest's tables are
+/// not taken mid-run; the reserved tables hold nothing and count
+/// nothing. The hosted parent, which never execs, still owns none.
+#[test]
+fn exec_reserves_guest_tables_and_hosted_ones_stay_cold() {
+    let mut sys = tools::boot_demo();
+    let ctl = sys.spawn_hosted("rr-exec", Cred::superuser());
+    let pid = sys.spawn_program(ctl, "/bin/ticker", &["ticker"]).expect("spawn");
+    let guest = &sys.kernel.procs[&pid.0].lwps[0];
+    assert_eq!(guest.insns, 0, "the guest ran before the check");
+    assert!(!guest.icache.is_cold() && !guest.sblocks.is_cold(), "exec left the guest cold");
+    assert_eq!(guest.icache.stats(), isa::InsnCacheStats::default());
+    assert_eq!(guest.sblocks.stats(), isa::SBlockStats::default());
+    for l in &sys.kernel.procs[&ctl.0].lwps {
+        assert!(l.icache.is_cold() && l.sblocks.is_cold(), "the hosted parent warmed");
+    }
+}
