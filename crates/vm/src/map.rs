@@ -227,11 +227,6 @@ impl Mapping {
         self.len = addr - self.base;
         tail
     }
-
-    /// Number of resident (overlay) pages private to this mapping.
-    pub fn private_pages(&self) -> usize {
-        self.overlay.len()
-    }
 }
 
 #[cfg(test)]
