@@ -357,10 +357,7 @@ impl Ioctl {
             Ioctl::Restore => (ksim::ckpt::CKPT_MAX, 0),
             // Migration sub-ops carry at most one chunk plus a fixed
             // header; the reply is a fixed status/offset record.
-            Ioctl::Migrate => (
-                ksim::migrate::MIG_CHUNK_MAX + 32,
-                ksim::migrate::MIG_REPLY_LEN,
-            ),
+            Ioctl::Migrate => (ksim::migrate::MIG_CHUNK_MAX + 32, ksim::migrate::MIG_REPLY_LEN),
             Ioctl::MigStats => (0, ksim::MigStats::WIRE_LEN),
             // PIOCGETPR / PIOCGETU are variable-sized implementation
             // dumps — precisely the kind of operation that cannot cross
@@ -451,18 +448,18 @@ impl Ioctl {
                 IoctlPayload::Watches(ws)
             }
             Ioctl::Usage => IoctlPayload::Usage(PrUsage::from_bytes(bytes).ok_or(bad)?),
-            Ioctl::CacheStats => IoctlPayload::Stats(StatsReport::Cache(
-                PrCacheStats::from_bytes(bytes).ok_or(bad)?,
-            )),
+            Ioctl::CacheStats => {
+                IoctlPayload::Stats(StatsReport::Cache(PrCacheStats::from_bytes(bytes).ok_or(bad)?))
+            }
             Ioctl::KFaultStats => IoctlPayload::Stats(StatsReport::KernelFaults(
                 ksim::kfault::KFaultStats::from_bytes(bytes).ok_or(bad)?,
             )),
-            Ioctl::XStats => IoctlPayload::Stats(StatsReport::Exec(
-                PrXStats::from_bytes(bytes).ok_or(bad)?,
-            )),
-            Ioctl::WireCounters => IoctlPayload::Stats(StatsReport::Wire(
-                WireStats::from_bytes(bytes).ok_or(bad)?,
-            )),
+            Ioctl::XStats => {
+                IoctlPayload::Stats(StatsReport::Exec(PrXStats::from_bytes(bytes).ok_or(bad)?))
+            }
+            Ioctl::WireCounters => {
+                IoctlPayload::Stats(StatsReport::Wire(WireStats::from_bytes(bytes).ok_or(bad)?))
+            }
             Ioctl::RecStats => IoctlPayload::Stats(StatsReport::Recorder(
                 ksim::RecStats::from_bytes(bytes).ok_or(bad)?,
             )),

@@ -44,9 +44,8 @@ pub use replay::{build_sim, goto_tick, replay, replay_file, replay_to, LoadError
 pub use snap::{snap_handle, SnapCache, SnapHandle};
 pub use types::{
     PrCacheStats, PrCred, PrMap, PrRun, PrStatus, PrUsage, PrWatch, PrWhy, PrXStats, PsInfo,
-    PRRUN_CFAULT,
-    PRRUN_CSIG, PRRUN_SABORT, PRRUN_SSTOP, PRRUN_STEP, PRRUN_SVADDR, PRRUN_WBYPASS, PR_ASLEEP,
-    PR_DSTOP, PR_FORK, PR_ISSYS, PR_ISTOP, PR_PTRACE, PR_RLC, PR_STOPPED,
+    PRRUN_CFAULT, PRRUN_CSIG, PRRUN_SABORT, PRRUN_SSTOP, PRRUN_STEP, PRRUN_SVADDR, PRRUN_WBYPASS,
+    PR_ASLEEP, PR_DSTOP, PR_FORK, PR_ISSYS, PR_ISTOP, PR_PTRACE, PR_RLC, PR_STOPPED,
 };
 
 /// Mounts the flat interface at `/proc` and the hierarchical proposal at

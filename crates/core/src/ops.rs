@@ -111,12 +111,8 @@ pub fn close(k: &mut Kernel, pid: Pid, flags: OFlags) {
         // flags are cleared and, if the process is stopped, it is set
         // running."
         proc.trace.clear_tracing();
-        let tids: Vec<_> = proc
-            .lwps
-            .iter()
-            .filter(|l| l.is_event_stopped())
-            .map(|l| l.tid)
-            .collect();
+        let tids: Vec<_> =
+            proc.lwps.iter().filter(|l| l.is_event_stopped()).map(|l| l.tid).collect();
         for l in &mut proc.lwps {
             l.stop_directive = false;
         }
@@ -430,10 +426,8 @@ pub fn open_mapped(k: &mut Kernel, caller: Pid, pid: Pid, arg: &[u8]) -> SysResu
     };
     // The kernel grants the descriptor directly; the mapping itself is
     // proof the object is readable by the process being examined.
-    let fid = k.files.alloc(
-        FileKind::Vnode { fs, node, token: vfs::OpenToken(0) },
-        OFlags::rdonly(),
-    );
+    let fid =
+        k.files.alloc(FileKind::Vnode { fs, node, token: vfs::OpenToken(0) }, OFlags::rdonly());
     let fd = {
         let proc = k.proc_mut(caller)?;
         proc.fds.alloc(fid)

@@ -32,8 +32,7 @@
 
 use ksim::record::Snap;
 use ksim::{
-    FsSlot, Input, MountPlan, Pid, Record, Recorder, Recording, ReplayDivergence, SimConfig,
-    System,
+    FsSlot, Input, MountPlan, Pid, Record, Recorder, Recording, ReplayDivergence, SimConfig, System,
 };
 use vfs::remote::RemoteFs;
 
@@ -136,12 +135,7 @@ fn apply_range(
 ) -> Result<(), ReplayDivergence> {
     for (i, record) in (from..).zip(&records[from..to]) {
         apply(sys, &record.input);
-        let got = sys
-            .kernel
-            .recorder
-            .as_ref()
-            .and_then(|r| r.records.get(i))
-            .map(|r| r.digest);
+        let got = sys.kernel.recorder.as_ref().and_then(|r| r.records.get(i)).map(|r| r.digest);
         let expected = record.digest;
         if let Some(r) = sys.kernel.recorder.as_mut() {
             r.stats.replays += 1;

@@ -114,11 +114,8 @@ impl Image {
     /// The current stamps of this image of process `pid` (LWP `tid`).
     fn stamps(self, k: &Kernel, pid: Pid, tid: Tid) -> SysResult<Stamps> {
         let proc = k.proc(pid)?;
-        let lwp_gen = if self.lwp_dependent() {
-            proc.lwp(tid).ok_or(Errno::ESRCH)?.lwp_gen
-        } else {
-            0
-        };
+        let lwp_gen =
+            if self.lwp_dependent() { proc.lwp(tid).ok_or(Errno::ESRCH)?.lwp_gen } else { 0 };
         Ok(Stamps { pr_gen: proc.pr_gen, mem_gen: k.objects.content_gen, lwp_gen })
     }
 

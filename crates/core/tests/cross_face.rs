@@ -111,12 +111,14 @@ fn operand(rng: &mut Rng, twin: &Twin, req: u32) -> Vec<u8> {
     let lwp = twin.sys.kernel.proc(twin.target).expect("target").rep_lwp();
     match req {
         PIOCRUN => {
-            let flags = [0, PRRUN_CSIG, PRRUN_CFAULT, PRRUN_SABORT, PRRUN_SSTOP]
-                [rng.below(5) as usize];
+            let flags =
+                [0, PRRUN_CSIG, PRRUN_CFAULT, PRRUN_SABORT, PRRUN_SSTOP][rng.below(5) as usize];
             PrRun { flags, vaddr: 0 }.to_bytes()
         }
         PIOCSTRACE | PIOCSHOLD => members::<2>(rng, [SIGCHLD, SIGCONT, SIGHUP]),
-        PIOCSFAULT => members::<2>(rng, [Fault::Bpt, Fault::Trace, Fault::Access].map(|f| f as usize)),
+        PIOCSFAULT => {
+            members::<2>(rng, [Fault::Bpt, Fault::Trace, Fault::Access].map(|f| f as usize))
+        }
         PIOCSENTRY | PIOCSEXIT => {
             members::<8>(rng, [SYS_GETPID, SYS_EXIT, SYS_NANOSLEEP].map(usize::from))
         }

@@ -59,10 +59,7 @@ fn open_permissions_follow_the_paper() {
     let root = sys.spawn_hosted("rootctl", Cred::superuser());
     // Same uid/gid: the spawner's cred was inherited by the target, so
     // `other` must be refused, root admitted.
-    assert_eq!(
-        sys.host_open(other, &proc_path(target), OFlags::rdonly()),
-        Err(Errno::EACCES)
-    );
+    assert_eq!(sys.host_open(other, &proc_path(target), OFlags::rdonly()), Err(Errno::EACCES));
     let fd = sys.host_open(root, &proc_path(target), OFlags::rdwr()).expect("root opens");
     sys.host_close(root, fd).expect("close");
 }
@@ -84,9 +81,7 @@ fn setid_process_is_superuser_only() {
 #[test]
 fn exclusive_open_blocks_other_writers_not_readers() {
     let (mut sys, ctl, target) = setup(SPIN);
-    let fd = sys
-        .host_open(ctl, &proc_path(target), OFlags::rdwr_excl())
-        .expect("exclusive open");
+    let fd = sys.host_open(ctl, &proc_path(target), OFlags::rdwr_excl()).expect("exclusive open");
     assert_eq!(
         sys.host_open(ctl, &proc_path(target), OFlags::rdwr()),
         Err(Errno::EBUSY),
@@ -106,10 +101,7 @@ fn exclusive_open_blocks_other_writers_not_readers() {
 fn excl_requested_after_existing_writer_fails() {
     let (mut sys, ctl, target) = setup(SPIN);
     let fd = sys.host_open(ctl, &proc_path(target), OFlags::rdwr()).expect("writer");
-    assert_eq!(
-        sys.host_open(ctl, &proc_path(target), OFlags::rdwr_excl()),
-        Err(Errno::EBUSY)
-    );
+    assert_eq!(sys.host_open(ctl, &proc_path(target), OFlags::rdwr_excl()), Err(Errno::EBUSY));
     sys.host_close(ctl, fd).expect("close");
 }
 
@@ -127,10 +119,8 @@ fn address_space_io_with_truncation_semantics() {
         // Find the data address from the symbol table via the image.
         let bytes = sys.memfs_mut().install("/bin/na", 0, 0, 0, vec![]); // placeholder
         let _ = bytes;
-        ksim::aout::build_aout(
-            "_start:\nloop: jmp loop\n.data\ncell: .asciz \"ABCD\"",
-        )
-        .expect("asm")
+        ksim::aout::build_aout("_start:\nloop: jmp loop\n.data\ncell: .asciz \"ABCD\"")
+            .expect("asm")
     };
     let cell = aout.sym("cell").expect("cell symbol");
     let fd = open_ctl(&mut sys, ctl, target);
@@ -158,12 +148,7 @@ fn address_space_io_with_truncation_semantics() {
     let tail = text.vaddr + text.size - 8;
     // There is a gap between text and data mappings large enough only if
     // data does not start immediately; compute actual next mapping.
-    let next_base = maps
-        .iter()
-        .map(|m| m.vaddr)
-        .filter(|&v| v > tail)
-        .min()
-        .unwrap_or(u64::MAX);
+    let next_base = maps.iter().map(|m| m.vaddr).filter(|&v| v > tail).min().unwrap_or(u64::MAX);
     if next_base > text.vaddr + text.size {
         sys.host_lseek(ctl, fd, tail as i64, 0).expect("lseek");
         let mut big = [0u8; 64];
@@ -220,13 +205,8 @@ fn traced_signal_stops_target() {
     assert_eq!(st.cursig as usize, SIGUSR1);
     // Clear the signal on resume: the process survives (default action
     // for SIGUSR1 would have killed it).
-    sys.host_ioctl(
-        ctl,
-        fd,
-        PIOCRUN,
-        &PrRun { flags: PRRUN_CSIG, vaddr: 0 }.to_bytes(),
-    )
-    .expect("PIOCRUN");
+    sys.host_ioctl(ctl, fd, PIOCRUN, &PrRun { flags: PRRUN_CSIG, vaddr: 0 }.to_bytes())
+        .expect("PIOCRUN");
     sys.run_idle(20);
     assert!(!sys.kernel.proc(target).expect("alive").zombie);
     sys.host_close(ctl, fd).expect("close");
@@ -512,9 +492,7 @@ fn piocopenm_reaches_the_executable() {
         status_of(&mut sys, ctl, fd)
     };
     // Open the object mapped at the PC (the a.out text).
-    let out = sys
-        .host_ioctl(ctl, fd, PIOCOPENM, &st.reg.pc.to_le_bytes())
-        .expect("PIOCOPENM");
+    let out = sys.host_ioctl(ctl, fd, PIOCOPENM, &st.reg.pc.to_le_bytes()).expect("PIOCOPENM");
     let objfd = u64::from_le_bytes(out.try_into().expect("8 bytes")) as usize;
     // Read the a.out header and parse the symbol table from it — "this
     // enables a debugger to find executable file symbol tables ...
@@ -592,21 +570,17 @@ fn watchpoint_stops_on_watched_store() {
     assert_eq!(st.why, PrWhy::Faulted);
     assert_eq!(st.what as usize, ksim::Fault::Watch.number());
     // The same-page unwatched store was recovered transparently.
-    let usage = procfs::PrUsage::from_bytes(
-        &sys.host_ioctl(ctl, fd, PIOCUSAGE, &[]).expect("usage"),
-    )
-    .expect("prusage");
+    let usage =
+        procfs::PrUsage::from_bytes(&sys.host_ioctl(ctl, fd, PIOCUSAGE, &[]).expect("usage"))
+            .expect("prusage");
     assert!(usage.watch_recoveries >= 1, "same-page store was recovered");
     // Step over the watched store with the one-shot bypass and continue.
     sys.host_ioctl(
         ctl,
         fd,
         PIOCRUN,
-        &PrRun {
-            flags: procfs::types::PRRUN_CFAULT | procfs::types::PRRUN_WBYPASS,
-            vaddr: 0,
-        }
-        .to_bytes(),
+        &PrRun { flags: procfs::types::PRRUN_CFAULT | procfs::types::PRRUN_WBYPASS, vaddr: 0 }
+            .to_bytes(),
     )
     .expect("run");
     // It fires again on the next iteration.
@@ -759,10 +733,8 @@ fn pioccred_and_groups() {
     assert_eq!(cred.ruid, 100);
     assert_eq!(cred.ngroups, 3);
     let out = sys.host_ioctl(ctl, fd, PIOCGROUPS, &[]).expect("PIOCGROUPS");
-    let groups: Vec<u32> = out
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-        .collect();
+    let groups: Vec<u32> =
+        out.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))).collect();
     assert_eq!(groups, vec![7, 8, 9]);
 }
 
@@ -849,9 +821,7 @@ fn read_watch_fires_on_load() {
 
 #[test]
 fn zombie_process_file_reports_psinfo_but_not_control() {
-    let (mut sys, ctl, target) = setup(
-        "_start:\nmovi rv, 1\nmovi a0, 3\nsyscall",
-    );
+    let (mut sys, ctl, target) = setup("_start:\nmovi rv, 1\nmovi a0, 3\nsyscall");
     // Let it exit; do NOT reap it (no wait) so it stays a zombie.
     sys.run_idle(1000);
     assert!(sys.kernel.proc(target).expect("zombie").zombie);

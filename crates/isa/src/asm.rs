@@ -122,13 +122,7 @@ pub fn assemble_at(src: &str, text_base: u64) -> Result<Assembly, AsmError> {
     }
 
     // Pass 2: encode.
-    let mut asmout = Assembly {
-        text_base,
-        data_base,
-        symbols,
-        entry: 0,
-        ..Default::default()
-    };
+    let mut asmout = Assembly { text_base, data_base, symbols, entry: 0, ..Default::default() };
     let mut tpos = text_base;
     let mut dpos = data_base;
     for item in &items {
@@ -213,11 +207,18 @@ enum ItemKind {
         rel: bool,
     },
     /// `li rd, imm` — expands to `movi` or `movi`+`moviu`.
-    Li { rd: u8, value: i64 },
+    Li {
+        rd: u8,
+        value: i64,
+    },
     /// `push rs`
-    Push { rs: u8 },
+    Push {
+        rs: u8,
+    },
     /// `pop rd`
-    Pop { rd: u8 },
+    Pop {
+        rd: u8,
+    },
     Word(ImmRef),
     Byte(i64),
     Asciz(String),
@@ -300,9 +301,7 @@ impl ItemKind {
                 }
             }
             ItemKind::Push { rs } => {
-                out.extend_from_slice(
-                    &Insn::iform(Opcode::Addi, REG_SP, REG_SP, -8).encode(),
-                );
+                out.extend_from_slice(&Insn::iform(Opcode::Addi, REG_SP, REG_SP, -8).encode());
                 out.extend_from_slice(
                     &Insn { op: Opcode::St, rd: *rs, rs1: REG_SP as u8, rs2: 0, imm: 0 }.encode(),
                 );
@@ -311,9 +310,7 @@ impl ItemKind {
                 out.extend_from_slice(
                     &Insn { op: Opcode::Ld, rd: *rd, rs1: REG_SP as u8, rs2: 0, imm: 0 }.encode(),
                 );
-                out.extend_from_slice(
-                    &Insn::iform(Opcode::Addi, REG_SP, REG_SP, 8).encode(),
-                );
+                out.extend_from_slice(&Insn::iform(Opcode::Addi, REG_SP, REG_SP, 8).encode());
             }
             ItemKind::Word(imm) => {
                 let v = imm.resolve(symbols, line)?;
@@ -525,9 +522,7 @@ fn operands(s: &str) -> Vec<&str> {
 }
 
 fn want_reg(s: &str, line: usize) -> Result<u8, AsmError> {
-    parse_reg(s)
-        .map(|r| r as u8)
-        .ok_or_else(|| err(line, format!("expected register, got `{s}`")))
+    parse_reg(s).map(|r| r as u8).ok_or_else(|| err(line, format!("expected register, got `{s}`")))
 }
 
 fn want_freg(s: &str, line: usize) -> Result<u8, AsmError> {

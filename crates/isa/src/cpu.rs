@@ -662,14 +662,14 @@ mod tests {
     fn memory_ops_roundtrip() {
         use Opcode::*;
         let insns = [
-            Insn::iform(Movi, 2, 0, 0x5000),  // base
-            Insn::iform(Movi, 3, 0, -2),      // value
-            Insn::iform(St, 3, 2, 8),         // [base+8] = r3
-            Insn::iform(Ld, 4, 2, 8),         // r4 = [base+8]
-            Insn::iform(Stb, 3, 2, 32),       // [base+32] = 0xFE
-            Insn::iform(Ldb, 5, 2, 32),       // r5 = 0xFE (zero-extended)
-            Insn::iform(Stw, 3, 2, 40),       // [base+40] = 0xFFFFFFFE
-            Insn::iform(Ldw, 6, 2, 40),       // r6 = 0xFFFFFFFE
+            Insn::iform(Movi, 2, 0, 0x5000), // base
+            Insn::iform(Movi, 3, 0, -2),     // value
+            Insn::iform(St, 3, 2, 8),        // [base+8] = r3
+            Insn::iform(Ld, 4, 2, 8),        // r4 = [base+8]
+            Insn::iform(Stb, 3, 2, 32),      // [base+32] = 0xFE
+            Insn::iform(Ldb, 5, 2, 32),      // r5 = 0xFE (zero-extended)
+            Insn::iform(Stw, 3, 2, 40),      // [base+40] = 0xFFFFFFFE
+            Insn::iform(Ldw, 6, 2, 40),      // r6 = 0xFFFFFFFE
             Insn::bare(Syscall),
         ];
         let (g, _, ev) = run_insns(&insns);
@@ -683,10 +683,10 @@ mod tests {
     fn float_ops() {
         use Opcode::*;
         let insns = [
-            Insn::iform(Fmovi, 0, 0, 3),     // f0 = 3.0
-            Insn::iform(Fmovi, 1, 0, 4),     // f1 = 4.0
-            Insn::rform(Fmul, 2, 0, 1),      // f2 = 12.0
-            Insn::rform(CvtFI, 7, 2, 0),     // r7 = 12
+            Insn::iform(Fmovi, 0, 0, 3), // f0 = 3.0
+            Insn::iform(Fmovi, 1, 0, 4), // f1 = 4.0
+            Insn::rform(Fmul, 2, 0, 1),  // f2 = 12.0
+            Insn::rform(CvtFI, 7, 2, 0), // r7 = 12
             Insn::bare(Syscall),
         ];
         let (g, f, ev) = run_insns(&insns);

@@ -178,14 +178,7 @@ mod tests {
     use crate::insn::Opcode;
 
     fn slot(pc: u64, as_gen: u64) -> InsnSlot {
-        InsnSlot {
-            pc,
-            as_gen,
-            map_idx: 0,
-            epoch: 0,
-            content_gen: 0,
-            insn: Insn::bare(Opcode::Nop),
-        }
+        InsnSlot { pc, as_gen, map_idx: 0, epoch: 0, content_gen: 0, insn: Insn::bare(Opcode::Nop) }
     }
 
     #[test]

@@ -139,9 +139,8 @@ impl Aout {
         if take(&mut pos, 8)? != MAGIC {
             return Err(Errno::ENOEXEC);
         }
-        let get_u64 = |pos: &mut usize| -> SysResult<u64> {
-            Ok(crate::bytes::le_u64(take(pos, 8)?))
-        };
+        let get_u64 =
+            |pos: &mut usize| -> SysResult<u64> { Ok(crate::bytes::le_u64(take(pos, 8)?)) };
         let entry = get_u64(&mut pos)?;
         let text_base = get_u64(&mut pos)?;
         let text_len = get_u64(&mut pos)? as usize;

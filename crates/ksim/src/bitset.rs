@@ -240,10 +240,7 @@ mod tests {
             }
             let decoded = S8::from_bytes(&s.to_bytes()).expect("roundtrip");
             assert_eq!(decoded, s);
-            assert_eq!(
-                decoded.iter().collect::<Vec<_>>(),
-                members.into_iter().collect::<Vec<_>>()
-            );
+            assert_eq!(decoded.iter().collect::<Vec<_>>(), members.into_iter().collect::<Vec<_>>());
         }
     }
 }

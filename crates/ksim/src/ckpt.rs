@@ -114,11 +114,7 @@ pub fn checkpoint(k: &mut Kernel, pid: Pid) -> SysResult<Vec<u8>> {
         let mut pages: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut buf = vec![0u8; PAGE_SIZE as usize];
         for p in 0..npages {
-            if proc
-                .aspace
-                .kernel_read(&k.objects, m.base + p * PAGE_SIZE, &mut buf)
-                .is_err()
-            {
+            if proc.aspace.kernel_read(&k.objects, m.base + p * PAGE_SIZE, &mut buf).is_err() {
                 continue;
             }
             if buf.iter().any(|&b| b != 0) {
@@ -188,10 +184,9 @@ pub fn restore(k: &mut Kernel, pid: Pid, image: &[u8]) -> SysResult<()> {
     }
     let fname = c.str()?;
     let psargs = c.str()?;
-    let gregs = isa::GregSet::from_bytes(c.take(isa::GregSet::WIRE_LEN)?)
-        .ok_or(Errno::EINVAL)?;
-    let fpregs = isa::FpregSet::from_bytes(c.take(isa::FpregSet::WIRE_LEN)?)
-        .ok_or(Errno::EINVAL)?;
+    let gregs = isa::GregSet::from_bytes(c.take(isa::GregSet::WIRE_LEN)?).ok_or(Errno::EINVAL)?;
+    let fpregs =
+        isa::FpregSet::from_bytes(c.take(isa::FpregSet::WIRE_LEN)?).ok_or(Errno::EINVAL)?;
     let held = SigSet::from_bytes(c.take(SigSet::WIRE_LEN)?).ok_or(Errno::EINVAL)?;
     let stack_limit = c.u64()?;
     let nmaps = c.u64()? as usize;
@@ -232,11 +227,7 @@ pub fn restore(k: &mut Kernel, pid: Pid, image: &[u8]) -> SysResult<()> {
             base,
             len,
             prot: Prot { read: pb & 1 != 0, write: pb & 2 != 0, exec: pb & 4 != 0 },
-            flags: MapFlags {
-                shared: fb & 1 != 0,
-                grows_down: fb & 2 != 0,
-                is_break: fb & 4 != 0,
-            },
+            flags: MapFlags { shared: fb & 1 != 0, grows_down: fb & 2 != 0, is_break: fb & 4 != 0 },
             name: seg_untag(tag, name)?,
             pages,
         });

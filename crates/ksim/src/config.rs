@@ -100,9 +100,7 @@ impl SimConfig {
     /// The standard two-face layout: flat `/proc` plus hierarchical
     /// `/proc2`, sharing one snapshot cache.
     pub fn standard() -> SimConfig {
-        SimConfig::new()
-            .mount("/proc", MountPlan::ProcFlat)
-            .mount("/proc2", MountPlan::ProcHier)
+        SimConfig::new().mount("/proc", MountPlan::ProcFlat).mount("/proc2", MountPlan::ProcHier)
     }
 
     /// Adds a mount.
@@ -173,15 +171,9 @@ impl SimConfig {
                 out.push(1);
                 out.extend_from_slice(&f.seed.to_le_bytes());
                 let r = f.rates;
-                for v in [
-                    r.enomem,
-                    r.eagain,
-                    r.eintr,
-                    r.wakeup,
-                    r.death,
-                    r.mid_op,
-                    r.controller_death,
-                ] {
+                for v in
+                    [r.enomem, r.eagain, r.eintr, r.wakeup, r.death, r.mid_op, r.controller_death]
+                {
                     out.extend_from_slice(&v.to_le_bytes());
                 }
                 out.push(f.targeted as u8);

@@ -83,16 +83,13 @@ impl Core {
         if take(&mut pos, 8)? != MAGIC {
             return Err(Errno::EINVAL);
         }
-        let u32_at = |pos: &mut usize| -> SysResult<u32> {
-            Ok(crate::bytes::le_u32(take(pos, 4)?))
-        };
-        let u64_at = |pos: &mut usize| -> SysResult<u64> {
-            Ok(crate::bytes::le_u64(take(pos, 8)?))
-        };
+        let u32_at =
+            |pos: &mut usize| -> SysResult<u32> { Ok(crate::bytes::le_u32(take(pos, 4)?)) };
+        let u64_at =
+            |pos: &mut usize| -> SysResult<u64> { Ok(crate::bytes::le_u64(take(pos, 8)?)) };
         let pid = u32_at(&mut pos)?;
         let sig = u32_at(&mut pos)?;
-        let gregs = GregSet::from_bytes(take(&mut pos, GregSet::WIRE_LEN)?)
-            .ok_or(Errno::EINVAL)?;
+        let gregs = GregSet::from_bytes(take(&mut pos, GregSet::WIRE_LEN)?).ok_or(Errno::EINVAL)?;
         let nmaps = u32_at(&mut pos)? as usize;
         if nmaps > 4096 {
             return Err(Errno::EINVAL);
@@ -216,7 +213,10 @@ mod tests {
         };
         let parsed = Core::from_bytes(&core.to_bytes()).expect("roundtrip");
         assert_eq!(parsed, core);
-        assert_eq!(parsed.stack_word(0x7FFE_F000), Some(u64::from_le_bytes([1, 2, 3, 4, 5, 6, 7, 8])));
+        assert_eq!(
+            parsed.stack_word(0x7FFE_F000),
+            Some(u64::from_le_bytes([1, 2, 3, 4, 5, 6, 7, 8]))
+        );
         assert_eq!(parsed.stack_word(0x7FFE_F003), None, "past the snapshot");
     }
 

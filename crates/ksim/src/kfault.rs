@@ -131,12 +131,7 @@ impl KernelFaultPlan {
     /// [`KernelFaultPlan::with_targeted_death`].
     pub fn new(seed: u64, rates: KernelFaultRates) -> KernelFaultPlan {
         let state = if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed };
-        KernelFaultPlan {
-            state,
-            rates,
-            stats: KFaultStats::default(),
-            targeted_death: false,
-        }
+        KernelFaultPlan { state, rates, stats: KFaultStats::default(), targeted_death: false }
     }
 
     /// Builder: restricts death injection to controller-held targets.

@@ -57,15 +57,15 @@ pub mod sysno;
 pub mod system;
 
 pub use aout::Aout;
-pub use event::{Event, EventLog};
-pub use fault::{FltSet, Fault};
-pub use kernel::{Kernel, RunOpts, HZ};
 pub use config::{KernelFaultSpec, MountPlan, SimConfig};
+pub use event::{Event, EventLog};
+pub use fault::{Fault, FltSet};
+pub use kernel::{Kernel, RunOpts, HZ};
 pub use kfault::{KFaultStats, KernelFaultPlan, KernelFaultRates};
 pub use migrate::{MigReply, MigStats, MigrateError};
+pub use proc::{Lwp, LwpState, Proc, StopWhy, SysPhase, SyscallCtx, Tid, TraceState, WaitChannel};
 pub use recfile::{RecFile, RecfileError};
 pub use record::{Input, RecStats, Record, Recorder, Recording, ReplayDivergence};
-pub use proc::{Lwp, LwpState, Proc, StopWhy, SysPhase, SyscallCtx, Tid, TraceState, WaitChannel};
 pub use sched::{Issig, Psig, SleepSig};
 pub use signal::{SigAction, SigSet};
 pub use sysno::SysSet;

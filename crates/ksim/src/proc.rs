@@ -8,10 +8,10 @@
 //! them all.
 
 use crate::fault::Fault;
+use crate::fault::FltSet;
 use crate::fd::FdTable;
 use crate::signal::{ActionTable, SigSet};
 use crate::sysno::SysSet;
-use crate::fault::FltSet;
 use isa::{FpregSet, GregSet};
 use vfs::{Cred, Errno, Pid};
 use vm::AddressSpace;
@@ -421,19 +421,12 @@ impl Proc {
     /// The representative LWP shown by the flat `/proc` interface: the
     /// first non-zombie LWP, else the first LWP.
     pub fn rep_lwp(&self) -> &Lwp {
-        self.lwps
-            .iter()
-            .find(|l| l.state != LwpState::Zombie)
-            .unwrap_or(&self.lwps[0])
+        self.lwps.iter().find(|l| l.state != LwpState::Zombie).unwrap_or(&self.lwps[0])
     }
 
     /// Mutable access to the representative LWP.
     pub fn rep_lwp_mut(&mut self) -> &mut Lwp {
-        let idx = self
-            .lwps
-            .iter()
-            .position(|l| l.state != LwpState::Zombie)
-            .unwrap_or(0);
+        let idx = self.lwps.iter().position(|l| l.state != LwpState::Zombie).unwrap_or(0);
         &mut self.lwps[idx]
     }
 

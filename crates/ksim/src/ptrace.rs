@@ -253,8 +253,14 @@ mod tests {
     fn status_decoding() {
         assert_eq!(decode_status(Kernel::status_exited(0)), WaitStatus::Exited(0));
         assert_eq!(decode_status(Kernel::status_exited(3)), WaitStatus::Exited(3));
-        assert_eq!(decode_status(Kernel::status_signalled(9, false)), WaitStatus::Signalled(9, false));
-        assert_eq!(decode_status(Kernel::status_signalled(11, true)), WaitStatus::Signalled(11, true));
+        assert_eq!(
+            decode_status(Kernel::status_signalled(9, false)),
+            WaitStatus::Signalled(9, false)
+        );
+        assert_eq!(
+            decode_status(Kernel::status_signalled(11, true)),
+            WaitStatus::Signalled(11, true)
+        );
         assert_eq!(decode_status(Kernel::status_stopped(5)), WaitStatus::Stopped(5));
     }
 }

@@ -638,11 +638,7 @@ mod tests {
     fn digest_covers_input_result_and_clock() {
         let mk = |data: &[u8], res: &[u8], clock: u64| {
             let mut r = Recorder::new(SimConfig::new());
-            r.commit(
-                Input::HostWrite { pid: 2, fd: 3, data: data.to_vec() },
-                res,
-                clock,
-            );
+            r.commit(Input::HostWrite { pid: 2, fd: 3, data: data.to_vec() }, res, clock);
             r.records[0].digest
         };
         let base = mk(b"abc", b"ok", 7);
@@ -659,10 +655,7 @@ mod tests {
             r.commit_step(true, i);
         }
         assert_eq!(r.records.len(), 2);
-        assert_eq!(
-            r.records[0].input,
-            Input::Steps { n: STEPS_COALESCE_MAX }
-        );
+        assert_eq!(r.records[0].input, Input::Steps { n: STEPS_COALESCE_MAX });
         assert_eq!(r.records[1].input, Input::Steps { n: 2 });
         assert_eq!(r.stats.steps, STEPS_COALESCE_MAX + 2);
     }

@@ -173,10 +173,9 @@ impl Kernel {
             // side effect already happened at post time.
             let moot = match handler {
                 Handler::Ignore => true,
-                Handler::Default => matches!(
-                    default_dispo(sig),
-                    DefaultDispo::Ignore | DefaultDispo::Continue
-                ),
+                Handler::Default => {
+                    matches!(default_dispo(sig), DefaultDispo::Ignore | DefaultDispo::Continue)
+                }
                 Handler::Catch(_) => false,
             };
             if moot {
@@ -387,10 +386,7 @@ mod tests {
         k.proc_mut(pid).expect("p").trace.sig_trace.add(SIGINT);
         k.post_signal(pid, SIGINT).expect("post");
         assert_eq!(k.issig(pid, T), Issig::Stop);
-        assert_eq!(
-            k.proc(pid).expect("p").rep_lwp().stop_why(),
-            Some(StopWhy::Signalled(SIGINT))
-        );
+        assert_eq!(k.proc(pid).expect("p").rep_lwp().stop_why(), Some(StopWhy::Signalled(SIGINT)));
         // Resume without clearing: the stop is one-shot, so the signal is
         // now delivered.
         k.run_lwp(pid, T, crate::kernel::RunOpts::default()).expect("run");
@@ -423,10 +419,7 @@ mod tests {
         {
             let p = k.proc_mut(pid).expect("p");
             p.trace.sig_trace.add(SIGINT);
-            p.actions.set(
-                SIGINT,
-                SigAction { handler: Handler::Ignore, mask: SigSet::empty() },
-            );
+            p.actions.set(SIGINT, SigAction { handler: Handler::Ignore, mask: SigSet::empty() });
         }
         k.post_signal(pid, SIGINT).expect("post");
         assert_eq!(k.issig(pid, T), Issig::Stop, "tracing sees ignored signals");
@@ -445,10 +438,7 @@ mod tests {
         k.proc_mut(pid).expect("p").trace.sig_trace.add(SIGTSTP);
         k.post_signal(pid, SIGTSTP).expect("post");
         assert_eq!(k.issig(pid, T), Issig::Stop);
-        assert_eq!(
-            k.proc(pid).expect("p").rep_lwp().stop_why(),
-            Some(StopWhy::Signalled(SIGTSTP))
-        );
+        assert_eq!(k.proc(pid).expect("p").rep_lwp().stop_why(), Some(StopWhy::Signalled(SIGTSTP)));
         k.run_lwp(pid, T, crate::kernel::RunOpts::default()).expect("run");
         assert_eq!(k.issig(pid, T), Issig::Stop);
         assert_eq!(
@@ -456,10 +446,7 @@ mod tests {
             Some(StopWhy::JobControl(SIGTSTP))
         );
         // Released only by SIGCONT; /proc cannot resume it.
-        assert_eq!(
-            k.run_lwp(pid, T, crate::kernel::RunOpts::default()),
-            Err(vfs::Errno::EBUSY)
-        );
+        assert_eq!(k.run_lwp(pid, T, crate::kernel::RunOpts::default()), Err(vfs::Errno::EBUSY));
         k.post_signal(pid, crate::signal::SIGCONT).expect("post");
         assert_eq!(k.proc(pid).expect("p").rep_lwp().state, LwpState::Runnable);
         assert_eq!(k.issig(pid, T), Issig::Run);
@@ -490,19 +477,13 @@ mod tests {
         k.post_signal(pid, SIGINT).expect("post");
         // /proc signalled stop first.
         assert_eq!(k.issig(pid, T), Issig::Stop);
-        assert_eq!(
-            k.proc(pid).expect("p").rep_lwp().stop_why(),
-            Some(StopWhy::Signalled(SIGINT))
-        );
+        assert_eq!(k.proc(pid).expect("p").rep_lwp().stop_why(), Some(StopWhy::Signalled(SIGINT)));
         // Set running through /proc: now ptrace takes control.
         k.run_lwp(pid, T, crate::kernel::RunOpts::default()).expect("run");
         assert_eq!(k.issig(pid, T), Issig::Stop);
         assert_eq!(k.proc(pid).expect("p").rep_lwp().stop_why(), Some(StopWhy::Ptrace(SIGINT)));
         // /proc cannot resume a ptrace stop.
-        assert_eq!(
-            k.run_lwp(pid, T, crate::kernel::RunOpts::default()),
-            Err(vfs::Errno::EBUSY)
-        );
+        assert_eq!(k.run_lwp(pid, T, crate::kernel::RunOpts::default()), Err(vfs::Errno::EBUSY));
     }
 
     #[test]
@@ -598,10 +579,10 @@ mod tests {
     #[test]
     fn handler_with_bad_stack_terminates_with_core() {
         let (mut k, pid) = boot();
-        k.proc_mut(pid).expect("p").actions.set(
-            SIGINT,
-            SigAction { handler: Handler::Catch(0x555000), mask: SigSet::empty() },
-        );
+        k.proc_mut(pid)
+            .expect("p")
+            .actions
+            .set(SIGINT, SigAction { handler: Handler::Catch(0x555000), mask: SigSet::empty() });
         // sp is 0: unmapped.
         k.post_signal(pid, SIGINT).expect("post");
         assert_eq!(k.issig(pid, T), Issig::Deliver(SIGINT));

@@ -85,9 +85,7 @@ pub enum DefaultDispo {
 pub fn default_dispo(sig: usize) -> DefaultDispo {
     use DefaultDispo::*;
     match sig {
-        SIGQUIT | SIGILL | SIGTRAP | SIGABRT | SIGEMT | SIGFPE | SIGBUS | SIGSEGV | SIGSYS => {
-            Core
-        }
+        SIGQUIT | SIGILL | SIGTRAP | SIGABRT | SIGEMT | SIGFPE | SIGBUS | SIGSEGV | SIGSYS => Core,
         SIGCHLD | SIGPWR | SIGWINCH | SIGURG => Ignore,
         SIGSTOP | SIGTSTP | SIGTTIN | SIGTTOU => Stop,
         SIGCONT => Continue,
@@ -234,7 +232,9 @@ mod tests {
     fn kill_and_stop_uncatchable() {
         let mut t = ActionTable::new();
         assert!(!t.set(SIGKILL, SigAction { handler: Handler::Ignore, mask: SigSet::empty() }));
-        assert!(!t.set(SIGSTOP, SigAction { handler: Handler::Catch(0x1000), mask: SigSet::empty() }));
+        assert!(
+            !t.set(SIGSTOP, SigAction { handler: Handler::Catch(0x1000), mask: SigSet::empty() })
+        );
         assert!(t.set(SIGINT, SigAction { handler: Handler::Catch(0x1000), mask: SigSet::empty() }));
         assert_eq!(t.get(SIGKILL).handler, Handler::Default);
     }

@@ -25,9 +25,7 @@ impl System {
     pub fn copyin(&self, pid: Pid, addr: u64, len: usize) -> SysResult<Vec<u8>> {
         let proc = self.kernel.proc(pid)?;
         let mut buf = vec![0u8; len];
-        proc.aspace
-            .kernel_read(&self.kernel.objects, addr, &mut buf)
-            .map_err(|_| Errno::EFAULT)?;
+        proc.aspace.kernel_read(&self.kernel.objects, addr, &mut buf).map_err(|_| Errno::EFAULT)?;
         Ok(buf)
     }
 
@@ -61,13 +59,7 @@ impl System {
     /// The dispatcher. `args` were read from the registers by the caller
     /// (afresh on every retry, so entry-stopped debuggers can rewrite
     /// them).
-    pub(crate) fn do_syscall(
-        &mut self,
-        pid: Pid,
-        tid: Tid,
-        nr: u16,
-        args: [u64; 6],
-    ) -> SysOutcome {
+    pub(crate) fn do_syscall(&mut self, pid: Pid, tid: Tid, nr: u16, args: [u64; 6]) -> SysOutcome {
         let done = SysOutcome::Done;
         match nr {
             SYS_EXIT => {
@@ -115,12 +107,7 @@ impl System {
                     Ok(p) => p,
                     Err(e) => return done(Err(e)),
                 };
-                let flags = OFlags {
-                    write: true,
-                    creat: true,
-                    trunc: true,
-                    ..Default::default()
-                };
+                let flags = OFlags { write: true, creat: true, trunc: true, ..Default::default() };
                 done(self.open_path(pid, &path, flags).map(|fd| fd as u64))
             }
             SYS_CLOSE => done(self.close_fd(pid, args[0] as usize).map(|()| 0)),
@@ -128,9 +115,7 @@ impl System {
                 Err(e) => done(Err(e)),
                 Ok(Some((child, status))) => {
                     if args[0] != 0 {
-                        if let Err(e) =
-                            self.copyout(pid, args[0], &(status as u64).to_le_bytes())
-                        {
+                        if let Err(e) = self.copyout(pid, args[0], &(status as u64).to_le_bytes()) {
                             return done(Err(e));
                         }
                     }
@@ -187,26 +172,10 @@ impl System {
             }
             SYS_LSEEK => done(self.lseek_fd(pid, args[0] as usize, args[1] as i64, args[2] as u32)),
             SYS_GETPID => done(Ok(pid.0 as u64)),
-            SYS_GETPPID => done(Ok(self
-                .kernel
-                .proc(pid)
-                .map(|p| p.ppid.0 as u64)
-                .unwrap_or(0))),
-            SYS_GETPGRP => done(Ok(self
-                .kernel
-                .proc(pid)
-                .map(|p| p.pgrp.0 as u64)
-                .unwrap_or(0))),
-            SYS_GETUID => done(Ok(self
-                .kernel
-                .proc(pid)
-                .map(|p| p.cred.ruid as u64)
-                .unwrap_or(0))),
-            SYS_GETGID => done(Ok(self
-                .kernel
-                .proc(pid)
-                .map(|p| p.cred.rgid as u64)
-                .unwrap_or(0))),
+            SYS_GETPPID => done(Ok(self.kernel.proc(pid).map(|p| p.ppid.0 as u64).unwrap_or(0))),
+            SYS_GETPGRP => done(Ok(self.kernel.proc(pid).map(|p| p.pgrp.0 as u64).unwrap_or(0))),
+            SYS_GETUID => done(Ok(self.kernel.proc(pid).map(|p| p.cred.ruid as u64).unwrap_or(0))),
+            SYS_GETGID => done(Ok(self.kernel.proc(pid).map(|p| p.cred.rgid as u64).unwrap_or(0))),
             SYS_SETUID => {
                 let uid = args[0] as u32;
                 let Ok(proc) = self.kernel.proc_mut(pid) else {
@@ -246,10 +215,8 @@ impl System {
                 let Ok(proc) = self.kernel.proc_mut(pid) else {
                     return done(Err(Errno::ESRCH));
                 };
-                let remaining = proc
-                    .alarm_at
-                    .map(|at| at.saturating_sub(self.kernel.clock) / HZ)
-                    .unwrap_or(0);
+                let remaining =
+                    proc.alarm_at.map(|at| at.saturating_sub(self.kernel.clock) / HZ).unwrap_or(0);
                 let clock = self.kernel.clock;
                 let Ok(proc) = self.kernel.proc_mut(pid) else {
                     return done(Err(Errno::ESRCH));
@@ -738,4 +705,3 @@ pub fn encode_stat(meta: &vfs::Metadata) -> [u8; 40] {
     out[24..32].copy_from_slice(&meta.mtime.to_le_bytes());
     out
 }
-

@@ -273,10 +273,7 @@ fn write_to_text_faults() {
         "#,
     );
     // FLTACCESS delivers SIGBUS.
-    assert_eq!(
-        decode_status(status),
-        WaitStatus::Signalled(ksim::signal::SIGBUS, true)
-    );
+    assert_eq!(decode_status(status), WaitStatus::Signalled(ksim::signal::SIGBUS, true));
 }
 
 #[test]
@@ -393,9 +390,7 @@ fn argv_reaches_program() {
             syscall
         "#,
     );
-    let pid = sys
-        .spawn_program(ctl, "/bin/argc", &["argc", "A"])
-        .expect("spawn");
+    let pid = sys.spawn_program(ctl, "/bin/argc", &["argc", "A"]).expect("spawn");
     let _ = pid;
     let (_, status) = sys.host_wait(ctl).expect("wait");
     assert_eq!(decode_status(status), WaitStatus::Exited(2 + b'A'));
@@ -660,11 +655,8 @@ fn core_dump_written_on_fatal_signal() {
 fn no_core_without_writable_tmp() {
     let (mut sys, ctl) = boot();
     // No /tmp at all: death by signal still works, silently coreless.
-    let (pid, status) = run_and_wait(
-        &mut sys,
-        ctl,
-        "_start:\nmovi a0, 1\nmovi a1, 0\ndiv a2, a0, a1",
-    );
+    let (pid, status) =
+        run_and_wait(&mut sys, ctl, "_start:\nmovi a0, 1\nmovi a1, 0\ndiv a2, a0, a1");
     assert_eq!(decode_status(status), WaitStatus::Signalled(ksim::signal::SIGFPE, true));
     assert!(sys.stat_path(ctl, &format!("/tmp/core.{}", pid.0)).is_err());
 }

@@ -76,12 +76,7 @@ pub struct Debugger {
 impl Debugger {
     /// Launches `path` under control, stopped before its first
     /// instruction.
-    pub fn launch(
-        sys: &mut System,
-        ctl: Pid,
-        path: &str,
-        argv: &[&str],
-    ) -> SysResult<Debugger> {
+    pub fn launch(sys: &mut System, ctl: Pid, path: &str, argv: &[&str]) -> SysResult<Debugger> {
         // A starved kernel may refuse the spawn with EAGAIN; back off
         // (letting the simulation run) and retry a bounded number of
         // times before surfacing the typed error.
@@ -106,9 +101,7 @@ impl Debugger {
     pub fn attach(sys: &mut System, ctl: Pid, pid: Pid) -> SysResult<Debugger> {
         let mut h = ProcHandle::open_rw(sys, ctl, pid)?;
         match Self::attach_ops(sys, &mut h) {
-            Ok((st, aout)) => {
-                Ok(Debugger { h, aout, bps: HashMap::new(), last_status: Some(st) })
-            }
+            Ok((st, aout)) => Ok(Debugger { h, aout, bps: HashMap::new(), last_status: Some(st) }),
             Err(e) => {
                 // Unwind without leaving a half-grabbed target stopped.
                 // A PIOCSTOP aborted by EINTR latches a directed stop
@@ -410,11 +403,7 @@ impl Debugger {
             let pc = addr + (i as u64) * 8;
             let mut b = [0u8; 8];
             self.h.read_mem(sys, pc, &mut b)?;
-            let label = self
-                .aout
-                .sym_at(pc)
-                .map(|s| format!("{s}: "))
-                .unwrap_or_default();
+            let label = self.aout.sym_at(pc).map(|s| format!("{s}: ")).unwrap_or_default();
             out.push_str(&format!("{pc:08x}  {label}{}\n", isa::dis::disassemble(&b, pc)));
         }
         Ok(out)
@@ -537,10 +526,7 @@ impl Debugger {
 /// classifies that target's event. Returns the index of the woken
 /// debugger and its event. All debuggers must share one controlling
 /// process.
-pub fn wait_event_any(
-    sys: &mut System,
-    dbgs: &mut [Debugger],
-) -> SysResult<(usize, DebugEvent)> {
+pub fn wait_event_any(sys: &mut System, dbgs: &mut [Debugger]) -> SysResult<(usize, DebugEvent)> {
     let first = dbgs.first().ok_or(Errno::EINVAL)?;
     let ctl = first.h.ctl;
     if dbgs.iter().any(|d| d.h.ctl != ctl) {
@@ -619,8 +605,7 @@ mod tests {
         let (mut sys, ctl) = boot();
         let mut dbg = Debugger::launch(&mut sys, ctl, "/bin/ticker", &["ticker"]).expect("launch");
         let tick = dbg.sym("tick").expect("symbol");
-        dbg.set_conditional_breakpoint(&mut sys, tick, Box::new(|r| r.arg(0) == 5))
-            .expect("bp");
+        dbg.set_conditional_breakpoint(&mut sys, tick, Box::new(|r| r.arg(0) == 5)).expect("bp");
         let ev = dbg.cont(&mut sys).expect("cont");
         match ev {
             DebugEvent::Breakpoint { addr, hits } => {

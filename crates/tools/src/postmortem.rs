@@ -48,12 +48,7 @@ pub fn nearest_symbol(aout: &Aout, addr: u64) -> Option<(String, u64)> {
 
 /// Loads `/tmp/core.<pid>` and symbolises it against the executable at
 /// `exe_path` (when given).
-pub fn load(
-    sys: &mut System,
-    ctl: Pid,
-    pid: Pid,
-    exe_path: Option<&str>,
-) -> SysResult<PostMortem> {
+pub fn load(sys: &mut System, ctl: Pid, pid: Pid, exe_path: Option<&str>) -> SysResult<PostMortem> {
     let image = read_file(sys, ctl, &format!("/tmp/core.{}", pid.0))?;
     let core = Core::from_bytes(&image)?;
     let symbol = match exe_path {
@@ -192,9 +187,6 @@ mod tests {
         let mut sys = crate::userland::boot_demo();
         let ctl = sys.spawn_hosted("pm", Cred::new(100, 10));
         assert!(!core_exists(&mut sys, ctl, Pid(9999)));
-        assert_eq!(
-            load(&mut sys, ctl, Pid(9999), None).err(),
-            Some(ksim::Errno::ENOENT)
-        );
+        assert_eq!(load(&mut sys, ctl, Pid(9999), None).err(), Some(ksim::Errno::ENOENT));
     }
 }

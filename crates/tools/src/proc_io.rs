@@ -118,8 +118,7 @@ impl ProcHandle {
     ) -> SysResult<T> {
         let mut h = Self::open_at(sys, ctl, pid, mount, flags)?;
         let (ctl, fd) = (h.ctl, h.fd);
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(sys, &mut h)));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(sys, &mut h)));
         // Close no matter how the body ended. A close failure after a
         // successful body is not surfaced: the target may legitimately
         // have died while we held the descriptor.
@@ -140,12 +139,7 @@ impl ProcHandle {
     /// every blocking `/proc` wait (`PIOCSTOP`, `PIOCWSTOP`) needs under
     /// an installed fault plan. A persistent `EINTR` storm still
     /// surfaces, typed, after [`TRANSIENT_RETRIES`] attempts.
-    fn ioctl_retry_intr(
-        &mut self,
-        sys: &mut System,
-        req: u32,
-        arg: &[u8],
-    ) -> SysResult<Vec<u8>> {
+    fn ioctl_retry_intr(&mut self, sys: &mut System, req: u32, arg: &[u8]) -> SysResult<Vec<u8>> {
         let mut attempts = 0;
         loop {
             match self.ioctl(sys, req, arg) {
@@ -306,11 +300,7 @@ impl ProcHandle {
     /// [`procfs::StatsReport`] path. The typed accessors below delegate
     /// here; to print any family, walk `StatsReport::counters()` or
     /// call `StatsReport::render()`.
-    pub fn stats(
-        &mut self,
-        sys: &mut System,
-        req: u32,
-    ) -> SysResult<procfs::StatsReport> {
+    pub fn stats(&mut self, sys: &mut System, req: u32) -> SysResult<procfs::StatsReport> {
         let out = self.ioctl(sys, req, &[])?;
         match Ioctl::from_req(req).ok_or(Errno::EINVAL)?.decode_reply(&out)? {
             IoctlPayload::Stats(s) => Ok(s),
@@ -375,11 +365,7 @@ impl ProcHandle {
     /// typed [`ksim::MigReply`]. Protocol rejections ride *successful*
     /// ioctls (`MIG_ST_ERR` inside the reply), so a transport error here
     /// always means the wire, never the protocol.
-    pub fn migrate_op(
-        &mut self,
-        sys: &mut System,
-        arg: &[u8],
-    ) -> SysResult<ksim::MigReply> {
+    pub fn migrate_op(&mut self, sys: &mut System, arg: &[u8]) -> SysResult<ksim::MigReply> {
         let out = self.ioctl(sys, PIOCMIGRATE, arg)?;
         ksim::MigReply::from_bytes(&out).ok_or(Errno::EIO)
     }

@@ -105,8 +105,7 @@ mod tests {
         sys.run_idle(200);
         // Root sees everything in one-snapshot-per-line fashion.
         let users = UserTable::default();
-        let all = ps(&mut sys, root, &PsOptions { all: true, full: true }, &users)
-            .expect("ps -ef");
+        let all = ps(&mut sys, root, &PsOptions { all: true, full: true }, &users).expect("ps -ef");
         assert!(all.contains("sched"), "{all}");
         assert!(all.contains("init"), "{all}");
         assert!(all.contains("spin"), "{all}");

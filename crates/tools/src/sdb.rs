@@ -458,14 +458,13 @@ impl Sdb {
                 // A fresh destination system reached through a clean
                 // remote mount — the demonstration counterpart of
                 // migrating to another machine.
-                let cfg = ksim::SimConfig::standard().mount(
-                    "/procr",
-                    ksim::MountPlan::RemoteProc(vfs::remote::WireConfig::clean()),
-                );
+                let cfg = ksim::SimConfig::standard()
+                    .mount("/procr", ksim::MountPlan::RemoteProc(vfs::remote::WireConfig::clean()));
                 let mut dst = crate::userland::boot_demo_cfg(cfg);
                 let dst_ctl = dst.spawn_hosted("sdb-migrate", ksim::Cred::superuser());
-                match crate::migrate::migrate(sys, ctl, "/proc", target, &mut dst, dst_ctl, "/procr")
-                {
+                match crate::migrate::migrate(
+                    sys, ctl, "/proc", target, &mut dst, dst_ctl, "/procr",
+                ) {
                     Ok(r) => {
                         self.say(&format!(
                             "sdb: migrated pid {target} -> destination pid {} ({} bytes in {} chunks); source retired",
@@ -613,8 +612,8 @@ mod tests {
     #[test]
     fn run_to_exit_reports() {
         let (mut sys, ctl) = boot();
-        let t = Sdb::run_script(&mut sys, ctl, "/bin/greeter", &["greeter"], &["c"])
-            .expect("script");
+        let t =
+            Sdb::run_script(&mut sys, ctl, "/bin/greeter", &["greeter"], &["c"]).expect("script");
         assert!(t.contains("process exited, status Exited(0)"), "{t}");
     }
 
@@ -645,8 +644,7 @@ mod tests {
     }
 
     fn boot_recorded() -> (System, Pid) {
-        let mut sys =
-            crate::userland::boot_demo_cfg(ksim::SimConfig::standard().record(true));
+        let mut sys = crate::userland::boot_demo_cfg(ksim::SimConfig::standard().record(true));
         let ctl = sys.spawn_hosted("sdb", Cred::new(100, 10));
         (sys, ctl)
     }

@@ -295,9 +295,11 @@ fn service_stop(
             }
         }
         PrWhy::Signalled => {
-            report
-                .lines
-                .push(format!("{:>5}:     Received signal {}", pid.0, sig_name(st.what as usize)));
+            report.lines.push(format!(
+                "{:>5}:     Received signal {}",
+                pid.0,
+                sig_name(st.what as usize)
+            ));
         }
         PrWhy::Faulted => {
             let name = Fault::from_number(st.what as usize)
@@ -398,8 +400,7 @@ mod tests {
         // The parent forks three times; each child's getpid appears under
         // its own pid.
         assert_eq!(report.counts[&SYS_FORK], 3 + 3, "3 parent exits + 3 child exits");
-        let child_lines: Vec<&str> =
-            text.lines().filter(|l| l.contains("getpid()")).collect();
+        let child_lines: Vec<&str> = text.lines().filter(|l| l.contains("getpid()")).collect();
         assert!(child_lines.len() >= 3, "{text}");
         assert_eq!(report.exits.len(), 4, "three children and the parent");
     }

@@ -651,11 +651,7 @@ impl AddressSpace {
             return false;
         }
         // Find the lowest grows-down mapping above the fault address.
-        let Some(i) = self
-            .maps
-            .iter()
-            .position(|m| m.flags.grows_down && m.base > addr)
-        else {
+        let Some(i) = self.maps.iter().position(|m| m.flags.grows_down && m.base > addr) else {
             return false;
         };
         let new_base = page_align_down(addr);
@@ -687,11 +683,7 @@ impl AddressSpace {
     /// (page-rounded up). Supports only growth; shrinking is ignored.
     /// Growth consults the store's pressure source: a denial is the
     /// paper's `brk` failing with `ENOMEM`.
-    pub fn grow_break(
-        &mut self,
-        store: &mut ObjectStore,
-        new_end: u64,
-    ) -> Result<u64, MapError> {
+    pub fn grow_break(&mut self, store: &mut ObjectStore, new_end: u64) -> Result<u64, MapError> {
         let Some(i) = self.maps.iter().position(|m| m.flags.is_break) else {
             return Err(MapError::NotMapped);
         };
@@ -1115,8 +1107,7 @@ mod tests {
         prot: Prot,
     ) -> ObjectId {
         let obj = s.alloc_anon(len);
-        a.map_fixed(base, len, prot, MapFlags::default(), obj, 0, SegName::Anon)
-            .expect("map");
+        a.map_fixed(base, len, prot, MapFlags::default(), obj, 0, SegName::Anon).expect("map");
         obj
     }
 
@@ -1422,13 +1413,26 @@ mod tests {
                 match op {
                     0 => {
                         let obj = s.alloc_anon(len);
-                        if a.map_fixed(base, len, Prot::RW, MapFlags::default(), obj, 0,
-                                       SegName::Anon).is_err() {
+                        if a.map_fixed(
+                            base,
+                            len,
+                            Prot::RW,
+                            MapFlags::default(),
+                            obj,
+                            0,
+                            SegName::Anon,
+                        )
+                        .is_err()
+                        {
                             s.decref(obj);
                         }
                     }
-                    1 => { let _ = a.unmap(&mut s, base, len); }
-                    _ => { let _ = a.protect(&mut s, base, len, Prot::R); }
+                    1 => {
+                        let _ = a.unmap(&mut s, base, len);
+                    }
+                    _ => {
+                        let _ = a.protect(&mut s, base, len, Prot::R);
+                    }
                 }
                 a.check_invariants();
             }
@@ -1455,9 +1459,7 @@ mod tests {
         anon_map(&mut a, &mut s, 0x10000, 4 * K, Prot::RW);
         // check_user_access: end computation must not wrap to a small
         // value and "succeed".
-        let err = a
-            .check_user_access(u64::MAX - 2, 8, Mode::Read)
-            .expect_err("wrapping access");
+        let err = a.check_user_access(u64::MAX - 2, 8, Mode::Read).expect_err("wrapping access");
         assert!(matches!(err, AccessDenied::Unmapped { .. }));
         // kernel_read with a wrapping range.
         let mut buf = [0u8; 16];

@@ -126,11 +126,7 @@ mod tests {
 
     #[test]
     fn watch_spanning_pages() {
-        let w = WatchArea {
-            base: PAGE_SIZE - 4,
-            len: 8,
-            flags: WatchFlags::write_only(),
-        };
+        let w = WatchArea { base: PAGE_SIZE - 4, len: 8, flags: WatchFlags::write_only() };
         assert!(w.same_page(0, 1), "first page is involved");
         assert!(w.same_page(PAGE_SIZE, 1), "second page is involved");
         assert!(!w.same_page(2 * PAGE_SIZE, 1));

@@ -28,10 +28,7 @@ fn main() {
     sys.install_program("/bin/crashy", src);
     let pid = sys.spawn_program(ctl, "/bin/crashy", &["crashy"]).expect("spawn");
     let (_, status) = sys.host_wait(ctl).expect("wait");
-    println!(
-        "the program died: {:?}\n",
-        procsim::ksim::ptrace::decode_status(status)
-    );
+    println!("the program died: {:?}\n", procsim::ksim::ptrace::decode_status(status));
 
     let pm = postmortem::load(&mut sys, ctl, pid, Some("/bin/crashy")).expect("core");
     print!("{}", pm.report());

@@ -54,10 +54,7 @@ fn main() {
     let mut sbuf = vec![0u8; PrStatus::WIRE_LEN];
     sys.host_read(ctl, sfd, &mut sbuf).expect("read");
     let st = PrStatus::from_bytes(&sbuf).expect("decode");
-    println!(
-        "one write stopped the process: why={:?}, {} LWPs",
-        st.why, st.nlwp
-    );
+    println!("one write stopped the process: why={:?}, {} LWPs", st.why, st.nlwp);
 
     // Per-LWP registers.
     for tid in 1..=2u32 {

@@ -34,13 +34,8 @@ fn main() {
 
     // truss: intercept every system call of a command.
     println!("\n$ truss /bin/greeter");
-    let report = truss_command(
-        &mut sys,
-        user,
-        "/bin/greeter",
-        &["greeter"],
-        &TrussOptions::default(),
-    )
-    .expect("truss");
+    let report =
+        truss_command(&mut sys, user, "/bin/greeter", &["greeter"], &TrussOptions::default())
+            .expect("truss");
     println!("{}", report.text());
 }

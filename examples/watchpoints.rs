@@ -37,8 +37,7 @@ fn main() {
             usage.watch_recoveries,
         );
         // Step over the watched access (one-shot bypass) and continue.
-        h.run(&mut sys, PrRun { flags: PRRUN_CFAULT | PRRUN_WBYPASS, vaddr: 0 })
-            .expect("run");
+        h.run(&mut sys, PrRun { flags: PRRUN_CFAULT | PRRUN_WBYPASS, vaddr: 0 }).expect("run");
     }
 
     // Remove the watchpoint: the target runs free.

@@ -247,9 +247,7 @@ fn migration_and_recfile_durability_are_cheap() {
     let points: Vec<bench_support::MigratePoint> = sweep
         .iter()
         .enumerate()
-        .map(|(i, &(f, a))| {
-            bench_support::migrate_point(0xE150_0001 + i as u64 * 0x9E37, f, a)
-        })
+        .map(|(i, &(f, a))| bench_support::migrate_point(0xE150_0001 + i as u64 * 0x9E37, f, a))
         .collect();
 
     // Clean wire: the floor exactly — no re-sends, no duplicates, no
@@ -269,8 +267,5 @@ fn migration_and_recfile_durability_are_cheap() {
     let rf = bench_support::recfile_point(64, 2048, 3);
     assert!(rf.records > 50, "recfile workload barely logged: {rf:?}");
     assert!(rf.bytes > 0, "empty recfile image: {rf:?}");
-    assert!(
-        rf.load_ns < rf.replay_ns,
-        "parse+verify not cheaper than the full rebuild: {rf:?}"
-    );
+    assert!(rf.load_ns < rf.replay_ns, "parse+verify not cheaper than the full rebuild: {rf:?}");
 }

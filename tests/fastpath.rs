@@ -114,10 +114,7 @@ fn watchpoint_fires_after_hot_dtlb() {
     dbg.h.set_flt_trace(&mut sys, flt).expect("flt trace");
     dbg.h.set_watch(&mut sys, PrWatch { vaddr: cell, size: 8, flags: 2 }).expect("set watch");
     let ev = dbg.cont(&mut sys).expect("cont");
-    assert!(
-        matches!(ev, DebugEvent::Watchpoint),
-        "hot dTLB swallowed the new watchpoint: {ev:?}"
-    );
+    assert!(matches!(ev, DebugEvent::Watchpoint), "hot dTLB swallowed the new watchpoint: {ev:?}");
     dbg.kill(&mut sys).expect("kill");
 }
 
@@ -136,9 +133,7 @@ fn watched_adjacent_stores_stay_cached_with_side_effects() {
     // cell and cell+512) share the page but never overlap the range, so
     // every store is a same-page recovery, not a fault.
     let cell = dbg.sym("cell").expect("cell symbol");
-    dbg.h
-        .set_watch(&mut sys, PrWatch { vaddr: cell + 256, size: 8, flags: 2 })
-        .expect("set watch");
+    dbg.h.set_watch(&mut sys, PrWatch { vaddr: cell + 256, size: 8, flags: 2 }).expect("set watch");
     let before = PrXStats::capture(&sys.kernel, pid).expect("xstats");
     let before_u = PrUsage::capture(&sys.kernel, pid).expect("usage");
     heat(&mut sys, &mut dbg, 40);
@@ -192,8 +187,8 @@ fn xstats_readable_through_all_three_faces() {
     assert!(hier.insns >= flat.insns, "hier {hier:?} < flat {flat:?}");
 
     // Face 3: the same ioctl across the remote mount.
-    let mut rh =
-        ProcHandle::open_at(&mut sys, ctl, pid, REMOTE_MOUNT, OFlags::rdonly()).expect("open remote");
+    let mut rh = ProcHandle::open_at(&mut sys, ctl, pid, REMOTE_MOUNT, OFlags::rdonly())
+        .expect("open remote");
     let remote = rh.xstats(&mut sys).expect("remote xstats");
     rh.close(&mut sys).expect("close remote");
     assert_eq!(remote.enabled, 1);

@@ -102,10 +102,7 @@ fn two_controllers_one_target() {
     assert_eq!(info.pid, pid.0);
     assert_eq!(info.state, b'T');
     // But a second writer is locked out.
-    assert_eq!(
-        ProcHandle::open_rw(&mut sys, observer, pid).map(|h| h.fd),
-        Err(Errno::EBUSY)
-    );
+    assert_eq!(ProcHandle::open_rw(&mut sys, observer, pid).map(|h| h.fd), Err(Errno::EBUSY));
     ro.close(&mut sys).expect("close");
     excl.resume(&mut sys).expect("run");
     excl.close(&mut sys).expect("close");
@@ -152,7 +149,7 @@ fn signal_forwarding_through_debugger() {
     let counter = dbg.sym("counter").expect("counter");
     dbg.h.resume(&mut sys).expect("start");
     sys.run_idle(2000); // reach pause()
-    // SIGINT: swallowed.
+                        // SIGINT: swallowed.
     sys.host_kill(ctl, dbg.pid(), SIGINT).expect("kill");
     match dbg.cont(&mut sys) {
         Ok(DebugEvent::Signal(sig)) => assert_eq!(sig, SIGINT),
@@ -181,9 +178,7 @@ fn hier_and_flat_share_kernel_tracing_state() {
     let (mut sys, ctl) = boot();
     let pid = sys.spawn_program(ctl, "/bin/spin", &["spin"]).expect("spawn");
     // Set tracing through the hierarchy...
-    let cfd = sys
-        .host_open(ctl, &format!("/proc2/{}/ctl", pid.0), OFlags::wronly())
-        .expect("ctl");
+    let cfd = sys.host_open(ctl, &format!("/proc2/{}/ctl", pid.0), OFlags::wronly()).expect("ctl");
     let mut sigs = SigSet::empty();
     sigs.add(SIGUSR1);
     let msg = procsim::procfs::ctl_record(procsim::procfs::hier::PCSTRACE, &sigs.to_bytes());
@@ -212,14 +207,8 @@ fn truss_open_paths_are_decoded() {
         path: .asciz "/bin/spin"
         "#,
     );
-    let report = truss_command(
-        &mut sys,
-        ctl,
-        "/bin/opener",
-        &["opener"],
-        &TrussOptions::default(),
-    )
-    .expect("truss");
+    let report = truss_command(&mut sys, ctl, "/bin/opener", &["opener"], &TrussOptions::default())
+        .expect("truss");
     assert!(report.text().contains("open(\"/bin/spin\", 0x0)"), "{}", report.text());
     assert_eq!(report.counts[&SYS_OPEN], 1);
 }
@@ -246,13 +235,8 @@ fn listing_and_ps_after_heavy_churn() {
     let users = UserTable::default();
     let listing = tools::lsproc::ls_l_proc(&mut sys, root, &users).expect("ls");
     assert!(listing.contains(&format!("{:05}", live.0)));
-    let ps = tools::ps::ps(
-        &mut sys,
-        root,
-        &tools::ps::PsOptions { all: true, full: true },
-        &users,
-    )
-    .expect("ps");
+    let ps = tools::ps::ps(&mut sys, root, &tools::ps::PsOptions { all: true, full: true }, &users)
+        .expect("ps");
     assert!(ps.contains("spin"));
 }
 
@@ -340,10 +324,8 @@ fn remote_mounted_proc_controls_a_process() {
     // through it.
     let mut sys = procsim::ksim::System::boot();
     tools::install_userland(&mut sys);
-    let remote = procsim::vfs::remote::RemoteFs::new(Box::new(
-        procsim::procfs::ProcFs::new(),
-    ))
-    .with_ioctl_table(procsim::procfs::ioctl::wire_table());
+    let remote = procsim::vfs::remote::RemoteFs::new(Box::new(procsim::procfs::ProcFs::new()))
+        .with_ioctl_table(procsim::procfs::ioctl::wire_table());
     sys.mount("/proc", Box::new(remote));
     let ctl = sys.spawn_hosted("remote-dbg", Cred::new(100, 10));
     let pid = sys.spawn_program(ctl, "/bin/spin", &["spin"]).expect("spawn");

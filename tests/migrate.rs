@@ -58,8 +58,7 @@ fn src_system(seed: u64) -> (System, Pid, Pid) {
     let mut sys =
         tools::boot_demo_cfg(SimConfig::standard().kernel_faults(seed, transient_kfaults(10)));
     let ctl = sys.spawn_hosted("mig-src", Cred::superuser());
-    let target =
-        eventually("spawn ticker", || sys.spawn_program(ctl, "/bin/ticker", &["ticker"]));
+    let target = eventually("spawn ticker", || sys.spawn_program(ctl, "/bin/ticker", &["ticker"]));
     sys.run_idle(120);
     (sys, ctl, target)
 }
@@ -176,8 +175,7 @@ fn placeholder_death_is_survived_or_aborted_cleanly() {
                 .kernel_faults(seed ^ 0x0D57, deadly),
         );
         let dctl = dst.spawn_hosted("mig-dst", Cred::superuser());
-        match tools::migrate::migrate(&mut src, sctl, "/proc", target, &mut dst, dctl, DST_MOUNT)
-        {
+        match tools::migrate::migrate(&mut src, sctl, "/proc", target, &mut dst, dctl, DST_MOUNT) {
             Ok(r) => {
                 completed += 1;
                 assert!(dst.kernel.mig_stats.commits >= 1, "seed {seed:#x}: {r:?}");
@@ -185,7 +183,9 @@ fn placeholder_death_is_survived_or_aborted_cleanly() {
             }
             Err(e) => {
                 src.run_idle(60);
-                let p = src.kernel.proc(target)
+                let p = src
+                    .kernel
+                    .proc(target)
                     .unwrap_or_else(|_| panic!("seed {seed:#x}: abort ({e}) retired the source"));
                 assert!(!p.zombie, "seed {seed:#x}: abort ({e}) retired the source");
                 assert_eq!(dst.kernel.mig_stats.commits, 0, "seed {seed:#x}: half-committed");
@@ -203,11 +203,13 @@ fn dead_wire_aborts_typed_with_source_running_and_destination_empty() {
     let seed = 0xAB07_0001u64;
     let (mut src, sctl, target) = src_system(seed);
     let dead = FaultRates { drop: 1000, truncate: 0, bitflip: 0, duplicate: 0, delay: 0 };
-    let wire = WireConfig::faulty(seed, dead)
-        .retry(RetryPolicy { max_attempts: 2, backoff_cap: 1, budget: 4 });
-    let mut dst = tools::boot_demo_cfg(
-        SimConfig::standard().mount(DST_MOUNT, MountPlan::RemoteProc(wire)),
-    );
+    let wire = WireConfig::faulty(seed, dead).retry(RetryPolicy {
+        max_attempts: 2,
+        backoff_cap: 1,
+        budget: 4,
+    });
+    let mut dst =
+        tools::boot_demo_cfg(SimConfig::standard().mount(DST_MOUNT, MountPlan::RemoteProc(wire)));
     let dctl = dst.spawn_hosted("mig-dst", Cred::superuser());
 
     let err = tools::migrate::migrate(&mut src, sctl, "/proc", target, &mut dst, dctl, DST_MOUNT)
@@ -232,9 +234,8 @@ fn digest_mismatch_is_refused_before_materialising() {
     use ksim::migrate::{arg_begin, arg_chunk, arg_commit, MIG_ST_ERR, MIG_ST_OK};
 
     let (mut dst, dctl) = dst_system(0xD16E_57A1);
-    let pid = eventually("spawn placeholder", || {
-        dst.spawn_program(dctl, "/bin/spin", &["migrated"])
-    });
+    let pid =
+        eventually("spawn placeholder", || dst.spawn_program(dctl, "/bin/spin", &["migrated"]));
     dst.run_idle(30);
     let mut h = eventually("open placeholder", || {
         ProcHandle::open_at(&mut dst, dctl, pid, DST_MOUNT, vfs::OFlags::rdwr())

@@ -56,9 +56,7 @@ fn drive(sys: &mut System, ctl: Pid) {
             let _ = sys.host_close(ctl, fd);
         }
         // Hierarchical mount: psinfo read.
-        if let Ok(fd) =
-            sys.host_open(ctl, &format!("/proc2/{}/psinfo", pid.0), OFlags::rdonly())
-        {
+        if let Ok(fd) = sys.host_open(ctl, &format!("/proc2/{}/psinfo", pid.0), OFlags::rdonly()) {
             let mut buf = [0u8; 128];
             let _ = sys.host_read(ctl, fd, &mut buf);
             let _ = sys.host_close(ctl, fd);
@@ -112,10 +110,7 @@ fn replay_matrix_32_seeds_byte_identical() {
             ),
         };
         let rlog = replayed.recording().expect("recording on after replay");
-        assert_eq!(
-            rlog.records, rec.records,
-            "seed {seed:#x}: replay produced a different log"
-        );
+        assert_eq!(rlog.records, rec.records, "seed {seed:#x}: replay produced a different log");
     }
     assert!(total > 32 * 20, "matrix workload too small ({total} records across seeds)");
 }
@@ -239,10 +234,7 @@ fn goto_tick_over_remote_mount_takes_the_snapshot_fast_path() {
     let k = len * 3 / 4;
     let restored = procfs::goto_tick(&sys, k).expect("goto_tick over the remote mount");
     let stats = restored.kernel.recorder.as_ref().expect("recorder survives").stats;
-    assert_eq!(
-        stats.restores, 1,
-        "remote-mount navigation fell back to a full rebuild: {stats:?}"
-    );
+    assert_eq!(stats.restores, 1, "remote-mount navigation fell back to a full rebuild: {stats:?}");
     assert!(
         (stats.replays as usize) < k,
         "snapshot fast path replayed the whole log: {} >= {k}",
@@ -319,7 +311,8 @@ fn spinner_reads(every: usize) -> System {
     let spin = sys.spawn_program(ctl, "/bin/spin", &["spin"]).expect("spawn spin");
     for _ in 0..12 {
         sys.step();
-        let fd = sys.host_open(ctl, &format!("/proc/{:05}", spin.0), OFlags::rdonly()).expect("open");
+        let fd =
+            sys.host_open(ctl, &format!("/proc/{:05}", spin.0), OFlags::rdonly()).expect("open");
         let mut buf = [0u8; 64];
         let _ = sys.host_read(ctl, fd, &mut buf);
         sys.host_close(ctl, fd).expect("close");
@@ -403,7 +396,11 @@ fn hosted_lwp_caches_stay_cold_through_a_recorded_session() {
         for p in k.procs.values() {
             for l in &p.lwps {
                 if p.hosted {
-                    assert!(l.icache.is_cold() && l.sblocks.is_cold(), "hosted pid {} warmed", p.pid);
+                    assert!(
+                        l.icache.is_cold() && l.sblocks.is_cold(),
+                        "hosted pid {} warmed",
+                        p.pid
+                    );
                 } else if live && p.fname == "ticker" {
                     assert!(!l.icache.is_cold() && !l.sblocks.is_cold(), "the target stayed cold");
                 }

@@ -11,10 +11,12 @@
 //! whole fault schedule must replay deterministically per seed.
 
 use bench_support::XorShift;
-use ksim::{signal, Cred, Errno, Pid, System, SysResult};
+use ksim::{signal, Cred, Errno, Pid, SysResult, System};
 use procfs::hier::PCKILL;
 use procfs::{ctl_record, HierFs, ProcFs};
-use vfs::remote::{FaultRates, OpFuture, RemoteClient, RemoteFs, RemoteRead, WireConfig, WireStats, PIOCWIRESTATS};
+use vfs::remote::{
+    FaultRates, OpFuture, RemoteClient, RemoteFs, RemoteRead, WireConfig, WireStats, PIOCWIRESTATS,
+};
 use vfs::{NodeId, OFlags};
 
 /// Boots a system with the hierarchical interface mounted twice: clean
@@ -31,14 +33,12 @@ fn boot_pair_fast(seed: u64, rates: FaultRates, fast: bool) -> (System, Pid, Vec
     sys.mount(
         "/proc2f",
         Box::new(
-            RemoteFs::new(Box::new(HierFs::new()))
-                .with_config(&WireConfig::faulty(seed, rates)),
+            RemoteFs::new(Box::new(HierFs::new())).with_config(&WireConfig::faulty(seed, rates)),
         ),
     );
     let ctl = sys.spawn_hosted("oracle", Cred::superuser());
-    let targets: Vec<Pid> = (0..3)
-        .map(|_| sys.spawn_program(ctl, "/bin/spin", &["spin"]).expect("spawn"))
-        .collect();
+    let targets: Vec<Pid> =
+        (0..3).map(|_| sys.spawn_program(ctl, "/bin/spin", &["spin"]).expect("spawn")).collect();
     sys.run_idle(100);
     (sys, ctl, targets)
 }
@@ -143,31 +143,28 @@ fn drive_workload(
                 transcript.push(format!("{step} enoent {e}"));
             }
             // Debugger shape: a control message through the faulted wire.
-            4 => {
-                match sys.host_open(ctl, &format!("/proc2f/{}/ctl", pid.0), OFlags::wronly()) {
-                    Ok(cfd) => {
-                        let msg =
-                            ctl_record(PCKILL, &(signal::SIGUSR1 as u32).to_le_bytes());
-                        match sys.host_write(ctl, cfd, &msg) {
-                            Ok(_) => kills_ok += 1,
-                            Err(Errno::ETIMEDOUT) => kills_timed_out += 1,
-                            Err(e) => assert!(
-                                clean_failure(e) || matches!(e, Errno::ENOENT | Errno::ESRCH),
-                                "seed {seed:#x} step {step}: ctl write failed dirty: {e}"
-                            ),
-                        }
-                        let _ = sys.host_close(ctl, cfd);
-                        transcript.push(format!("{step} kill"));
-                    }
-                    Err(e) => {
-                        assert!(
+            4 => match sys.host_open(ctl, &format!("/proc2f/{}/ctl", pid.0), OFlags::wronly()) {
+                Ok(cfd) => {
+                    let msg = ctl_record(PCKILL, &(signal::SIGUSR1 as u32).to_le_bytes());
+                    match sys.host_write(ctl, cfd, &msg) {
+                        Ok(_) => kills_ok += 1,
+                        Err(Errno::ETIMEDOUT) => kills_timed_out += 1,
+                        Err(e) => assert!(
                             clean_failure(e) || matches!(e, Errno::ENOENT | Errno::ESRCH),
-                            "seed {seed:#x} step {step}: ctl open failed dirty: {e}"
-                        );
-                        transcript.push(format!("{step} kill-open {e}"));
+                            "seed {seed:#x} step {step}: ctl write failed dirty: {e}"
+                        ),
                     }
+                    let _ = sys.host_close(ctl, cfd);
+                    transcript.push(format!("{step} kill"));
                 }
-            }
+                Err(e) => {
+                    assert!(
+                        clean_failure(e) || matches!(e, Errno::ENOENT | Errno::ESRCH),
+                        "seed {seed:#x} step {step}: ctl open failed dirty: {e}"
+                    );
+                    transcript.push(format!("{step} kill-open {e}"));
+                }
+            },
             // Let the kernel run; both mounts watch the same machine.
             _ => {
                 let n = 1 + rng.below(40);
@@ -350,12 +347,14 @@ fn setid_exec_invalidation_survives_the_wire() {
         );
     }
     // A fresh privileged open regains control.
-    let fd2 = sys.host_open(root, &tools::proc_io::proc_path(target), OFlags::rdwr()).expect("reopen");
+    let fd2 =
+        sys.host_open(root, &tools::proc_io::proc_path(target), OFlags::rdwr()).expect("reopen");
     assert!(sys.host_ioctl(root, fd2, procfs::ioctl::PIOCSTATUS, &[]).is_ok());
     sys.host_close(root, fd2).expect("close");
     sys.host_close(root, fd).expect("close stale");
 
-    let sfd = sys.host_open(root, &tools::proc_io::proc_path(target), OFlags::rdonly()).expect("open");
+    let sfd =
+        sys.host_open(root, &tools::proc_io::proc_path(target), OFlags::rdonly()).expect("open");
     let bytes = sys.host_ioctl(root, sfd, PIOCWIRESTATS, &[]).expect("stats");
     let stats = WireStats::from_bytes(&bytes).expect("decode");
     assert!(stats.retries > 0, "the wire was not actually lossy");

@@ -52,12 +52,7 @@ fn random_syscalls_cannot_break_the_kernel() {
         // the run budget simply bounds them.
         let calls: Vec<(u16, u64, u64, u64)> = (0..1 + rng.below(5))
             .map(|_| {
-                (
-                    rng.below(120) as u16,
-                    rng.below(1 << 32),
-                    rng.below(1 << 32),
-                    rng.below(1 << 33),
-                )
+                (rng.below(120) as u16, rng.below(1 << 32), rng.below(1 << 32), rng.below(1 << 33))
             })
             .collect();
         let src = fuzz_program(&calls);
@@ -115,9 +110,8 @@ fn random_ioctls_are_safe() {
         let mut sys: System = tools::boot_demo();
         let ctl = sys.spawn_hosted("fuzz", Cred::new(100, 10));
         let pid = sys.spawn_program(ctl, "/bin/spin", &["spin"]).expect("spawn");
-        let fd = sys
-            .host_open(ctl, &format!("/proc/{:05}", pid.0), vfs::OFlags::rdwr())
-            .expect("open");
+        let fd =
+            sys.host_open(ctl, &format!("/proc/{:05}", pid.0), vfs::OFlags::rdwr()).expect("open");
         let _ = sys.host_ioctl(ctl, fd, req, &arg);
         // Target still alive (unless the fuzz legitimately killed it via
         // PIOCKILL with a valid signal — allow both, but no panic).
@@ -158,8 +152,8 @@ fn random_offset_proc_reads() {
 /// not fire.
 #[test]
 fn malformed_ctl_batches_have_no_side_effects() {
-    use procsim::procfs::hier::PCKILL;
     use procsim::procfs::ctl_record;
+    use procsim::procfs::hier::PCKILL;
 
     let kill = ctl_record(PCKILL, &(procsim::ksim::signal::SIGKILL as u32).to_le_bytes());
 
@@ -275,13 +269,8 @@ fn fork_bomb_is_contained_by_run_budget() {
     assert!(n > 3, "the bomb forked");
     // Kill them all; children forked mid-drain need further rounds.
     for _ in 0..50 {
-        let pids: Vec<Pid> = sys
-            .kernel
-            .procs
-            .values()
-            .filter(|p| !p.hosted && !p.zombie)
-            .map(|p| p.pid)
-            .collect();
+        let pids: Vec<Pid> =
+            sys.kernel.procs.values().filter(|p| !p.hosted && !p.zombie).map(|p| p.pid).collect();
         if pids.is_empty() {
             break;
         }
@@ -290,10 +279,7 @@ fn fork_bomb_is_contained_by_run_budget() {
         }
         sys.run_idle(2_000);
     }
-    assert!(
-        sys.kernel.procs.values().all(|p| p.hosted || p.zombie),
-        "every bomb process is dead"
-    );
+    assert!(sys.kernel.procs.values().all(|p| p.hosted || p.zombie), "every bomb process is dead");
 }
 
 #[test]
@@ -514,10 +500,7 @@ fn recfile_single_bit_flips_are_always_detected() {
         for bit in 0..8u8 {
             let mut b = bytes.clone();
             b[pos] ^= 1 << bit;
-            assert!(
-                recfile::load(&b).is_err(),
-                "flip at byte {pos} bit {bit} went undetected"
-            );
+            assert!(recfile::load(&b).is_err(), "flip at byte {pos} bit {bit} went undetected");
         }
     }
     // One bit per byte across the rest of the file.
@@ -565,9 +548,8 @@ fn recfile_header_damage_is_precisely_typed() {
 #[test]
 fn recfile_committed_prefixes_still_replay() {
     let (bytes, full) = small_recfile();
-    let header_end = 16
-        + u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize
-        + 4;
+    let header_end =
+        16 + u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize + 4;
     let mut replayed_any = false;
     for i in 1..8 {
         let cut = header_end + (bytes.len() - header_end) * i / 8;

@@ -134,12 +134,7 @@ type Fingerprint = (Vec<ksim::Record>, Vec<ksim::Event>, u64, Vec<(u32, u64, u16
 fn fingerprint(sys: &System) -> Fingerprint {
     let rec = sys.recording().expect("recording on").records;
     let log = sys.kernel.log.events().to_vec();
-    let procs = sys
-        .kernel
-        .procs
-        .iter()
-        .map(|(id, p)| (*id, p.cpu_time, p.exit_status))
-        .collect();
+    let procs = sys.kernel.procs.iter().map(|(id, p)| (*id, p.cpu_time, p.exit_status)).collect();
     (rec, log, sys.kernel.clock, procs)
 }
 
@@ -157,11 +152,7 @@ fn round_transcripts_byte_identical_32_seeds() {
         let seed = 0x5AAD_0001 + i * 0x9E37;
         let (base_sys, _) = run_at(seed);
         let base = fingerprint(&base_sys);
-        assert!(
-            base.0.len() > 15,
-            "seed {seed:#x}: workload too small ({} records)",
-            base.0.len()
-        );
+        assert!(base.0.len() > 15, "seed {seed:#x}: workload too small ({} records)", base.0.len());
         let (sys, _) = run_at(seed);
         let got = fingerprint(&sys);
         assert_eq!(base.2, got.2, "seed {seed:#x}: clock diverged between two runs");
@@ -189,9 +180,8 @@ fn pipe_pair_runs_identically() {
                 if *pid == pk && *status == ksim::Kernel::status_signalled(ksim::signal::SIGPIPE, false))
         });
         assert!(sigpipe_exit, "pipekill parent {pk:?} did not die of SIGPIPE: {events:?}");
-        let piper_exited = events
-            .iter()
-            .any(|e| matches!(e, ksim::Event::Exit { pid, .. } if *pid == pp));
+        let piper_exited =
+            events.iter().any(|e| matches!(e, ksim::Event::Exit { pid, .. } if *pid == pp));
         assert!(piper_exited, "piper never exited");
         events
     };

@@ -175,12 +175,8 @@ fn fork_child_starts_cold_and_warms_independently() {
     // Creep forward a tick at a time so the child is seen the moment it
     // exists — before it has ever been scheduled.
     let child = loop {
-        let fresh = sys
-            .kernel
-            .procs
-            .iter()
-            .find(|(_, p)| p.ppid == parent)
-            .map(|(raw, _)| Pid(*raw));
+        let fresh =
+            sys.kernel.procs.iter().find(|(_, p)| p.ppid == parent).map(|(raw, _)| Pid(*raw));
         if let Some(c) = fresh {
             break c;
         }
@@ -242,9 +238,7 @@ fn breakpoint_planted_into_live_superblock_page_fires() {
     // target runs cleanly through re-traced text (the pending FLTBPT is
     // cleared on resume).
     dbg.clear_breakpoint(&mut sys, tick).expect("clear");
-    dbg.h
-        .run(&mut sys, PrRun { flags: procfs::PRRUN_CFAULT, vaddr: 0 })
-        .expect("resume");
+    dbg.h.run(&mut sys, PrRun { flags: procfs::PRRUN_CFAULT, vaddr: 0 }).expect("resume");
     sys.run_idle(200);
     dbg.h.stop(&mut sys).expect("stop");
     let rebuilt = PrXStats::capture(&sys.kernel, pid).expect("xstats");

@@ -245,9 +245,8 @@ fn repeated_psinfo_reads_hit_cache() {
     let ctl = sys.spawn_hosted("ps", Cred::superuser());
     let pid = sys.spawn_program(ctl, "/bin/spin", &["spin"]).expect("spawn");
     sys.run_idle(50);
-    let fd = sys
-        .host_open(ctl, &format!("/proc/{:05}", pid.0), vfs::OFlags::rdonly())
-        .expect("open");
+    let fd =
+        sys.host_open(ctl, &format!("/proc/{:05}", pid.0), vfs::OFlags::rdonly()).expect("open");
     let before = cache_stats(&mut sys, ctl, fd);
     let first = sys.host_ioctl(ctl, fd, PIOCPSINFO, &[]).expect("psinfo");
     for _ in 1..1000 {
@@ -270,8 +269,8 @@ fn repeated_psinfo_reads_hit_cache() {
 /// mutated LWP's own images re-render, and they re-render correctly.
 #[test]
 fn lwp_mutation_preserves_process_and_sibling_entries() {
-    use procsim::procfs::hier::{PCSREG, PCSTOP};
     use procsim::procfs::ctl_record;
+    use procsim::procfs::hier::{PCSREG, PCSTOP};
 
     let src = r#"
         _start:
@@ -289,9 +288,7 @@ fn lwp_mutation_preserves_process_and_sibling_entries() {
     let ctl = sys.spawn_hosted("lwp", Cred::superuser());
     sys.install_program("/bin/threads", src);
     let pid = sys.spawn_program(ctl, "/bin/threads", &["threads"]).expect("spawn");
-    sys.run_until(10_000, |s| {
-        s.kernel.proc(pid).map(|p| p.lwps.len() == 2).unwrap_or(false)
-    });
+    sys.run_until(10_000, |s| s.kernel.proc(pid).map(|p| p.lwps.len() == 2).unwrap_or(false));
     sys.run_idle(20);
 
     // Stop only LWP 2, then warm every cache entry we care about.
@@ -310,10 +307,9 @@ fn lwp_mutation_preserves_process_and_sibling_entries() {
         .expect("open flat");
 
     // Rewrite LWP 2's registers through its own ctl file.
-    let mut gregs = procsim::isa::GregSet::from_bytes(
-        &read_all(&mut sys, ctl, &l2_gregs_path).expect("gregs"),
-    )
-    .expect("decode gregs");
+    let mut gregs =
+        procsim::isa::GregSet::from_bytes(&read_all(&mut sys, ctl, &l2_gregs_path).expect("gregs"))
+            .expect("decode gregs");
     gregs.set_r(7, 0xDEAD_0001);
     let s1 = cache_stats(&mut sys, ctl, flat_fd);
     sys.host_write(ctl, cfd, &ctl_record(PCSREG, &gregs.to_bytes())).expect("set regs");
@@ -351,9 +347,8 @@ fn flat_and_hier_share_cached_images() {
     sys.run_idle(50);
     // Warm the entry through /proc2.
     let via_hier = read_all(&mut sys, ctl, &format!("/proc2/{}/psinfo", pid.0)).expect("read");
-    let fd = sys
-        .host_open(ctl, &format!("/proc/{:05}", pid.0), vfs::OFlags::rdonly())
-        .expect("open");
+    let fd =
+        sys.host_open(ctl, &format!("/proc/{:05}", pid.0), vfs::OFlags::rdonly()).expect("open");
     let before = cache_stats(&mut sys, ctl, fd);
     let via_flat = sys.host_ioctl(ctl, fd, PIOCPSINFO, &[]).expect("psinfo");
     let after = cache_stats(&mut sys, ctl, fd);

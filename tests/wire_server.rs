@@ -30,8 +30,7 @@ use procfs::ioctl::{PIOCSRLC, PIOCSTATUS, PIOCSTOP};
 use procfs::{ctl_record, HierFs, ProcFs};
 use tools::proc_io::ProcHandle;
 use vfs::remote::{
-    AdversaryRates, FaultRates, OpFuture, RemoteClient, RemoteFs, RemoteRead, WireConfig,
-    WireStats,
+    AdversaryRates, FaultRates, OpFuture, RemoteClient, RemoteFs, RemoteRead, WireConfig, WireStats,
 };
 use vfs::{FileSystem, IoReply, IoctlReply, NodeId, OFlags};
 
@@ -45,9 +44,8 @@ fn boot_targets(n: usize) -> (System, Pid, Vec<Pid>) {
     let mut sys = System::boot();
     tools::install_userland(&mut sys);
     let ctl = sys.spawn_hosted("wire-server-oracle", Cred::superuser());
-    let targets: Vec<Pid> = (0..n)
-        .map(|_| sys.spawn_program(ctl, "/bin/spin", &["spin"]).expect("spawn"))
-        .collect();
+    let targets: Vec<Pid> =
+        (0..n).map(|_| sys.spawn_program(ctl, "/bin/spin", &["spin"]).expect("spawn")).collect();
     sys.run_idle(100);
     (sys, ctl, targets)
 }
@@ -193,12 +191,8 @@ fn sequenced_ops_stay_exactly_once_across_churn_for_32_seeds() {
         let seed = 0xC4A_B1E_000 + i;
         let (mut sys, ctl, targets) = boot_targets(2);
         let rates = FaultRates { duplicate: 400, delay: 200, ..FaultRates::default() };
-        let adv = AdversaryRates {
-            mid_frame: 150,
-            stale_replay: 300,
-            flood: 100,
-            ..Default::default()
-        };
+        let adv =
+            AdversaryRates { mid_frame: 150, stale_replay: 300, flood: 100, ..Default::default() };
         let fs = RemoteFs::new(Box::new(HierFs::new()))
             .with_config(&WireConfig::faulty(seed, rates).adversarial(adv));
         let handles = [fs.client(), fs.client()];
@@ -326,14 +320,11 @@ fn churned_sessions_leak_no_tokens_and_release_their_targets_for_32_seeds() {
             c.submit_lookup(ctl, NodeId(0), &target.0.to_string())
         })
         .expect("lookup crosses the churning wire");
-        let tok = retry_op(&c, &mut sys.kernel, |c| {
-            c.submit_open(ctl, node, OFlags::rdwr(), &cred)
-        })
-        .expect("open crosses the churning wire");
-        let r = retry_op(&c, &mut sys.kernel, |c| {
-            c.submit_ioctl(ctl, node, tok, PIOCSRLC, &[])
-        })
-        .expect("PIOCSRLC crosses");
+        let tok =
+            retry_op(&c, &mut sys.kernel, |c| c.submit_open(ctl, node, OFlags::rdwr(), &cred))
+                .expect("open crosses the churning wire");
+        let r = retry_op(&c, &mut sys.kernel, |c| c.submit_ioctl(ctl, node, tok, PIOCSRLC, &[]))
+            .expect("PIOCSRLC crosses");
         assert!(matches!(r, IoctlReply::Done(_)), "PIOCSRLC blocked");
         let mut stopped = false;
         for _ in 0..64 {
@@ -409,7 +400,9 @@ fn evicted_sessions_resolve_futures_instead_of_hanging() {
     assert_eq!(c.try_complete(&mut after), Some(Err(Errno::EAGAIN)));
     // The wire itself is fine: a fresh session works.
     let c2 = fs.client();
-    assert!(c2.wait(&mut sys.kernel, c2.submit_lookup(ctl, NodeId(0), &targets[0].0.to_string())).is_ok());
+    assert!(c2
+        .wait(&mut sys.kernel, c2.submit_lookup(ctl, NodeId(0), &targets[0].0.to_string()))
+        .is_ok());
 }
 
 /// The wire's fixed-answer fingerprint: one seeded run over a lossy
