@@ -8,15 +8,16 @@
 //! arguments and recorded inputs — hostile bytes by construction. All
 //! are held to `clippy -D warnings`
 //! (their sources additionally carry
-//! `#![deny(clippy::unwrap_used, clippy::expect_used)]`). Skips cleanly
-//! when the toolchain has no clippy component.
+//! `#![deny(clippy::unwrap_used, clippy::expect_used)]`).
+//! `formatting_is_clean` holds the workspace to `rustfmt.toml`'s style.
+//! Each gate skips cleanly when the toolchain lacks its component.
 
 use std::process::Command;
 
-/// True when the toolchain has a clippy component to run.
-fn have_clippy() -> bool {
+/// True when the toolchain has the `cargo <tool>` component to run.
+fn have(tool: &str) -> bool {
     matches!(
-        Command::new("cargo").args(["clippy", "--version"]).output(),
+        Command::new("cargo").args([tool, "--version"]).output(),
         Ok(out) if out.status.success()
     )
 }
@@ -24,7 +25,7 @@ fn have_clippy() -> bool {
 /// Runs `cargo clippy -p <package> --all-targets -- -D warnings
 /// -D deprecated`.
 fn clippy_clean(package: &str) {
-    if !have_clippy() {
+    if !have("clippy") {
         eprintln!("skipping: cargo clippy is not installed");
         return;
     }
@@ -92,4 +93,25 @@ fn bench_harness_is_clippy_clean() {
 #[test]
 fn umbrella_is_clippy_clean() {
     clippy_clean("procsim");
+}
+
+/// The workspace keeps the one style `rustfmt.toml` sets; `cargo fmt
+/// --all` fixes a failure. (`procbench/` is its own workspace and is
+/// not reached.)
+#[test]
+fn formatting_is_clean() {
+    if !have("fmt") {
+        eprintln!("skipping: cargo fmt is not installed");
+        return;
+    }
+    let manifest = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+    let out = Command::new("cargo")
+        .args(["fmt", "--all", "--manifest-path", manifest, "--", "--check"])
+        .output()
+        .expect("run cargo fmt");
+    assert!(
+        out.status.success(),
+        "cargo fmt found drift; run `cargo fmt --all`:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
 }
