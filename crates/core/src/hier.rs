@@ -233,8 +233,13 @@ impl HierFs {
             return Ok(true);
         }
         // Every other control op is the write-based spelling of a flat
-        // request, answered by the one dispatcher.
+        // request, answered by the one dispatcher — except that a
+        // satisfied PCSTOP/PCWSTOP record has no reply to carry, so it
+        // skips the `prstatus` image the flat request renders.
         let ioc = Ioctl::from_ctl_op(op).ok_or(Errno::EINVAL)?;
+        if matches!(ioc, Ioctl::Stop | Ioctl::WStop) {
+            return ops::stop_satisfied(k, pid, tid, ioc == Ioctl::Stop);
+        }
         let reply = prioctl(k, &self.cache, caller, pid, tid, ioc, payload)?;
         Ok(matches!(reply, IoctlReply::Done(_)))
     }

@@ -528,10 +528,7 @@ pub fn prioctl(
         Ioctl::GetCred => cached(k, Image::Cred),
         Ioctl::Usage => cached(k, Image::Usage),
         Ioctl::Stop | Ioctl::WStop => {
-            if ioc == Ioctl::Stop {
-                ops::direct_stop(k, target, tid)?;
-            }
-            if ops::event_stopped(k, target, tid)? {
+            if ops::stop_satisfied(k, target, tid, ioc == Ioctl::Stop)? {
                 done(ops::status_bytes(k, target, tid)?)
             } else {
                 Ok(IoctlReply::Block)

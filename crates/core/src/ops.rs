@@ -409,6 +409,17 @@ pub fn event_stopped(k: &Kernel, pid: Pid, tid: Option<Tid>) -> SysResult<bool> 
     })
 }
 
+/// The `PIOCSTOP`/`PIOCWSTOP` condition, with the stop directed first
+/// when `direct` (`PIOCSTOP`): true when the target is event-stopped and
+/// the request is satisfied, false when it must block. Renders no reply,
+/// so the write-based face, which has nowhere to put one, pays for none.
+pub fn stop_satisfied(k: &mut Kernel, pid: Pid, tid: Option<Tid>, direct: bool) -> SysResult<bool> {
+    if direct {
+        direct_stop(k, pid, tid)?;
+    }
+    event_stopped(k, pid, tid)
+}
+
 /// `PIOCOPENM`/the `object` convention: given a virtual address in the
 /// target, opens the underlying mapped object read-only and returns a
 /// descriptor *in the caller's table* — "this enables a debugger to find

@@ -32,7 +32,8 @@
 
 use ksim::record::Snap;
 use ksim::{
-    FsSlot, Input, MountPlan, Pid, Record, Recorder, Recording, ReplayDivergence, SimConfig, System,
+    FsSlot, Input, MountPlan, Pid, RecStats, Record, Recorder, Recording, ReplayDivergence,
+    SimConfig, System,
 };
 use vfs::remote::RemoteFs;
 
@@ -123,17 +124,17 @@ fn apply(sys: &mut System, input: &Input) {
     }
 }
 
-/// Applies records `from..to` of `records` to `sys` (which must hold
-/// the first `from` records in its own log), comparing each re-computed
-/// digest against the original. The first mismatch is returned as a
-/// typed divergence at its exact tick and counted on the recorder.
-fn apply_range(
+/// Applies `records`, the original log's records from tick `from` on,
+/// to `sys` (which must hold the first `from` records in its own log),
+/// comparing each re-computed digest against the original. The first
+/// mismatch is returned as a typed divergence at its exact tick and
+/// counted on the recorder.
+fn apply_range<'a>(
     sys: &mut System,
-    records: &[Record],
+    records: impl IntoIterator<Item = &'a Record>,
     from: usize,
-    to: usize,
 ) -> Result<(), ReplayDivergence> {
-    for (i, record) in (from..).zip(&records[from..to]) {
+    for (i, record) in (from..).zip(records) {
         apply(sys, &record.input);
         let got = sys.kernel.recorder.as_ref().and_then(|r| r.records.get(i)).map(|r| r.digest);
         let expected = record.digest;
@@ -154,13 +155,17 @@ fn apply_range(
 /// On success the returned system's own log equals the applied prefix,
 /// and recording continues from there.
 pub fn replay_to(rec: &Recording, k: usize) -> Result<System, ReplayDivergence> {
-    replay_log(&rec.config, &rec.records, k)
+    replay_log(&rec.config, rec.records.iter().take(k))
 }
 
-/// [`replay_to`] over a borrowed config and log.
-fn replay_log(cfg: &SimConfig, records: &[Record], k: usize) -> Result<System, ReplayDivergence> {
+/// Replays `records`, a log's first records, into a system freshly
+/// built from `cfg`.
+fn replay_log<'a>(
+    cfg: &SimConfig,
+    records: impl IntoIterator<Item = &'a Record>,
+) -> Result<System, ReplayDivergence> {
     let mut sys = build_sim(cfg);
-    apply_range(&mut sys, records, 0, k.min(records.len()))?;
+    apply_range(&mut sys, records, 0)?;
     Ok(sys)
 }
 
@@ -173,11 +178,12 @@ pub fn replay(rec: &Recording) -> Result<System, ReplayDivergence> {
 /// Resumes from a copy-on-write snapshot: fresh mounts from
 /// [`build_sim`], the snapshot's kernel and root file system
 /// transplanted in, the banked wire-transport state replanted into the
-/// remote mounts, a recorder pre-loaded with the applied prefix and
-/// `rec`'s snapshot bank up to and including `snap`, then records
-/// `snap.pos..k` replayed on top. `None` when the snapshot cannot be
-/// applied to this config's mounts (the full rebuild is the caller's
-/// fallback).
+/// remote mounts, a recorder pre-loaded with the applied prefix (sharing
+/// `rec`'s sealed log segments), `rec`'s snapshot bank up to and
+/// including `snap` and the log counters banked with `snap`, then
+/// records `snap.pos..k` replayed on top. `None` when the snapshot
+/// cannot be applied to this config's mounts (the full rebuild is the
+/// caller's fallback).
 fn resume_from_snap(rec: &Recorder, snap: &Snap, k: usize) -> Option<System> {
     let mut sys = build_sim(&rec.config);
     sys.kernel = (*snap.kernel).clone();
@@ -196,11 +202,11 @@ fn resume_from_snap(rec: &Recorder, snap: &Snap, k: usize) -> Option<System> {
         }
     }
     let mut r = Recorder::new(rec.config.clone());
-    r.records = rec.records[..snap.pos].to_vec();
+    r.records = rec.records.prefix(snap.pos);
     r.snaps = rec.snaps.iter().take_while(|s| s.pos <= snap.pos).cloned().collect();
-    r.stats.restores = 1;
+    r.stats = RecStats { restores: 1, ..snap.counts };
     sys.kernel.recorder = Some(Box::new(r));
-    apply_range(&mut sys, &rec.records, snap.pos, k).ok()?;
+    apply_range(&mut sys, rec.records.range(snap.pos, k), snap.pos).ok()?;
     Some(sys)
 }
 
@@ -225,7 +231,7 @@ pub fn goto_tick(sys: &System, k: usize) -> Result<System, ReplayDivergence> {
             }
         }
     }
-    replay_log(&rec.config, &rec.records, k)
+    replay_log(&rec.config, rec.records.range(0, k))
 }
 
 /// Why a recfile image failed to become a live system.

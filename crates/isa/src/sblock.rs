@@ -28,6 +28,8 @@
 //! what is traceable (see `sblock_slot` in the VM layer) and validates
 //! stamps; the cache stores and serves.
 
+use std::sync::Arc;
+
 use crate::cpu::BlockExit;
 use crate::insn::{Insn, Opcode};
 
@@ -78,8 +80,17 @@ pub struct SuperBlock {
     pub epoch: u64,
     /// Object-store content generation at build time.
     pub content_gen: u64,
-    /// The traced instructions, in predicted execution order.
-    pub slots: Vec<BlockSlot>,
+    /// The traced instructions, in predicted execution order (`None` in
+    /// an empty way). A trace never changes once built, so clones of the
+    /// cache share it.
+    pub slots: Option<Arc<[BlockSlot]>>,
+}
+
+impl SuperBlock {
+    /// The traced instructions (empty for an empty way).
+    pub fn trace(&self) -> &[BlockSlot] {
+        self.slots.as_deref().unwrap_or(&[])
+    }
 }
 
 /// Superblock counters; `PIOCXSTATS` reports the per-process sum over
@@ -112,7 +123,10 @@ pub struct SBlockStats {
 /// LWP); fork/exec paths construct fresh LWPs, so children start empty.
 /// A cold cache owns no table: the first [`SBlockCache::insert`] (or a
 /// [`SBlockCache::reserve`]) allocates it, so cloning an LWP that never
-/// ran guest code copies nothing.
+/// ran guest code copies nothing. Each way's trace is an immutable
+/// `Arc<[BlockSlot]>`, so cloning a warm cache allocates only the new
+/// table and shares every trace; replacing a way in either copy leaves
+/// the other's block intact.
 #[derive(Clone, Debug)]
 pub struct SBlockCache {
     /// Empty while cold, else `SBLOCK_SETS * SBLOCK_ASSOC` entries,
@@ -160,7 +174,7 @@ impl SBlockCache {
             map_idx: 0,
             epoch: 0,
             content_gen: 0,
-            slots: Vec::new(),
+            slots: None,
         };
         self.ways = vec![empty; SBLOCK_SETS * SBLOCK_ASSOC];
         self.mru = vec![0; SBLOCK_SETS];
@@ -249,7 +263,7 @@ impl SBlockCache {
     pub fn clear(&mut self) {
         for b in &mut self.ways {
             b.as_gen = 0;
-            b.slots.clear();
+            b.slots = None;
         }
     }
 
@@ -268,7 +282,14 @@ mod tests {
         let slots = (0..n)
             .map(|i| BlockSlot { pc: pc + 8 * i as u64, insn: Insn::bare(Opcode::Nop) })
             .collect();
-        SuperBlock { start_pc: pc, as_gen, map_idx: 0, epoch: 0, content_gen: 0, slots }
+        SuperBlock {
+            start_pc: pc,
+            as_gen,
+            map_idx: 0,
+            epoch: 0,
+            content_gen: 0,
+            slots: Some(slots),
+        }
     }
 
     #[test]
@@ -276,7 +297,7 @@ mod tests {
         let mut c = SBlockCache::new();
         assert!(c.probe(0x1000).is_none());
         c.insert(block(0x1000, 1, 3));
-        assert_eq!(c.probe(0x1000).expect("installed").slots.len(), 3);
+        assert_eq!(c.probe(0x1000).expect("installed").trace().len(), 3);
         assert_eq!(c.stats().built, 1);
         // A pc that was never inserted misses on the key.
         assert!(c.probe(0x1000 + (SBLOCK_SETS as u64) * 8).is_none());
@@ -311,7 +332,7 @@ mod tests {
         assert!(c.is_cold(), "clear on a cold cache allocates nothing");
         c.insert(block(0x2000, 4, 2));
         assert!(!c.is_cold());
-        assert_eq!(c.probe(0x2000).expect("installed").slots.len(), 2);
+        assert_eq!(c.probe(0x2000).expect("installed").trace().len(), 2);
         assert_eq!(c.stats().built, 1);
     }
 
@@ -325,5 +346,29 @@ mod tests {
         c.reserve();
         assert!(c.probe(0x2000).is_some(), "reserve on a warm cache dropped a block");
         assert_eq!(c.stats().built, 1);
+    }
+
+    #[test]
+    fn a_cloned_warm_cache_shares_its_traces() {
+        let mut c = SBlockCache::new();
+        let pcs = [0x1000, 0x1100, 0x2000];
+        for (i, &pc) in pcs.iter().enumerate() {
+            c.insert(block(pc, 1, i + 2));
+        }
+        c.note_stale();
+        let mut d = c.clone();
+        for &pc in &pcs {
+            let a = c.probe(pc).and_then(|b| b.slots.clone()).expect("original");
+            let b = d.probe(pc).and_then(|b| b.slots.clone()).expect("clone");
+            assert!(Arc::ptr_eq(&a, &b), "the clone copied the trace at {pc:#x}");
+        }
+        assert!(c.probe(0x3000).is_none() && d.probe(0x3000).is_none());
+        assert_eq!(c.stats(), d.stats());
+
+        // Replacing a way in the clone leaves the original's block alone.
+        d.insert(block(0x1000, 2, 9));
+        assert_eq!(d.probe(0x1000).map(|b| (b.as_gen, b.trace().len())), Some((2, 9)));
+        assert_eq!(c.probe(0x1000).map(|b| (b.as_gen, b.trace().len())), Some((1, 2)));
+        assert_eq!(c.stats().built + 1, d.stats().built);
     }
 }

@@ -161,10 +161,17 @@ fn push_segment(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
 }
 
 /// Serialises a recording — its construction config and input log,
-/// plus its snapshot positions — to the recfile image. Borrows the log,
-/// so a live recorder saves without copying it. Snap marks beyond the
-/// log's end are ignored.
-pub fn save(config: &SimConfig, records: &[Record], snap_marks: &[usize]) -> Vec<u8> {
+/// plus its snapshot positions — to the recfile image. Reads the log in
+/// place (a flat slice or a live recorder's segmented
+/// [`crate::record::Log`]), so a live recorder saves without copying it.
+/// Snap marks beyond the log's end are ignored.
+pub fn save<'a, I>(config: &SimConfig, records: I, snap_marks: &[usize]) -> Vec<u8>
+where
+    I: IntoIterator<Item = &'a Record>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let mut records = records.into_iter();
+    let len = records.len();
     let mut out = Vec::new();
     out.extend_from_slice(RECFILE_MAGIC);
     let mut cfg = Vec::new();
@@ -175,8 +182,7 @@ pub fn save(config: &SimConfig, records: &[Record], snap_marks: &[usize]) -> Vec
     let crc = crc32(0, &out[8..]);
     out.extend_from_slice(&crc.to_le_bytes());
 
-    let mut marks: Vec<usize> =
-        snap_marks.iter().copied().filter(|&p| p <= records.len()).collect();
+    let mut marks: Vec<usize> = snap_marks.iter().copied().filter(|&p| p <= len).collect();
     marks.sort_unstable();
     marks.dedup();
     let mut next_mark = 0usize;
@@ -187,17 +193,16 @@ pub fn save(config: &SimConfig, records: &[Record], snap_marks: &[usize]) -> Vec
             push_segment(&mut out, SEG_SNAP_MARK, &(marks[next_mark] as u64).to_le_bytes());
             next_mark += 1;
         }
-        if i == records.len() {
+        if i == len {
             break;
         }
-        let mut end = (i + RECORDS_PER_SEGMENT).min(records.len());
+        let mut end = (i + RECORDS_PER_SEGMENT).min(len);
         if next_mark < marks.len() {
             end = end.min(marks[next_mark]);
         }
-        let batch = &records[i..end];
         let mut payload = Vec::new();
-        payload.extend_from_slice(&(batch.len() as u32).to_le_bytes());
-        for r in batch {
+        payload.extend_from_slice(&((end - i) as u32).to_le_bytes());
+        for r in records.by_ref().take(end - i) {
             enc_input_full(&r.input, &mut payload);
             payload.extend_from_slice(&r.digest.to_le_bytes());
         }

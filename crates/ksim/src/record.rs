@@ -25,6 +25,17 @@
 //! progress bit and post-step clock into the running digest, so pure
 //! execution is logged in O(1) space per scheduling burst.
 //!
+//! The live recorder holds its log as a [`Log`]: sealed, immutable
+//! `Arc<[Record]>` segments of exactly the recfile's batch size
+//! ([`RECORDS_PER_SEGMENT`]) plus one open tail. The tail seals only
+//! when a push finds it full, so the last record always sits in the tail
+//! and `Steps` coalescing edits it in place. A history prefix is immutable
+//! once sealed, so a recorder re-materialized at position `p` shares
+//! every sealed segment below `p` and copies only the records of the
+//! segment that holds record `p - 1`; dropping a recorder only releases
+//! references to the segments it shares. Replay, navigation and the
+//! recfile writer read the segmented log in place.
+//!
 //! Replay re-executes each input through the public API with a fresh
 //! recorder attached; the re-computed digest must equal the recorded
 //! one, record by record. The first mismatch is a typed
@@ -40,7 +51,8 @@
 //! clone cheap and lazily materialized) plus a clone of the root memfs.
 //! Per-LWP decode caches are derived state and cost nothing until used:
 //! an LWP that never took a guest image (every hosted controller) owns
-//! no cache table, so its clone copies none. A snapshot at position `p` is
+//! no cache table, so its clone copies none, and a warm superblock cache
+//! shares its immutable traces with the clone. A snapshot at position `p` is
 //! the machine state after applying the first `p` records;
 //! `goto`-style navigation restores the nearest snapshot at or below
 //! the target and replays the remainder.
@@ -49,9 +61,12 @@
 //! system re-materialized from the snapshot at `p` shares the bank up
 //! to and including `p` with the system it came from, since both have
 //! the same history that far. Navigating again from it resumes from a
-//! banked state rather than recomputing one.
+//! banked state rather than recomputing one. Each snapshot also keeps
+//! the counters that describe the log up to `p` (`inputs`, `steps`,
+//! `bytes_logged`, `snapshots`), and the restored recorder starts from
+//! them, so they read as they would after a straight run to `p`.
 //!
-//! `PIOCRECSTATS` replies with these counters, which describe the host's
+//! `PIOCRECSTATS` replies with these counters. Some describe the host's
 //! own replay machinery (`replays`, `restores`, the `file_*` counters)
 //! and so cannot be reproduced by any replay: the digest of a recorded
 //! `PIOCRECSTATS` folds only the reply's status and length.
@@ -60,6 +75,7 @@ use std::sync::Arc;
 
 use crate::config::SimConfig;
 use crate::kernel::Kernel;
+use crate::recfile::RECORDS_PER_SEGMENT;
 use vfs::{Cred, OFlags, PollStatus, SysResult};
 
 /// The `/proc` request that reads the recorder's counters ([`RecStats`]).
@@ -443,6 +459,115 @@ impl Recording {
     }
 }
 
+/// The live recorder's input log: sealed, immutable segments of exactly
+/// [`RECORDS_PER_SEGMENT`] records, shared with every recorder whose
+/// history includes them, plus one open tail this log owns. The tail seals only
+/// when a push finds it full, so a non-empty log always has its last
+/// record in the tail.
+#[derive(Clone, Debug, Default)]
+pub struct Log {
+    sealed: Vec<Arc<[Record]>>,
+    tail: Vec<Record>,
+}
+
+impl Log {
+    /// Number of records (the run's length in virtual ticks).
+    pub fn len(&self) -> usize {
+        self.sealed.len() * RECORDS_PER_SEGMENT + self.tail.len()
+    }
+
+    /// True when nothing was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The record at index (virtual tick) `i`.
+    pub fn get(&self, i: usize) -> Option<&Record> {
+        match self.sealed.get(i / RECORDS_PER_SEGMENT) {
+            Some(seg) => seg.get(i % RECORDS_PER_SEGMENT),
+            None => self.tail.get(i - self.sealed.len() * RECORDS_PER_SEGMENT),
+        }
+    }
+
+    /// The last record.
+    pub fn last(&self) -> Option<&Record> {
+        self.tail.last()
+    }
+
+    /// Appends a record, sealing the tail first if it is full.
+    pub fn push(&mut self, record: Record) {
+        if self.tail.len() == RECORDS_PER_SEGMENT {
+            let full = std::mem::replace(&mut self.tail, Vec::with_capacity(RECORDS_PER_SEGMENT));
+            self.sealed.push(full.into());
+        }
+        self.tail.push(record);
+    }
+
+    /// Records `from..to` (clamped to the log), in order.
+    pub fn range(&self, from: usize, to: usize) -> Iter<'_> {
+        let back = to.min(self.len());
+        Iter { log: self, front: from.min(back), back }
+    }
+
+    /// Every record, in order.
+    pub fn iter(&self) -> Iter<'_> {
+        self.range(0, self.len())
+    }
+
+    /// The first `p` records (clamped to the log) as a log of their own.
+    /// Every sealed segment below the one holding record `p - 1` is
+    /// shared; that segment's records up to `p` are copied into the new
+    /// tail, all [`RECORDS_PER_SEGMENT`] of them when `p` is a multiple
+    /// of it.
+    pub fn prefix(&self, p: usize) -> Log {
+        let p = p.min(self.len());
+        if p == 0 {
+            return Log::default();
+        }
+        let shared = (p - 1) / RECORDS_PER_SEGMENT;
+        let mut tail = Vec::with_capacity(RECORDS_PER_SEGMENT);
+        tail.extend(self.range(shared * RECORDS_PER_SEGMENT, p).cloned());
+        Log { sealed: self.sealed[..shared].to_vec(), tail }
+    }
+}
+
+/// An in-place iterator over a [`Log`]'s records.
+#[derive(Clone, Debug)]
+pub struct Iter<'a> {
+    log: &'a Log,
+    front: usize,
+    back: usize,
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = &'a Record;
+
+    fn next(&mut self) -> Option<&'a Record> {
+        if self.front == self.back {
+            return None;
+        }
+        self.front += 1;
+        self.log.get(self.front - 1)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.back - self.front;
+        (n, Some(n))
+    }
+}
+
+impl DoubleEndedIterator for Iter<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        if self.front == self.back {
+            return None;
+        }
+        self.back -= 1;
+        self.log.get(self.back)
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
 /// The first point where a replay stopped matching its recording.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplayDivergence {
@@ -515,6 +640,11 @@ pub struct Snap {
     /// kernel, so `goto`-style restores replant them here instead of
     /// falling back to a full rebuild.
     pub wires: Vec<(usize, vfs::remote::WireSnapshot)>,
+    /// The counters that describe the log up to `pos` (`inputs`,
+    /// `steps`, `bytes_logged`, `snapshots`, this one included); the
+    /// host-machinery counters are zero. A recorder restored here starts
+    /// from these.
+    pub counts: RecStats,
 }
 
 /// The live recording state attached to a [`Kernel`].
@@ -523,7 +653,7 @@ pub struct Recorder {
     /// Construction config, stored verbatim for the recording head.
     pub config: SimConfig,
     /// The input log so far.
-    pub records: Vec<Record>,
+    pub records: Log,
     /// When non-zero, host-boundary calls are internal (replay or the
     /// pump loops of an outer recorded call) and must not record.
     pub suppress: u32,
@@ -534,6 +664,8 @@ pub struct Recorder {
     pub snaps: Vec<Arc<Snap>>,
     /// Counters behind `PIOCRECSTATS`.
     pub stats: RecStats,
+    /// Reused buffer for each input's digest encoding.
+    scratch: Vec<u8>,
 }
 
 impl Recorder {
@@ -542,24 +674,32 @@ impl Recorder {
         let snap_every = config.snapshot_every;
         Recorder {
             config,
-            records: Vec::new(),
+            records: Log::default(),
             suppress: 0,
             snap_every,
             snaps: Vec::new(),
             stats: RecStats::default(),
+            scratch: Vec::new(),
         }
     }
 
     /// Commits one non-step input with its encoded result.
     pub fn commit(&mut self, input: Input, result: &[u8], clock: u64) {
-        let mut enc = Vec::new();
-        input.encode(&mut enc);
-        let mut h = fnv_fold(FNV_OFFSET, &enc);
+        let mut h = self.fold_input(&input);
         h = fnv_fold(h, result);
         h = fnv_fold(h, &clock.to_le_bytes());
         self.stats.inputs += 1;
-        self.stats.bytes_logged += (enc.len() + result.len()) as u64;
+        self.stats.bytes_logged += result.len() as u64;
         self.records.push(Record { input, digest: h });
+    }
+
+    /// Starts a digest with `input`'s encoding, encoded into the reused
+    /// scratch buffer, and counts the encoding's bytes as logged.
+    fn fold_input(&mut self, input: &Input) -> u64 {
+        self.scratch.clear();
+        input.encode(&mut self.scratch);
+        self.stats.bytes_logged += self.scratch.len() as u64;
+        fnv_fold(FNV_OFFSET, &self.scratch)
     }
 
     /// True when the next public `step()` will extend the current
@@ -579,7 +719,8 @@ impl Recorder {
         fold[0] = ran as u8;
         fold[1..9].copy_from_slice(&clock.to_le_bytes());
         if self.step_will_extend() {
-            if let Some(Record { input: Input::Steps { n }, digest }) = self.records.last_mut() {
+            if let Some(Record { input: Input::Steps { n }, digest }) = self.records.tail.last_mut()
+            {
                 *n += 1;
                 *digest = fnv_fold(*digest, &fold);
                 self.stats.bytes_logged += fold.len() as u64;
@@ -587,12 +728,9 @@ impl Recorder {
             }
         }
         let input = Input::Steps { n: 1 };
-        let mut enc = Vec::new();
-        input.encode(&mut enc);
-        let mut h = fnv_fold(FNV_OFFSET, &enc);
-        h = fnv_fold(h, &fold);
+        let h = fnv_fold(self.fold_input(&input), &fold);
         self.stats.inputs += 1;
-        self.stats.bytes_logged += (enc.len() + fold.len()) as u64;
+        self.stats.bytes_logged += fold.len() as u64;
         self.records.push(Record { input, digest: h });
     }
 
@@ -615,7 +753,15 @@ impl Recorder {
         wires: Vec<(usize, vfs::remote::WireSnapshot)>,
     ) {
         self.stats.snapshots += 1;
-        self.snaps.push(Arc::new(Snap { pos: self.records.len(), kernel, root, wires }));
+        let s = self.stats;
+        let counts = RecStats {
+            inputs: s.inputs,
+            steps: s.steps,
+            bytes_logged: s.bytes_logged,
+            snapshots: s.snapshots,
+            ..RecStats::default()
+        };
+        self.snaps.push(Arc::new(Snap { pos: self.records.len(), kernel, root, wires, counts }));
     }
 
     /// The nearest snapshot at or below `pos`, if any.
@@ -625,7 +771,7 @@ impl Recorder {
 
     /// Extracts the recording (config + log) for storage or replay.
     pub fn recording(&self) -> Recording {
-        Recording { config: self.config.clone(), records: self.records.clone() }
+        Recording { config: self.config.clone(), records: self.records.iter().cloned().collect() }
     }
 }
 
@@ -639,7 +785,7 @@ mod tests {
         let mk = |data: &[u8], res: &[u8], clock: u64| {
             let mut r = Recorder::new(SimConfig::new());
             r.commit(Input::HostWrite { pid: 2, fd: 3, data: data.to_vec() }, res, clock);
-            r.records[0].digest
+            r.records.last().map(|r| r.digest)
         };
         let base = mk(b"abc", b"ok", 7);
         assert_eq!(base, mk(b"abc", b"ok", 7));
@@ -654,9 +800,8 @@ mod tests {
         for i in 0..(STEPS_COALESCE_MAX + 2) {
             r.commit_step(true, i);
         }
-        assert_eq!(r.records.len(), 2);
-        assert_eq!(r.records[0].input, Input::Steps { n: STEPS_COALESCE_MAX });
-        assert_eq!(r.records[1].input, Input::Steps { n: 2 });
+        let log: Vec<&Input> = r.records.iter().map(|r| &r.input).collect();
+        assert_eq!(log, [&Input::Steps { n: STEPS_COALESCE_MAX }, &Input::Steps { n: 2 }]);
         assert_eq!(r.stats.steps, STEPS_COALESCE_MAX + 2);
     }
 
@@ -692,5 +837,91 @@ mod tests {
         };
         assert_eq!(RecStats::from_bytes(&st.to_bytes()), Some(st));
         assert!(RecStats::from_bytes(&[0u8; 7]).is_none());
+    }
+
+    fn wait(i: usize) -> Record {
+        Record { input: Input::HostWait { pid: i as u32 }, digest: i as u64 }
+    }
+
+    #[test]
+    fn segmented_log_reads_like_a_flat_vec() {
+        let (mut log, mut model) = (Log::default(), Vec::new());
+        for i in 0..3 * RECORDS_PER_SEGMENT + 17 {
+            log.push(wait(i));
+            model.push(wait(i));
+            assert_eq!((log.len(), log.last()), (model.len(), model.last()));
+            if i % RECORDS_PER_SEGMENT == 0 {
+                assert!(log.iter().eq(&model), "after {} records", model.len());
+            }
+        }
+        assert_eq!(log.sealed.len(), 3, "the tail seals only when a push finds it full");
+        assert!(log.iter().eq(&model));
+        assert!(log.iter().rev().eq(model.iter().rev()));
+        assert_eq!(log.iter().len(), model.len());
+        assert_eq!(log.iter().nth(600), model.get(600));
+        assert_eq!(log.get(model.len()), None);
+        for (a, b) in [(0, 0), (5, 300), (255, 257), (256, 512), (700, 10_000), (900, 3)] {
+            assert!(log.range(a, b).eq(model.iter().take(b).skip(a)), "range {a}..{b}");
+        }
+    }
+
+    #[test]
+    fn steps_coalesce_in_a_full_tail_and_right_after_a_seal() {
+        let mut r = Recorder::new(SimConfig::new());
+        for i in 0..RECORDS_PER_SEGMENT - 1 {
+            r.commit(Input::HostWait { pid: 1 }, b"", i as u64);
+        }
+        r.commit_step(true, 1000);
+        r.commit_step(true, 1001);
+        assert_eq!((r.records.len(), r.records.sealed.len()), (RECORDS_PER_SEGMENT, 0));
+        assert_eq!(r.records.last().map(|x| &x.input), Some(&Input::Steps { n: 2 }));
+
+        r.commit(Input::HostWait { pid: 1 }, b"", 1002);
+        r.commit_step(false, 1003);
+        r.commit_step(true, 1004);
+        assert_eq!((r.records.len(), r.records.sealed.len()), (RECORDS_PER_SEGMENT + 2, 1));
+        let mut fresh = Recorder::new(SimConfig::new());
+        fresh.commit_step(false, 1003);
+        fresh.commit_step(true, 1004);
+        assert_eq!(r.records.last(), fresh.records.last(), "a sealed segment broke coalescing");
+    }
+
+    #[test]
+    fn steps_coalesce_after_a_restore() {
+        for p in [RECORDS_PER_SEGMENT - 1, RECORDS_PER_SEGMENT, RECORDS_PER_SEGMENT + 1] {
+            // The straight run: `p - 1` inputs, then two coalesced steps.
+            let mut straight = Recorder::new(SimConfig::new());
+            for i in 0..p - 1 {
+                straight.commit(Input::HostWait { pid: 1 }, b"", i as u64);
+            }
+            straight.commit_step(true, 5000);
+            let mut long = Recorder::new(SimConfig::new());
+            long.records = straight.records.clone();
+            for i in 0..2 * RECORDS_PER_SEGMENT {
+                long.commit(Input::HostWait { pid: 2 }, b"", i as u64);
+            }
+            straight.commit_step(true, 5001);
+
+            let mut restored = Recorder::new(SimConfig::new());
+            restored.records = long.records.prefix(p);
+            restored.commit_step(true, 5001);
+            assert!(restored.records.iter().eq(straight.records.iter()), "restore at {p}");
+            assert_eq!(restored.records.last().map(|x| &x.input), Some(&Input::Steps { n: 2 }));
+        }
+    }
+
+    #[test]
+    fn a_prefix_shares_every_full_segment_below_it() {
+        let mut log = Log::default();
+        (0..3 * RECORDS_PER_SEGMENT + 10).for_each(|i| log.push(wait(i)));
+        for p in [0, 1, 255, 256, 257, 512, 513, 3 * RECORDS_PER_SEGMENT + 10, 10_000] {
+            let pre = log.prefix(p);
+            let p = p.min(log.len());
+            assert!(pre.iter().eq(log.range(0, p)), "prefix {p}");
+            let shared = p.saturating_sub(1) / RECORDS_PER_SEGMENT;
+            assert_eq!(pre.sealed.len(), shared, "prefix {p}");
+            assert!(pre.sealed.iter().zip(&log.sealed).all(|(a, b)| Arc::ptr_eq(a, b)));
+            assert_eq!(pre.tail.len(), p - shared * RECORDS_PER_SEGMENT, "prefix {p}");
+        }
     }
 }

@@ -255,7 +255,7 @@ impl System {
     pub fn save_recfile(&mut self) -> Option<Vec<u8>> {
         let r = self.kernel.recorder.as_mut()?;
         let marks: Vec<usize> = r.snaps.iter().map(|s| s.pos).collect();
-        let bytes = crate::recfile::save(&r.config, &r.records, &marks);
+        let bytes = crate::recfile::save(&r.config, r.records.iter(), &marks);
         r.stats.file_saves += 1;
         r.stats.file_bytes += bytes.len() as u64;
         Some(bytes)
@@ -2329,7 +2329,7 @@ impl ProcBus<'_> {
             map_idx: stamp.map_idx,
             epoch,
             content_gen: stamp.content_gen,
-            slots: out[..n].to_vec(),
+            slots: Some(out[..n].into()),
         });
         sblocks.note_dispatch();
         n
@@ -2385,8 +2385,9 @@ impl Bus for ProcBus<'_> {
                 && self.asp.page_epoch_at(b.map_idx as usize, pc) == Some(b.epoch)
                 && self.store.content_gen == b.content_gen
             {
-                let n = b.slots.len().min(isa::SBLOCK_CAP);
-                out[..n].copy_from_slice(&b.slots[..n]);
+                let trace = b.trace();
+                let n = trace.len().min(isa::SBLOCK_CAP);
+                out[..n].copy_from_slice(&trace[..n]);
                 self.sblocks.note_dispatch();
                 return n;
             }

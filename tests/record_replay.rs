@@ -433,3 +433,102 @@ fn exec_reserves_guest_tables_and_hosted_ones_stay_cold() {
         assert!(l.icache.is_cold() && l.sblocks.is_cold(), "the hosted parent warmed");
     }
 }
+
+/// Two spinners under a seeded round order, recorded with a snapshot
+/// every `every` records: four records, then one per `pad`.
+fn two_spinners(seed: u64, every: usize, pad: usize) -> (System, Pid, Pid) {
+    let cfg = SimConfig::standard().interleave_seed(seed).record(true).snapshot_every(every);
+    let mut sys = procfs::build_sim(&cfg);
+    sys.install_program("/bin/spin", tools::userland::SPIN);
+    let ctl = sys.spawn_hosted("rr-seg", Cred::superuser());
+    let spin = sys.spawn_program(ctl, "/bin/spin", &["spin"]).expect("spawn spin");
+    sys.spawn_program(ctl, "/bin/spin", &["spin"]).expect("spawn spin");
+    for i in 0..pad {
+        sys.install_dir(&format!("/pad{i}"), 0o755);
+    }
+    (sys, ctl, spin)
+}
+
+/// One step, then an open, a read and a close of the spinner's `/proc`
+/// file: four records.
+fn read_after_step(sys: &mut System, ctl: Pid, spin: Pid) {
+    sys.step();
+    let fd = sys.host_open(ctl, &format!("/proc/{:05}", spin.0), OFlags::rdonly()).expect("open");
+    let mut buf = [0u8; 64];
+    let _ = sys.host_read(ctl, fd, &mut buf);
+    sys.host_close(ctl, fd).expect("close");
+}
+
+/// One step, then a poll of `fd`: two records.
+fn poll_after_step(sys: &mut System, ctl: Pid, fd: usize) {
+    sys.step();
+    sys.poll_fd(ctl, fd).expect("poll");
+}
+
+/// Navigation at the edges of the recorder's 256-record log segments: a
+/// `goto_tick` to 255, 256, 257 or 512 resumes from the snapshot there,
+/// sharing the sealed segments below it and copying the rest, with a
+/// `Steps` record last that the next step extends. Each restored system
+/// keeps recording across the next seal, and must log exactly what a
+/// straight replay to the same tick followed by the same calls logs,
+/// and then replay in full to that log.
+#[test]
+fn goto_tick_at_segment_edges_keeps_recording_like_a_straight_run() {
+    for k in [255, 256, 257, 512] {
+        // Five records plus the padding, then steps at every other tick:
+        // the pad puts one at `k - 1`.
+        let (mut sys, ctl, spin) = two_spinners(0x5E6_0256 + k as u64, 1, k % 2);
+        let path = format!("/proc/{:05}", spin.0);
+        let fd = sys.host_open(ctl, &path, OFlags::rdonly()).expect("open");
+        while sys.recording().expect("recording on").len() < k + 16 {
+            poll_after_step(&mut sys, ctl, fd);
+        }
+        let rec = sys.recording().expect("recording on");
+        assert!(matches!(rec.records[k - 1].input, ksim::Input::Steps { .. }), "tick {k}");
+
+        let mut back = procfs::goto_tick(&sys, k).expect("goto_tick");
+        let stats = back.kernel.recorder.as_ref().expect("recorder").stats;
+        assert_eq!((stats.restores, stats.replays), (1, 0), "tick {k} did not resume at {k}");
+        let mut straight = procfs::replay_to(&rec, k).expect("replay_to");
+        for _ in 0..3 {
+            poll_after_step(&mut back, ctl, fd);
+            poll_after_step(&mut straight, ctl, fd);
+        }
+        let log = back.recording().expect("recording on");
+        assert_eq!(log.len(), k + 5, "tick {k}: the first step did not extend the last record");
+        assert_eq!(log.records, straight.recording().expect("recording on").records, "tick {k}");
+        let replayed = procfs::replay(&log).expect("the continued log replays");
+        assert_eq!(replayed.recording().expect("recording on").records, log.records, "tick {k}");
+    }
+}
+
+/// The counters that describe the log read the same on every kind of
+/// system at one position: a straight run, a full replay to it, and a
+/// snapshot resume. `inputs` is the log length, `snapshots` the size of
+/// the bank, and `steps` and `bytes_logged` what the straight run had
+/// logged there.
+#[test]
+fn log_counters_hold_on_straight_replayed_and_resumed_systems() {
+    let (mut sys, ctl, spin) = two_spinners(0xC0_0A75, 8, 0);
+    let check = |what: &str, s: &System, k: usize, want: ksim::RecStats| {
+        let r = s.kernel.recorder.as_ref().expect("recorder");
+        let st = r.stats;
+        assert_eq!((r.records.len(), st.inputs), (k, k as u64), "{what} at {k}");
+        assert_eq!(st.snapshots, r.snaps.len() as u64, "{what} at {k}: bank size");
+        assert_eq!((st.steps, st.bytes_logged), (want.steps, want.bytes_logged), "{what} at {k}");
+    };
+    let mut at = Vec::new();
+    for _ in 0..12 {
+        read_after_step(&mut sys, ctl, spin);
+        let r = sys.kernel.recorder.as_ref().expect("recorder");
+        at.push((r.records.len(), r.stats));
+        check("straight run", &sys, r.records.len(), r.stats);
+    }
+    let rec = sys.recording().expect("recording on");
+    for &(k, want) in &at {
+        check("full replay", &procfs::replay_to(&rec, k).expect("replay_to"), k, want);
+        let back = procfs::goto_tick(&sys, k).expect("goto_tick");
+        assert_eq!(back.kernel.recorder.as_ref().expect("recorder").stats.restores, 1);
+        check("snapshot resume", &back, k, want);
+    }
+}
