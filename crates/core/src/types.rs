@@ -720,7 +720,10 @@ vfs::counters! {
         icache_invalidations,
         /// Instructions retired by this process (all LWPs).
         insns,
-        /// TLB hits served straight from a cached resolved frame.
+        /// TLB hits served straight from a cached resolved frame. A read
+        /// or fetch caches the page's frame on a hit that finds none, and
+        /// a store that takes the fast path caches the frame it just
+        /// wrote, so the load that follows a store counts here.
         tlb_frame_hits,
         /// Per-page text-epoch bumps (each invalidates one page's decoded
         /// instructions and superblocks, not the whole mapping's).

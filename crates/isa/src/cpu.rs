@@ -23,7 +23,8 @@
 
 use crate::insn::{Insn, Opcode, INSN_LEN};
 use crate::reg::{FpregSet, GregSet, PSR_TRACE, REG_RA};
-use crate::sblock::{BlockSlot, SBLOCK_CAP};
+use crate::sblock::BlockSlot;
+use std::sync::Arc;
 
 /// The kind of memory access being attempted, carried in fault reports so
 /// the kernel can classify the machine fault.
@@ -84,22 +85,24 @@ pub trait Bus {
         self.fetch(addr, &mut raw)?;
         Ok(Insn::decode(&raw))
     }
-    /// Fetches a validated superblock rooted at `pc` into `out`,
-    /// returning the number of slots filled. Zero means "no block" and
-    /// the CPU falls back to [`Bus::fetch_insn`] for one instruction.
-    /// The default implementation never produces a block; bus
+    /// Lends the validated superblock trace rooted at `pc` for one
+    /// dispatch, or `None` ("no block"), in which case the CPU falls
+    /// back to [`Bus::fetch_insn`] for one instruction. The trace moves
+    /// out of the bus's cache rather than being copied, so the CPU runs
+    /// it in place while it still borrows the bus for loads and stores;
+    /// the CPU hands it back through [`Bus::end_block`] at the block's
+    /// exit. The default implementation never produces a block; bus
     /// implementations with a superblock cache override this.
-    fn fetch_block(&mut self, _pc: u64, _out: &mut [BlockSlot; SBLOCK_CAP]) -> usize {
-        0
+    fn fetch_block(&mut self, _pc: u64) -> Option<Arc<[BlockSlot]>> {
+        None
     }
-    /// Reports the outcome of executing a block previously returned by
-    /// [`Bus::fetch_block`]: the exit reason and how many of its
-    /// instructions retired.
-    fn note_block_exit(&mut self, _exit: BlockExit, _retired: u64) {}
+    /// Hands back a trace lent by [`Bus::fetch_block`], with the exit
+    /// reason and how many of its instructions retired.
+    fn end_block(&mut self, _trace: Arc<[BlockSlot]>, _exit: BlockExit, _retired: u64) {}
 }
 
 /// Why a superblock dispatch stopped; reported through
-/// [`Bus::note_block_exit`] for the per-LWP statistics.
+/// [`Bus::end_block`] for the per-LWP statistics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BlockExit {
     /// Every instruction in the block executed.
@@ -165,7 +168,8 @@ impl Cpu {
     /// condition.
     ///
     /// When the bus serves superblocks ([`Bus::fetch_block`]), whole
-    /// validated traces execute without per-instruction fetches. The
+    /// validated traces execute in place, with the instruction semantics
+    /// inlined into the block loop and no per-instruction fetch. The
     /// retirement stream is identical to the stepped path: every slot's
     /// pc is checked against the live pc before executing (a mismatch
     /// side-exits and re-dispatches), the budget is enforced per
@@ -181,64 +185,59 @@ impl Cpu {
         budget: u64,
     ) -> (u64, RunExit) {
         let mut done = 0;
-        let mut blk: [BlockSlot; SBLOCK_CAP] = [BlockSlot::default(); SBLOCK_CAP];
-        while done < budget {
+        let exit = loop {
+            if done >= budget {
+                break RunExit::Quantum;
+            }
             if g.psr & PSR_TRACE == 0 {
-                let n = bus.fetch_block(g.pc, &mut blk);
-                if n > 0 {
+                if let Some(trace) = bus.fetch_block(g.pc) {
                     let mut in_block = 0u64;
-                    let mut exited = false;
-                    for slot in blk.iter().take(n) {
+                    let mut trap = None;
+                    let mut end = BlockExit::End;
+                    for slot in trace.iter() {
                         if done >= budget {
-                            bus.note_block_exit(BlockExit::Budget, in_block);
-                            exited = true;
+                            end = BlockExit::Budget;
                             break;
                         }
                         if slot.pc != g.pc {
                             // The trace predicted a branch the machine
                             // did not take.
-                            bus.note_block_exit(BlockExit::Side, in_block);
-                            exited = true;
+                            end = BlockExit::Side;
                             break;
                         }
-                        match self.exec(slot.insn, slot.pc, g, f, bus) {
-                            Exec::Trap(ev) => {
-                                if matches!(ev, StepEvent::Syscall) {
-                                    done += 1;
-                                    in_block += 1;
-                                }
-                                bus.note_block_exit(BlockExit::Trap, in_block);
-                                self.retired += done;
-                                return (done, RunExit::Event(ev));
-                            }
-                            Exec::Done => {
+                        if let Some(ev) = Self::exec(slot.insn, slot.pc, g, f, bus) {
+                            // A syscall retires; a fault does not.
+                            if matches!(ev, StepEvent::Syscall) {
                                 done += 1;
                                 in_block += 1;
                             }
+                            end = BlockExit::Trap;
+                            trap = Some(ev);
+                            break;
                         }
-                    }
-                    if !exited {
-                        bus.note_block_exit(BlockExit::End, in_block);
-                    }
-                    continue;
-                }
-            }
-            match self.step(g, f, bus) {
-                None => done += 1,
-                Some(ev) => {
-                    // The trapping instruction retired for Syscall and
-                    // TraceTrap; faults leave the PC at the instruction and
-                    // do not count it.
-                    if matches!(ev, StepEvent::Syscall | StepEvent::TraceTrap) {
                         done += 1;
+                        in_block += 1;
                     }
-                    self.retired += done;
-                    return (done, RunExit::Event(ev));
+                    bus.end_block(trace, end, in_block);
+                    match trap {
+                        Some(ev) => break RunExit::Event(ev),
+                        None => continue,
+                    }
                 }
             }
-        }
+            if let Some(ev) = self.step(g, f, bus) {
+                // The trapping instruction retired for Syscall and
+                // TraceTrap; faults leave the PC at the instruction and
+                // do not count it.
+                if matches!(ev, StepEvent::Syscall | StepEvent::TraceTrap) {
+                    done += 1;
+                }
+                break RunExit::Event(ev);
+            }
+            done += 1;
+        };
         self.retired += done;
-        (done, RunExit::Quantum)
+        (done, exit)
     }
 
     /// Executes a single instruction. Returns `None` if execution should
@@ -256,26 +255,21 @@ impl Cpu {
             Ok(None) => return Some(StepEvent::IllegalInsn),
             Ok(Some(i)) => i,
         };
-        match self.exec(insn, pc, g, f, bus) {
-            Exec::Trap(ev) => Some(ev),
-            Exec::Done => {
-                if trace {
-                    Some(StepEvent::TraceTrap)
-                } else {
-                    None
-                }
-            }
-        }
+        Self::exec(insn, pc, g, f, bus).or(trace.then_some(StepEvent::TraceTrap))
     }
 
+    /// Executes one decoded instruction at `pc`: `None` when execution
+    /// continues, else the trap it raised. Always inlined, so the block loop
+    /// in [`Cpu::run`] carries its own copy of the instruction semantics
+    /// rather than calling out per slot.
+    #[inline(always)]
     fn exec(
-        &mut self,
         i: Insn,
         pc: u64,
         g: &mut GregSet,
         f: &mut FpregSet,
         bus: &mut impl Bus,
-    ) -> Exec {
+    ) -> Option<StepEvent> {
         use Opcode::*;
         let rd = i.rd as usize;
         let rs1 = i.rs1 as usize;
@@ -287,20 +281,20 @@ impl Cpu {
             ($v:expr) => {{
                 g.set_r(rd, $v);
                 g.pc = next;
-                Exec::Done
+                None
             }};
         }
         match i.op {
             Nop => {
                 g.pc = next;
-                Exec::Done
+                None
             }
-            Halt | Priv => Exec::Trap(StepEvent::PrivInsn),
+            Halt | Priv => Some(StepEvent::PrivInsn),
             Syscall => {
                 g.pc = next;
-                Exec::Trap(StepEvent::Syscall)
+                Some(StepEvent::Syscall)
             }
-            Bpt => Exec::Trap(StepEvent::Breakpoint),
+            Bpt => Some(StepEvent::Breakpoint),
 
             Add => alu!(g.get(rs1).wrapping_add(g.get(rs2))),
             Sub => alu!(g.get(rs1).wrapping_sub(g.get(rs2))),
@@ -308,14 +302,14 @@ impl Cpu {
             Div => {
                 let d = g.get(rs2) as i64;
                 if d == 0 {
-                    return Exec::Trap(StepEvent::DivZero);
+                    return Some(StepEvent::DivZero);
                 }
                 alu!((g.get(rs1) as i64).wrapping_div(d) as u64)
             }
             Rem => {
                 let d = g.get(rs2) as i64;
                 if d == 0 {
-                    return Exec::Trap(StepEvent::DivZero);
+                    return Some(StepEvent::DivZero);
                 }
                 alu!((g.get(rs1) as i64).wrapping_rem(d) as u64)
             }
@@ -343,7 +337,7 @@ impl Cpu {
                 let addr = g.get(rs1).wrapping_add(imm as u64);
                 let mut b = [0u8; 8];
                 if let Err(fault) = bus.load(addr, &mut b) {
-                    return Exec::Trap(StepEvent::MemFault(fault));
+                    return Some(StepEvent::MemFault(fault));
                 }
                 alu!(u64::from_le_bytes(b))
             }
@@ -351,7 +345,7 @@ impl Cpu {
                 let addr = g.get(rs1).wrapping_add(imm as u64);
                 let mut b = [0u8; 4];
                 if let Err(fault) = bus.load(addr, &mut b) {
-                    return Exec::Trap(StepEvent::MemFault(fault));
+                    return Some(StepEvent::MemFault(fault));
                 }
                 alu!(u32::from_le_bytes(b) as u64)
             }
@@ -359,42 +353,42 @@ impl Cpu {
                 let addr = g.get(rs1).wrapping_add(imm as u64);
                 let mut b = [0u8; 1];
                 if let Err(fault) = bus.load(addr, &mut b) {
-                    return Exec::Trap(StepEvent::MemFault(fault));
+                    return Some(StepEvent::MemFault(fault));
                 }
                 alu!(b[0] as u64)
             }
             St => {
                 let addr = g.get(rs1).wrapping_add(imm as u64);
                 if let Err(fault) = bus.store(addr, &g.get(rd).to_le_bytes()) {
-                    return Exec::Trap(StepEvent::MemFault(fault));
+                    return Some(StepEvent::MemFault(fault));
                 }
                 g.pc = next;
-                Exec::Done
+                None
             }
             Stw => {
                 let addr = g.get(rs1).wrapping_add(imm as u64);
                 if let Err(fault) = bus.store(addr, &(g.get(rd) as u32).to_le_bytes()) {
-                    return Exec::Trap(StepEvent::MemFault(fault));
+                    return Some(StepEvent::MemFault(fault));
                 }
                 g.pc = next;
-                Exec::Done
+                None
             }
             Stb => {
                 let addr = g.get(rs1).wrapping_add(imm as u64);
                 if let Err(fault) = bus.store(addr, &[g.get(rd) as u8]) {
-                    return Exec::Trap(StepEvent::MemFault(fault));
+                    return Some(StepEvent::MemFault(fault));
                 }
                 g.pc = next;
-                Exec::Done
+                None
             }
 
             Jmp => {
                 g.pc = pc.wrapping_add(imm as u64);
-                Exec::Done
+                None
             }
             Jmpr => {
                 g.pc = g.get(rs1);
-                Exec::Done
+                None
             }
             Beq | Bne | Blt | Bge | Bltu | Bgeu => {
                 let (a, b) = (g.get(rs1), g.get(rs2));
@@ -408,84 +402,79 @@ impl Cpu {
                     _ => unreachable!(),
                 };
                 g.pc = if taken { pc.wrapping_add(imm as u64) } else { next };
-                Exec::Done
+                None
             }
             Call => {
                 g.set_r(REG_RA, next);
                 g.pc = pc.wrapping_add(imm as u64);
-                Exec::Done
+                None
             }
             Callr => {
                 let target = g.get(rs1);
                 g.set_r(REG_RA, next);
                 g.pc = target;
-                Exec::Done
+                None
             }
 
             Fadd => {
                 f.f[rd] = f.f[rs1] + f.f[rs2];
                 g.pc = next;
-                Exec::Done
+                None
             }
             Fsub => {
                 f.f[rd] = f.f[rs1] - f.f[rs2];
                 g.pc = next;
-                Exec::Done
+                None
             }
             Fmul => {
                 f.f[rd] = f.f[rs1] * f.f[rs2];
                 g.pc = next;
-                Exec::Done
+                None
             }
             Fdiv => {
                 if f.f[rs2] == 0.0 {
                     f.fsr |= 1; // Sticky divide-by-zero flag.
-                    return Exec::Trap(StepEvent::FpErr);
+                    return Some(StepEvent::FpErr);
                 }
                 f.f[rd] = f.f[rs1] / f.f[rs2];
                 g.pc = next;
-                Exec::Done
+                None
             }
             Fld => {
                 let addr = g.get(rs1).wrapping_add(imm as u64);
                 let mut b = [0u8; 8];
                 if let Err(fault) = bus.load(addr, &mut b) {
-                    return Exec::Trap(StepEvent::MemFault(fault));
+                    return Some(StepEvent::MemFault(fault));
                 }
                 f.f[rd] = f64::from_bits(u64::from_le_bytes(b));
                 g.pc = next;
-                Exec::Done
+                None
             }
             Fst => {
                 let addr = g.get(rs1).wrapping_add(imm as u64);
                 if let Err(fault) = bus.store(addr, &f.f[rd].to_bits().to_le_bytes()) {
-                    return Exec::Trap(StepEvent::MemFault(fault));
+                    return Some(StepEvent::MemFault(fault));
                 }
                 g.pc = next;
-                Exec::Done
+                None
             }
             CvtIF => {
                 f.f[rd] = g.get(rs1) as i64 as f64;
                 g.pc = next;
-                Exec::Done
+                None
             }
             CvtFI => {
                 g.set_r(rd, f.f[rs1] as i64 as u64);
                 g.pc = next;
-                Exec::Done
+                None
             }
             Fmovi => {
                 f.f[rd] = i.imm as f64;
                 g.pc = next;
-                Exec::Done
+                None
             }
         }
     }
-}
-
-enum Exec {
-    Done,
-    Trap(StepEvent),
 }
 
 #[cfg(test)]
@@ -493,6 +482,7 @@ mod tests {
     use super::*;
     use crate::insn::Insn;
     use crate::reg::PSR_TRACE;
+    use crate::sblock::SBLOCK_CAP;
     use std::collections::HashMap;
 
     /// A flat test memory: every address is mapped and writable.
@@ -720,6 +710,152 @@ mod tests {
         assert_eq!(exit, RunExit::Quantum);
         assert_eq!(n, 100);
         assert_eq!(cpu.retired, 100);
+    }
+
+    /// A `FlatMem` that also serves one superblock, lent at its head pc,
+    /// and logs how each dispatch ended.
+    struct BlockMem {
+        mem: FlatMem,
+        trace: Option<Arc<[BlockSlot]>>,
+        exits: Vec<(BlockExit, u64)>,
+    }
+
+    impl Bus for BlockMem {
+        fn fetch(&mut self, addr: u64, buf: &mut [u8; 8]) -> Result<(), BusFault> {
+            self.mem.fetch(addr, buf)
+        }
+        fn load(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), BusFault> {
+            self.mem.load(addr, buf)
+        }
+        fn store(&mut self, addr: u64, data: &[u8]) -> Result<(), BusFault> {
+            self.mem.store(addr, data)
+        }
+        fn fetch_block(&mut self, pc: u64) -> Option<Arc<[BlockSlot]>> {
+            if self.trace.as_ref()?.first()?.pc == pc {
+                self.trace.take()
+            } else {
+                None
+            }
+        }
+        fn end_block(&mut self, trace: Arc<[BlockSlot]>, exit: BlockExit, retired: u64) {
+            self.exits.push((exit, retired));
+            self.trace = Some(trace);
+        }
+    }
+
+    const BASE: u64 = 0x1000;
+
+    /// `n` dependent ALU instructions: each one changes architectural
+    /// state, so a retirement off by one shows in the registers.
+    fn alu_code(n: usize) -> Vec<Insn> {
+        use Opcode::*;
+        (0..n as i32)
+            .map(|i| match i % 3 {
+                0 => Insn::iform(Addi, 2, 2, i + 1),
+                1 => Insn::iform(Muli, 3, 2, 3),
+                _ => Insn::rform(Xor, 2, 2, 3),
+            })
+            .collect()
+    }
+
+    /// The straight-line trace of `code`'s first `SBLOCK_CAP` slots, as a
+    /// builder that predicts every branch falls through would make it.
+    fn straight_trace(code: &[Insn]) -> Vec<BlockSlot> {
+        code.iter()
+            .take(SBLOCK_CAP)
+            .enumerate()
+            .map(|(i, &insn)| BlockSlot { pc: BASE + 8 * i as u64, insn })
+            .collect()
+    }
+
+    /// Registers after `Cpu::step` ran `n` instructions of `code`.
+    fn stepped(code: &[Insn], n: u64) -> GregSet {
+        let mut mem = FlatMem::default();
+        mem.install(BASE, code);
+        let (mut g, mut f, mut cpu) = (GregSet::at(BASE), FpregSet::default(), Cpu::new());
+        for i in 0..n {
+            assert_eq!(cpu.step(&mut g, &mut f, &mut mem), None, "step {i}");
+        }
+        g
+    }
+
+    /// `Cpu::run` over `code` with `trace` served as the block at `BASE`:
+    /// the registers, the retired count, the exit and each dispatch's
+    /// exit.
+    fn dispatched(
+        code: &[Insn],
+        trace: Vec<BlockSlot>,
+        budget: u64,
+    ) -> (GregSet, u64, RunExit, Vec<(BlockExit, u64)>) {
+        let mut bus =
+            BlockMem { mem: FlatMem::default(), trace: Some(trace.into()), exits: vec![] };
+        bus.mem.install(BASE, code);
+        let (mut g, mut f, mut cpu) = (GregSet::at(BASE), FpregSet::default(), Cpu::new());
+        let (n, exit) = cpu.run(&mut g, &mut f, &mut bus, budget);
+        assert_eq!(cpu.retired, n);
+        (g, n, exit, bus.exits)
+    }
+
+    /// A budget that expires at any slot of a full block retires exactly
+    /// the instructions `Cpu::step` would, and counts them as the block's.
+    #[test]
+    fn budget_expiring_at_each_slot_retires_like_step() {
+        let code = alu_code(SBLOCK_CAP);
+        for budget in 0..=SBLOCK_CAP as u64 {
+            let (g, n, exit, exits) = dispatched(&code, straight_trace(&code), budget);
+            assert_eq!((n, exit), (budget, RunExit::Quantum));
+            assert_eq!(g, stepped(&code, budget), "budget {budget}");
+            let want = match budget {
+                0 => vec![],
+                b if b == SBLOCK_CAP as u64 => vec![(BlockExit::End, b)],
+                b => vec![(BlockExit::Budget, b)],
+            };
+            assert_eq!(exits, want, "budget {budget}");
+        }
+    }
+
+    /// A branch the trace predicted wrongly side-exits at the next slot,
+    /// whichever slot that is; the stepped instructions that follow
+    /// leave the same registers and pc as stepping all the way.
+    #[test]
+    fn side_exit_at_each_slot_retires_like_step() {
+        for k in 1..SBLOCK_CAP {
+            // Slot k-1 always branches over slot k; the trace predicted
+            // it falls through, so slot k's pc is wrong.
+            let mut code = alu_code(SBLOCK_CAP + 16);
+            code[k - 1] = Insn { op: Opcode::Beq, rd: 0, rs1: 0, rs2: 0, imm: 16 };
+            let budget = SBLOCK_CAP as u64 + 8;
+            let (g, n, exit, exits) = dispatched(&code, straight_trace(&code), budget);
+            assert_eq!((n, exit), (budget, RunExit::Quantum));
+            assert_eq!(g, stepped(&code, budget), "side exit at slot {k}");
+            assert_eq!(exits, vec![(BlockExit::Side, k as u64)], "side exit at slot {k}");
+        }
+    }
+
+    /// A trap at any slot ends the dispatch there with `Cpu::step`'s
+    /// accounting: a syscall retires and leaves the pc past it, a fault
+    /// does not retire and leaves the pc at it.
+    #[test]
+    fn trap_at_each_slot_retires_like_step() {
+        use Opcode::*;
+        for k in 0..SBLOCK_CAP {
+            for (trap, ev, retires) in [
+                (Insn::bare(Syscall), StepEvent::Syscall, 1),
+                (Insn::rform(Div, 4, 2, 0), StepEvent::DivZero, 0),
+            ] {
+                let mut code = alu_code(SBLOCK_CAP);
+                code[k] = trap;
+                let (g, n, exit, exits) = dispatched(&code, straight_trace(&code), 64);
+                let mut want = stepped(&code, k as u64);
+                if retires == 1 {
+                    want.pc += INSN_LEN;
+                }
+                let n_want = k as u64 + retires;
+                assert_eq!((n, exit), (n_want, RunExit::Event(ev)), "{ev:?} at slot {k}");
+                assert_eq!(g, want, "{ev:?} at slot {k}");
+                assert_eq!(exits, vec![(BlockExit::Trap, n_want)], "{ev:?} at slot {k}");
+            }
+        }
     }
 }
 

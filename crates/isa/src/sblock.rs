@@ -26,7 +26,7 @@
 //!
 //! Like the icache, this cache is policy-free: the kernel's bus decides
 //! what is traceable (see `sblock_slot` in the VM layer) and validates
-//! stamps; the cache stores and serves.
+//! stamps; the cache stores the blocks and lends a trace to each dispatch.
 
 use std::sync::Arc;
 
@@ -81,8 +81,8 @@ pub struct SuperBlock {
     /// Object-store content generation at build time.
     pub content_gen: u64,
     /// The traced instructions, in predicted execution order (`None` in
-    /// an empty way). A trace never changes once built, so clones of the
-    /// cache share it.
+    /// an empty way and while the trace is lent to a dispatch). A trace
+    /// never changes once built, so clones of the cache share it.
     pub slots: Option<Arc<[BlockSlot]>>,
 }
 
@@ -132,8 +132,8 @@ pub struct SBlockCache {
     /// Empty while cold, else `SBLOCK_SETS * SBLOCK_ASSOC` entries,
     /// set-major.
     ways: Vec<SuperBlock>,
-    /// Per-set index of the most recently probed-or-inserted way (empty
-    /// while cold).
+    /// Per-set index of the most recently probed (for a lend) or
+    /// inserted way (empty while cold).
     mru: Vec<u8>,
     stats: SBlockStats,
 }
@@ -192,24 +192,60 @@ impl SBlockCache {
         (((pc >> 3) ^ (pc >> 8)) as usize) & (SBLOCK_SETS - 1)
     }
 
-    /// Returns the block rooted at exactly `pc`, if one is installed,
-    /// and marks its way most-recently-used (a cold cache misses). The
-    /// caller must still validate the stamps; call
-    /// [`SBlockCache::note_stale`] when they have moved.
+    /// The table index of the block rooted at exactly `pc`, if one is
+    /// installed (a cold cache misses).
     #[inline]
-    pub fn probe(&mut self, pc: u64) -> Option<&SuperBlock> {
+    fn find(&self, pc: u64) -> Option<usize> {
         if self.ways.is_empty() {
             return None;
         }
         let set = Self::index(pc);
-        for way in 0..SBLOCK_ASSOC {
-            let b = &self.ways[set * SBLOCK_ASSOC + way];
-            if b.as_gen != 0 && b.start_pc == pc {
-                self.mru[set] = way as u8;
-                return Some(&self.ways[set * SBLOCK_ASSOC + way]);
-            }
+        (set * SBLOCK_ASSOC..(set + 1) * SBLOCK_ASSOC).find(|&i| {
+            let b = &self.ways[i];
+            b.as_gen != 0 && b.start_pc == pc
+        })
+    }
+
+    /// The block rooted at exactly `pc`, if one is installed.
+    #[cfg(test)]
+    fn probe(&self, pc: u64) -> Option<&SuperBlock> {
+        self.find(pc).map(|i| &self.ways[i])
+    }
+
+    /// Probes for the block rooted at `pc` and, when `valid` accepts its
+    /// stamps, lends its trace for one dispatch and counts the dispatch.
+    /// A block that `valid` rejects counts as stale and stays installed
+    /// until a rebuild replaces it. The trace moves out of its way rather
+    /// than being copied or shared, so a dispatch costs no refcount
+    /// traffic; the way keeps its stamps, and [`SBlockCache::give_back`]
+    /// restores the trace when the dispatch ends. Nothing else may touch
+    /// the cache while a trace is out.
+    #[inline]
+    pub fn lend(
+        &mut self,
+        pc: u64,
+        valid: impl FnOnce(&SuperBlock) -> bool,
+    ) -> Option<Arc<[BlockSlot]>> {
+        let i = self.find(pc)?;
+        self.mru[i / SBLOCK_ASSOC] = (i % SBLOCK_ASSOC) as u8;
+        if !valid(&self.ways[i]) {
+            self.stats.stale += 1;
+            return None;
         }
-        None
+        self.stats.dispatched += 1;
+        self.ways[i].slots.take()
+    }
+
+    /// Returns a trace lent by [`SBlockCache::lend`] to its way and
+    /// records how the dispatch ended and how many instructions it
+    /// retired.
+    #[inline]
+    pub fn give_back(&mut self, trace: Arc<[BlockSlot]>, exit: BlockExit, retired: u64) {
+        self.note_exit(exit, retired);
+        let Some(i) = trace.first().and_then(|s| self.find(s.pc)) else { return };
+        let way = &mut self.ways[i];
+        debug_assert!(way.slots.is_none(), "a trace came back to a way that holds one");
+        way.slots.get_or_insert(trace);
     }
 
     /// Installs (or replaces) the block rooted at its `start_pc`. An
@@ -234,15 +270,9 @@ impl SBlockCache {
         self.mru[set] = way as u8;
     }
 
-    /// Records a block dispatch.
-    #[inline]
-    pub fn note_dispatch(&mut self) {
-        self.stats.dispatched += 1;
-    }
-
     /// Records how a dispatch ended and how many instructions it
     /// retired.
-    pub fn note_exit(&mut self, exit: BlockExit, retired: u64) {
+    fn note_exit(&mut self, exit: BlockExit, retired: u64) {
         self.stats.insns += retired;
         match exit {
             BlockExit::End => self.stats.exit_end += 1,
@@ -250,12 +280,6 @@ impl SBlockCache {
             BlockExit::Trap => self.stats.exit_trap += 1,
             BlockExit::Budget => self.stats.exit_budget += 1,
         }
-    }
-
-    /// Records a probe that matched on pc but failed stamp validation.
-    #[inline]
-    pub fn note_stale(&mut self) {
-        self.stats.stale += 1;
     }
 
     /// Drops every block (exec within the same LWP identity). The table,
@@ -355,7 +379,7 @@ mod tests {
         for (i, &pc) in pcs.iter().enumerate() {
             c.insert(block(pc, 1, i + 2));
         }
-        c.note_stale();
+        assert!(c.lend(0x1000, |_| false).is_none(), "a rejected block lent its trace");
         let mut d = c.clone();
         for &pc in &pcs {
             let a = c.probe(pc).and_then(|b| b.slots.clone()).expect("original");
@@ -370,5 +394,23 @@ mod tests {
         assert_eq!(d.probe(0x1000).map(|b| (b.as_gen, b.trace().len())), Some((2, 9)));
         assert_eq!(c.probe(0x1000).map(|b| (b.as_gen, b.trace().len())), Some((1, 2)));
         assert_eq!(c.stats().built + 1, d.stats().built);
+    }
+
+    #[test]
+    fn a_lent_trace_moves_out_and_comes_back_to_its_way() {
+        let mut c = SBlockCache::new();
+        c.insert(block(0x1000, 3, 5));
+        let first = c.probe(0x1000).and_then(|b| b.slots.as_ref().map(Arc::as_ptr));
+        let lent = c.lend(0x1000, |b| b.as_gen == 3).expect("valid block");
+        assert!(c.probe(0x1000).is_some_and(|b| b.slots.is_none()), "the trace was copied");
+        c.give_back(lent, BlockExit::Side, 2);
+        let b = c.probe(0x1000).expect("still installed");
+        assert_eq!(b.slots.as_ref().map(Arc::as_ptr), first, "another trace came back");
+        let st = c.stats();
+        assert_eq!((st.built, st.dispatched, st.insns, st.exit_side, st.stale), (1, 1, 2, 1, 0));
+        // A rejected block lends nothing, counts stale and stays put.
+        assert!(c.lend(0x1000, |b| b.as_gen == 4).is_none());
+        assert_eq!(c.stats().stale, 1);
+        assert_eq!(c.probe(0x1000).map(|b| b.trace().len()), Some(5));
     }
 }

@@ -403,21 +403,20 @@ impl Input {
     }
 }
 
-/// Encodes a `SysResult<T>` for the digest: an ok/err tag, the errno on
-/// failure, and the caller-visible payload (via `ok`) on success.
-pub fn result_bytes<T>(r: &SysResult<T>, ok: impl FnOnce(&T, &mut Vec<u8>)) -> Vec<u8> {
-    let mut out = Vec::new();
+/// Encodes a `SysResult<T>` for the digest into `out`: an ok/err tag,
+/// the errno on failure, and the caller-visible payload (via `ok`) on
+/// success.
+pub fn encode_result<T>(r: &SysResult<T>, ok: impl FnOnce(&T, &mut Vec<u8>), out: &mut Vec<u8>) {
     match r {
         Ok(v) => {
             out.push(1);
-            ok(v, &mut out);
+            ok(v, out);
         }
         Err(e) => {
             out.push(0);
             out.extend_from_slice(&(*e as i32).to_le_bytes());
         }
     }
-    out
 }
 
 /// Encodes a poll-status vector (3 bits per descriptor).
@@ -664,7 +663,7 @@ pub struct Recorder {
     pub snaps: Vec<Arc<Snap>>,
     /// Counters behind `PIOCRECSTATS`.
     pub stats: RecStats,
-    /// Reused buffer for each input's digest encoding.
+    /// Reused buffer for each input's and each result's digest encoding.
     scratch: Vec<u8>,
 }
 
@@ -683,13 +682,18 @@ impl Recorder {
         }
     }
 
-    /// Commits one non-step input with its encoded result.
-    pub fn commit(&mut self, input: Input, result: &[u8], clock: u64) {
+    /// Commits one non-step input with its result, which `result`
+    /// encodes into the recorder's scratch buffer after the input's own
+    /// encoding has been folded, so a commit allocates nothing for
+    /// either.
+    pub fn commit(&mut self, input: Input, clock: u64, result: impl FnOnce(&mut Vec<u8>)) {
         let mut h = self.fold_input(&input);
-        h = fnv_fold(h, result);
+        self.scratch.clear();
+        result(&mut self.scratch);
+        h = fnv_fold(h, &self.scratch);
         h = fnv_fold(h, &clock.to_le_bytes());
         self.stats.inputs += 1;
-        self.stats.bytes_logged += result.len() as u64;
+        self.stats.bytes_logged += self.scratch.len() as u64;
         self.records.push(Record { input, digest: h });
     }
 
@@ -784,7 +788,8 @@ mod tests {
     fn digest_covers_input_result_and_clock() {
         let mk = |data: &[u8], res: &[u8], clock: u64| {
             let mut r = Recorder::new(SimConfig::new());
-            r.commit(Input::HostWrite { pid: 2, fd: 3, data: data.to_vec() }, res, clock);
+            let input = Input::HostWrite { pid: 2, fd: 3, data: data.to_vec() };
+            r.commit(input, clock, |out| out.extend_from_slice(res));
             r.records.last().map(|r| r.digest)
         };
         let base = mk(b"abc", b"ok", 7);
@@ -811,9 +816,9 @@ mod tests {
         assert!(r.wants_snapshot(false));
         r.push_snap(Box::new(Kernel::new()), vfs::MemFs::new(), Vec::new());
         assert!(!r.wants_snapshot(false));
-        r.commit(Input::HostWait { pid: 1 }, b"", 0);
+        r.commit(Input::HostWait { pid: 1 }, 0, |_| {});
         assert!(!r.wants_snapshot(false));
-        r.commit(Input::HostWait { pid: 1 }, b"", 1);
+        r.commit(Input::HostWait { pid: 1 }, 1, |_| {});
         assert!(r.wants_snapshot(false));
         assert!(!r.wants_snapshot(true));
         assert_eq!(r.nearest_snap(1).map(|s| s.pos), Some(0));
@@ -869,14 +874,14 @@ mod tests {
     fn steps_coalesce_in_a_full_tail_and_right_after_a_seal() {
         let mut r = Recorder::new(SimConfig::new());
         for i in 0..RECORDS_PER_SEGMENT - 1 {
-            r.commit(Input::HostWait { pid: 1 }, b"", i as u64);
+            r.commit(Input::HostWait { pid: 1 }, i as u64, |_| {});
         }
         r.commit_step(true, 1000);
         r.commit_step(true, 1001);
         assert_eq!((r.records.len(), r.records.sealed.len()), (RECORDS_PER_SEGMENT, 0));
         assert_eq!(r.records.last().map(|x| &x.input), Some(&Input::Steps { n: 2 }));
 
-        r.commit(Input::HostWait { pid: 1 }, b"", 1002);
+        r.commit(Input::HostWait { pid: 1 }, 1002, |_| {});
         r.commit_step(false, 1003);
         r.commit_step(true, 1004);
         assert_eq!((r.records.len(), r.records.sealed.len()), (RECORDS_PER_SEGMENT + 2, 1));
@@ -892,13 +897,13 @@ mod tests {
             // The straight run: `p - 1` inputs, then two coalesced steps.
             let mut straight = Recorder::new(SimConfig::new());
             for i in 0..p - 1 {
-                straight.commit(Input::HostWait { pid: 1 }, b"", i as u64);
+                straight.commit(Input::HostWait { pid: 1 }, i as u64, |_| {});
             }
             straight.commit_step(true, 5000);
             let mut long = Recorder::new(SimConfig::new());
             long.records = straight.records.clone();
             for i in 0..2 * RECORDS_PER_SEGMENT {
-                long.commit(Input::HostWait { pid: 2 }, b"", i as u64);
+                long.commit(Input::HostWait { pid: 2 }, i as u64, |_| {});
             }
             straight.commit_step(true, 5001);
 

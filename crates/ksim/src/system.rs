@@ -22,6 +22,7 @@ use crate::record::{self, Input, Recorder, Recording};
 use crate::signal::{SIGCHLD, SIGKILL, SIGPIPE, SIGSEGV};
 use crate::sysno::SYS_FORK;
 use isa::{Access, Bus, BusFault, BusFaultKind, Cpu, RunExit, StepEvent, PSR_ERR, PSR_TRACE};
+use std::sync::Arc;
 use vfs::{
     Cred, DirEntry, Errno, FileSystem, IoReply, IoctlReply, Metadata, MountTable, NodeId, OFlags,
     Pid, PollStatus, SysResult,
@@ -215,10 +216,12 @@ impl System {
         }
     }
 
-    fn rec_commit(&mut self, input: Input, result: &[u8]) {
+    /// Commits `input` to the recorder, with the result that `result`
+    /// encodes into the recorder's scratch buffer.
+    fn rec_commit(&mut self, input: Input, result: impl FnOnce(&mut Vec<u8>)) {
         let clock = self.kernel.clock;
         if let Some(r) = self.kernel.recorder.as_mut() {
-            r.commit(input, result, clock);
+            r.commit(input, clock, result);
         }
     }
 
@@ -238,8 +241,7 @@ impl System {
         self.rec_suppress(true);
         let r = f(self);
         self.rec_suppress(false);
-        let res = record::result_bytes(&r, enc);
-        self.rec_commit(input(), &res);
+        self.rec_commit(input(), |out| record::encode_result(&r, enc, out));
         r
     }
 
@@ -269,7 +271,7 @@ impl System {
         if self.rec_active() {
             self.rec_commit(
                 Input::InstallFile { path: path.to_string(), mode, bytes: bytes.to_vec() },
-                &[],
+                |_| {},
             );
         }
     }
@@ -282,7 +284,7 @@ impl System {
         let id = self.memfs_mut().mkdir_p(&parts);
         self.memfs_mut().set_mode(id, mode);
         if self.rec_active() {
-            self.rec_commit(Input::InstallDir { path: path.to_string(), mode }, &[]);
+            self.rec_commit(Input::InstallDir { path: path.to_string(), mode }, |_| {});
         }
     }
 
@@ -951,9 +953,10 @@ impl System {
         self.rec_snapshot_if_due(false);
         let pid = self.kernel.new_proc(Pid(1), Pid(1), Pid(1), cred.clone(), name, true);
         if self.rec_active() {
-            let mut res = vec![1u8];
-            res.extend_from_slice(&pid.0.to_le_bytes());
-            self.rec_commit(Input::SpawnHosted { name: name.to_string(), cred }, &res);
+            self.rec_commit(Input::SpawnHosted { name: name.to_string(), cred }, |out| {
+                out.push(1);
+                out.extend_from_slice(&pid.0.to_le_bytes());
+            });
         }
         pid
     }
@@ -1946,11 +1949,17 @@ impl System {
         self.rec_suppress(true);
         let r = self.host_read_inner(cur, fd, buf);
         self.rec_suppress(false);
-        let res = record::result_bytes(&r, |n, out| {
-            out.extend_from_slice(&(*n as u64).to_le_bytes());
-            out.extend_from_slice(&buf[..*n]);
+        let input = Input::HostRead { pid: cur.0, fd: fd as u32, len: buf.len() as u32 };
+        self.rec_commit(input, |out| {
+            record::encode_result(
+                &r,
+                |n, out| {
+                    out.extend_from_slice(&(*n as u64).to_le_bytes());
+                    out.extend_from_slice(&buf[..*n]);
+                },
+                out,
+            )
         });
-        self.rec_commit(Input::HostRead { pid: cur.0, fd: fd as u32, len: buf.len() as u32 }, &res);
         r
     }
 
@@ -2280,24 +2289,20 @@ impl ProcBus<'_> {
         }
     }
 
-    /// Traces and installs a superblock rooted at `start`, filling `out`
-    /// for immediate dispatch. Returns 0 when `start` is not
-    /// block-eligible (writable/shared/watched text, unmapped, or an
+    /// Traces and installs a superblock rooted at `start`, then lends
+    /// its trace for immediate dispatch. Returns `None` when `start` is
+    /// not block-eligible (writable/shared/watched text, unmapped, or an
     /// undecodable first instruction).
-    fn build_block(&mut self, start: u64, out: &mut [isa::BlockSlot; isa::SBLOCK_CAP]) -> usize {
+    fn build_block(&mut self, start: u64) -> Option<Arc<[isa::BlockSlot]>> {
         let ProcBus { asp, store, icache, sblocks } = self;
-        let Some((map_idx, epoch)) = asp.sblock_slot(start, isa::INSN_LEN) else {
-            return 0;
-        };
+        let (map_idx, epoch) = asp.sblock_slot(start, isa::INSN_LEN)?;
         let page = start / vm::PAGE_SIZE;
         let store: &vm::ObjectStore = store;
         // The whole trace stays on the root page: one lent page serves
         // every decode, one epoch stamp covers every slot, and crossing
         // into a page with different eligibility or epoch state would
         // need its own validation.
-        let Some(text) = asp.text_page(store, map_idx, page) else {
-            return 0;
-        };
+        let text = asp.text_page(store, map_idx, page)?;
         let stamp = isa::InsnSlot {
             pc: start,
             as_gen: asp.generation(),
@@ -2306,6 +2311,7 @@ impl ProcBus<'_> {
             content_gen: store.content_gen,
             insn: isa::Insn::bare(isa::Opcode::Nop),
         };
+        let mut out = [isa::BlockSlot::default(); isa::SBLOCK_CAP];
         let mut n = 0;
         let mut pc = start;
         while n < isa::SBLOCK_CAP {
@@ -2321,7 +2327,7 @@ impl ProcBus<'_> {
             }
         }
         if n == 0 {
-            return 0;
+            return None;
         }
         sblocks.insert(isa::SuperBlock {
             start_pc: start,
@@ -2331,8 +2337,7 @@ impl ProcBus<'_> {
             content_gen: stamp.content_gen,
             slots: Some(out[..n].into()),
         });
-        sblocks.note_dispatch();
-        n
+        sblocks.lend(start, |_| true)
     }
 }
 
@@ -2376,28 +2381,21 @@ impl Bus for ProcBus<'_> {
         Ok(insn)
     }
 
-    fn fetch_block(&mut self, pc: u64, out: &mut [isa::BlockSlot; isa::SBLOCK_CAP]) -> usize {
+    fn fetch_block(&mut self, pc: u64) -> Option<Arc<[isa::BlockSlot]>> {
         if !self.asp.fast_path_enabled() {
-            return 0;
+            return None;
         }
-        if let Some(b) = self.sblocks.probe(pc) {
-            if b.as_gen == self.asp.generation()
-                && self.asp.page_epoch_at(b.map_idx as usize, pc) == Some(b.epoch)
-                && self.store.content_gen == b.content_gen
-            {
-                let trace = b.trace();
-                let n = trace.len().min(isa::SBLOCK_CAP);
-                out[..n].copy_from_slice(&trace[..n]);
-                self.sblocks.note_dispatch();
-                return n;
-            }
-            self.sblocks.note_stale();
-        }
-        self.build_block(pc, out)
+        let ProcBus { asp, store, sblocks, .. } = self;
+        let lent = sblocks.lend(pc, |b| {
+            b.as_gen == asp.generation()
+                && asp.page_epoch_at(b.map_idx as usize, pc) == Some(b.epoch)
+                && store.content_gen == b.content_gen
+        });
+        lent.or_else(|| self.build_block(pc))
     }
 
-    fn note_block_exit(&mut self, exit: isa::BlockExit, retired: u64) {
-        self.sblocks.note_exit(exit, retired);
+    fn end_block(&mut self, trace: Arc<[isa::BlockSlot]>, exit: isa::BlockExit, retired: u64) {
+        self.sblocks.give_back(trace, exit, retired);
     }
 
     fn fetch(&mut self, addr: u64, buf: &mut [u8; 8]) -> Result<(), BusFault> {

@@ -677,13 +677,21 @@ pub struct WireReader<'a> {
 /// Result alias for wire parsing.
 pub type WireResult<T> = Result<T, WireError>;
 
+/// Initial capacity of a message body. Every request and reply without
+/// a name or data payload fits: the largest, an `open` request whose
+/// credential lists three supplementary groups, is 61 bytes. So a body
+/// grows only to carry a name, a longer group list or data.
+const WIRE_BODY_CAP: usize = 64;
+
 impl Wire {
     fn new(op: u8) -> Wire {
-        Wire(vec![op])
+        let mut body = Vec::with_capacity(WIRE_BODY_CAP);
+        body.push(op);
+        Wire(body)
     }
     /// A success reply: status byte 0, then the operation's result.
     fn ok() -> Wire {
-        Wire(vec![0])
+        Wire::new(0)
     }
     fn u8(mut self, v: u8) -> Wire {
         self.0.push(v);
@@ -1191,6 +1199,10 @@ pub struct WireSession<K> {
     resolved: Vec<u64>,
     /// Server-side dedup window: `(tag, cached response body)`.
     dedup: VecDeque<(u64, Vec<u8>)>,
+    /// At least every tag in `dedup`, so a request with a newer tag (every
+    /// fresh sequenced op) skips the window scan. Host-side only: restore
+    /// re-derives it from the window.
+    dedup_newest: u64,
     /// Seeded service-jitter stream: reorders reply completions.
     jitter: u64,
     stats: WireStats,
@@ -1228,6 +1240,7 @@ impl<K> WireSession<K> {
             inflight: BTreeMap::new(),
             resolved: Vec::new(),
             dedup: VecDeque::new(),
+            dedup_newest: 0,
             jitter: 0x5EED_0F0F_CAFE_F00D,
             stats: WireStats::default(),
             sessions: Vec::new(),
@@ -1490,7 +1503,7 @@ impl<K> WireSession<K> {
     fn handle_request(&mut self, k: &mut K, sid: u32, tag: u64, body: &[u8]) {
         let op = body.first().copied().unwrap_or(0);
         let class = op_class(op);
-        let cached = (class == OpClass::Sequenced)
+        let cached = (class == OpClass::Sequenced && tag <= self.dedup_newest)
             .then(|| self.dedup.iter().find(|(t, _)| *t == tag).map(|(_, b)| encode_frame(tag, b)))
             .flatten();
         let frame = match cached {
@@ -1506,6 +1519,7 @@ impl<K> WireSession<K> {
                 self.track_tokens(sid, op, body, &resp);
                 let frame = encode_frame(tag, &resp);
                 if class == OpClass::Sequenced {
+                    self.dedup_newest = self.dedup_newest.max(tag);
                     self.dedup.push_back((tag, resp));
                     if self.dedup.len() > DEDUP_WINDOW {
                         self.dedup.pop_front();
@@ -1855,6 +1869,7 @@ impl<K> WireSession<K> {
         self.resolved =
             self.inflight.iter().filter(|(_, op)| op.done.is_some()).map(|(t, _)| *t).collect();
         self.dedup = snap.dedup.iter().cloned().collect();
+        self.dedup_newest = snap.dedup.iter().map(|(t, _)| *t).max().unwrap_or(0);
         self.jitter = snap.jitter;
         self.stats = snap.stats;
         self.sessions = snap.sessions.clone();
@@ -3239,5 +3254,38 @@ mod tests {
         let mut buf = [0u8; 9];
         rfs.read(&mut (), P, log, tok, 0, &mut buf).expect("read");
         assert_eq!(&buf, b"untouched", "no forged write ever applied");
+    }
+
+    #[test]
+    fn a_restored_dedup_window_answers_a_replayed_write() {
+        let tag = 1 << 40;
+        let fresh = || {
+            let mut fs = MemFs::<()>::new();
+            fs.install("/log", 0o644, 0, 0, Vec::new());
+            let r = RemoteFs::new(Box::new(fs));
+            let c = r.client();
+            (r, c)
+        };
+        let (mut r, c) = fresh();
+        let log = r.lookup(&mut (), P, NodeId(0), "log").expect("log");
+        let frame = encode_frame(tag, &marshal_write(P, log, OpenToken(0), 0, b"once"));
+        c.inject_inbound(&mut (), &frame);
+        while c.pump(&mut ()) {}
+        let snap = r.snapshot_wire();
+
+        // The snapshot restores over a file system that never saw the
+        // write: a replay of the tag must come from the restored window,
+        // not run again.
+        let (mut r2, c2) = fresh();
+        r2.restore_wire(&snap);
+        let hits = r2.stats().dedup_hits;
+        c2.inject_inbound(&mut (), &frame);
+        while c2.pump(&mut ()) {}
+        assert_eq!(r2.stats().dedup_hits, hits + 1, "the replay missed the restored window");
+        let cred = Cred::superuser();
+        let tok = r2.open(&mut (), P, log, OFlags::rdonly(), &cred).expect("open");
+        let mut buf = [0u8; 4];
+        let got = r2.read(&mut (), P, log, tok, 0, &mut buf).expect("read");
+        assert_eq!(got, IoReply::Done(0), "the replayed write ran again");
     }
 }

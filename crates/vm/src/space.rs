@@ -69,7 +69,8 @@ struct TlbEntry {
     /// screen before moving any data.
     watched: bool,
     /// Resolved frame for the page (overlay or object), or `None` when
-    /// not yet resolved / evicted by a store.
+    /// not yet resolved, or evicted by a write the fast path did not
+    /// serve.
     frame: Option<PageFrame>,
     /// Space frame generation at frame-resolve time.
     frame_stamp: u64,
@@ -83,8 +84,10 @@ struct TlbEntry {
 pub struct TlbStats {
     /// Accesses served entirely from a TLB line.
     pub hits: u64,
-    /// Hits additionally served from a cached frame pointer (no
-    /// overlay/object walk at all).
+    /// Read and fetch hits additionally served from a cached frame
+    /// pointer (no overlay/object walk at all). Reads and fetches cache
+    /// the frame on a hit that finds none; fast stores cache the frame
+    /// they just wrote.
     pub frame_hits: u64,
     /// Fast-path-eligible accesses that fell through to the slow path.
     pub misses: u64,
@@ -429,24 +432,38 @@ impl AddressSpace {
         true
     }
 
-    /// Resolves the current frame for the page under `addr` and caches
-    /// it in the page's TLB line, stamped with the current frame and
-    /// content generations. Absent (zero-fill) pages and object pages
-    /// behind an unaligned `obj_off` are not cached.
-    fn cache_frame(&mut self, store: &ObjectStore, mi: usize, addr: u64) {
+    /// Serves a read/fetch hit whose line holds no valid frame: resolves
+    /// the page's current frame with one overlay walk, copies from it and
+    /// caches it in the page's TLB line, stamped with the current frame
+    /// and content generations. Absent (zero-fill) pages and object pages
+    /// behind an unaligned `obj_off` are read through the object and not
+    /// cached. Mirrors one `page_chunks` step of
+    /// [`AddressSpace::kernel_read`].
+    fn copy_and_cache(&mut self, store: &ObjectStore, mi: usize, addr: u64, buf: &mut [u8]) {
         let m = &self.maps[mi];
         let vpage = addr / PAGE_SIZE;
         let Some(Some(frame)) = Self::backing_frame(m, store, vpage - m.base / PAGE_SIZE) else {
+            // No overlay frame: the bytes come from the object.
+            store.get(m.object).read_at(m.obj_off + (addr - m.base), buf);
             return;
         };
+        let off = (addr % PAGE_SIZE) as usize;
+        buf.copy_from_slice(&frame.bytes()[off..off + buf.len()]);
         let frame = frame.clone();
+        self.set_frame(vpage, frame, store.content_gen);
+    }
+
+    /// Caches `frame` in the TLB line of `vpage`, stamped with the
+    /// current frame generation and content generation `cgen`. The line
+    /// must already translate `vpage` (a hit just found it).
+    #[inline]
+    fn set_frame(&mut self, vpage: u64, frame: PageFrame, cgen: u64) {
         let frame_stamp = self.frame_gen;
         let e = &mut self.tlb[(vpage as usize) & (TLB_WAYS - 1)];
-        if e.stamp == self.as_gen && e.vpage == vpage {
-            e.frame = Some(frame);
-            e.frame_stamp = frame_stamp;
-            e.frame_cgen = store.content_gen;
-        }
+        debug_assert!(e.stamp == self.as_gen && e.vpage == vpage, "caching into a foreign line");
+        e.frame = Some(frame);
+        e.frame_stamp = frame_stamp;
+        e.frame_cgen = cgen;
     }
 
     /// Moves the frame generation, invalidating every cached frame
@@ -457,23 +474,6 @@ impl AddressSpace {
         if self.frame_gen == 0 {
             self.frame_gen = 1;
         }
-    }
-
-    /// Single-page data movement for a TLB hit: overlay page if privately
-    /// materialised, else the backing object. Mirrors one `page_chunks`
-    /// step of [`AddressSpace::kernel_read`].
-    fn copy_from_mapping(&self, store: &ObjectStore, mi: usize, addr: u64, buf: &mut [u8]) {
-        let m = &self.maps[mi];
-        let off = (addr % PAGE_SIZE) as usize;
-        if !m.flags.shared {
-            let rel_page = addr / PAGE_SIZE - m.base / PAGE_SIZE;
-            if let Some(frame) = m.overlay.get(&rel_page) {
-                buf.copy_from_slice(&frame.bytes()[off..off + buf.len()]);
-                return;
-            }
-        }
-        let obj_pos = m.obj_off + (addr - m.base);
-        store.get(m.object).read_at(obj_pos, buf);
     }
 
     /// Installs a mapping at a fixed address. The caller transfers one
@@ -866,6 +866,13 @@ impl AddressSpace {
             for (vpage, off, n) in page_chunks(pos, chunk_end - pos) {
                 let rel_page = vpage - m.base / PAGE_SIZE;
                 let src = &data[done..done + n];
+                // Evict before writing, as a fast store does: a frame
+                // still held by the page's TLB line would make the write
+                // below copy the whole page.
+                let line = &mut self.tlb[(vpage as usize) & (TLB_WAYS - 1)];
+                if line.vpage == vpage {
+                    line.frame = None;
+                }
                 // A write into executable text (a breakpoint plant, a
                 // `/proc` patch) moves the content epoch of exactly the
                 // touched page, so cached decodes of *other* pages in
@@ -928,11 +935,9 @@ impl AddressSpace {
                     self.watch_screen(addr, len, Mode::Read)?;
                 }
                 self.tlb_stats.hits += 1;
-                if self.frame_copy(store, addr, buf) {
-                    return Ok(());
+                if !self.frame_copy(store, addr, buf) {
+                    self.copy_and_cache(store, mi, addr, buf);
                 }
-                self.copy_from_mapping(store, mi, addr, buf);
-                self.cache_frame(store, mi, addr);
                 return Ok(());
             }
             self.tlb_stats.misses += 1;
@@ -949,7 +954,9 @@ impl AddressSpace {
     /// materialised private overlay page: COW materialisation rolls the
     /// memory-pressure source and shared writes move the store's content
     /// generation, and the slow path must keep owning both side effects
-    /// so fast-on and fast-off runs stay transcript-identical.
+    /// so fast-on and fast-off runs stay transcript-identical. A fast
+    /// store evicts the line's cached frame, writes, then caches the
+    /// just-written overlay frame again, so the loads that follow hit it.
     pub fn write_user(
         &mut self,
         store: &mut ObjectStore,
@@ -972,7 +979,12 @@ impl AddressSpace {
                     let rel_page = vpage - m.base / PAGE_SIZE;
                     let off = (addr % PAGE_SIZE) as usize;
                     if let Some(frame) = m.overlay.get_mut(&rel_page) {
+                        // `make_mut` copies a frame still shared with a
+                        // fork relative, so the store lands in a frame
+                        // this space alone holds, and that is the frame
+                        // cached again below.
                         frame.make_mut()[off..off + data.len()].copy_from_slice(data);
+                        let written = frame.clone();
                         if m.prot.exec {
                             // Self-modifying code through a writable
                             // text page: the decoded-instruction cache
@@ -980,6 +992,7 @@ impl AddressSpace {
                             m.bump_page_epoch(rel_page);
                             self.page_epoch_bumps += 1;
                         }
+                        self.set_frame(vpage, written, store.content_gen);
                         self.tlb_stats.hits += 1;
                         return Ok(());
                     }
@@ -1008,11 +1021,9 @@ impl AddressSpace {
                     self.watch_screen(addr, len, Mode::Exec)?;
                 }
                 self.tlb_stats.hits += 1;
-                if self.frame_copy(store, addr, buf) {
-                    return Ok(());
+                if !self.frame_copy(store, addr, buf) {
+                    self.copy_and_cache(store, mi, addr, buf);
                 }
-                self.copy_from_mapping(store, mi, addr, buf);
-                self.cache_frame(store, mi, addr);
                 return Ok(());
             }
             self.tlb_stats.misses += 1;
@@ -1595,14 +1606,25 @@ mod tests {
         let mut b = [0u8; 4];
         a.read_user(&s, 0x10000, &mut b).expect("r1");
         a.read_user(&s, 0x10000, &mut b).expect("r2 frame hit");
-        // In-place fast-path store: evicts the frame, writes the overlay.
+        let frame = |a: &AddressSpace| {
+            a.mappings()[0].overlay.get(&0).map(|f| f.bytes().as_ptr()).expect("overlay frame")
+        };
+        let before = frame(&a);
+        // In-place fast-path store: evicts the frame, writes the overlay
+        // in place (no copy) and caches the written frame again, so the
+        // read that follows is a frame hit.
         a.write_user(&mut s, 0x10000, b"2222").expect("w2");
+        assert_eq!(frame(&a), before, "the store copied the overlay frame");
+        let hits = a.tlb_stats().frame_hits;
         a.read_user(&s, 0x10000, &mut b).expect("r3");
         assert_eq!(&b, b"2222");
-        // The in-place store must not have copied the overlay frame out
-        // from under future reads: read again through a fresh frame hit.
+        assert_eq!(a.tlb_stats().frame_hits, hits + 1, "the read after a store walked");
+        // A `/proc` write evicts the line's frame before writing too, so
+        // it also writes in place, and the next read sees its bytes.
+        a.kernel_write(&mut s, 0x10000, b"3333").expect("plant");
+        assert_eq!(frame(&a), before, "the kernel write copied the overlay frame");
         a.read_user(&s, 0x10000, &mut b).expect("r4");
-        assert_eq!(&b, b"2222");
+        assert_eq!(&b, b"3333");
     }
 
     #[test]

@@ -257,3 +257,142 @@ fn fork_child_runs_correctly_with_cold_caches() {
         other => panic!("forker did not finish: {other:?}"),
     }
 }
+
+/// A seeded store-then-load loop over eight private anonymous pages
+/// that forks early, so parent and child keep storing into frames the
+/// fork left shared (copy-on-write in both directions). Every load reads
+/// the word its iteration just stored, so the loop is the pattern a fast
+/// store that re-caches its frame exists for.
+fn store_fork_source(seed: u64) -> String {
+    format!(
+        r#"
+_start:
+    movi rv, 70         ; mmap(0, 32 KiB, rw, private, -1, 0)
+    movi a0, 0
+    li   a1, 32768
+    movi a2, 3
+    movi a3, 2
+    movi a4, -1
+    movi a5, 0
+    syscall
+    mov  r18, rv
+    li   r17, 32768
+    movi r10, 0
+    movi r11, 0
+    li   r20, {seed}
+    movi r22, -1
+head:
+    muli r20, r20, 1103515245
+    addi r20, r20, 12345
+    shri r16, r20, 11
+    rem  r16, r16, r17
+    andi r16, r16, -8
+    add  r16, r16, r18
+    add  r19, r10, r20
+    st   r19, [r16]
+    ld   r21, [r16]
+    add  r11, r11, r21
+    addi r10, r10, 1
+    movi r14, 100
+    bne  r10, r14, nofork
+    movi rv, 2          ; fork at iteration 100
+    syscall
+    mov  r22, rv
+nofork:
+    movi r14, 4000
+    blt  r10, r14, head
+    beq  r22, zero, out
+    movi rv, 7          ; the parent reaps the child
+    movi a0, 0
+    syscall
+out:
+    andi a0, r11, 127
+    movi rv, 1
+    syscall
+"#
+    )
+}
+
+/// One line per process of the store-fork family: its loop registers,
+/// retirement count, exit state and an FNV digest of its 32 KiB region
+/// read with kernel privilege (so a store that landed in a stale frame
+/// shows even when the guest's own load agrees with it).
+fn observe_store_fork(sys: &System, pid: Pid, base: u64) -> String {
+    let mut out = String::new();
+    let family = sys.kernel.procs.iter().filter(|(raw, p)| **raw == pid.0 || p.ppid == pid);
+    for (raw, p) in family {
+        let mut region = vec![0u8; 32768];
+        let digest = match p.aspace.kernel_read(&sys.kernel.objects, base, &mut region) {
+            Ok(()) => region.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            }),
+            Err(_) => 0,
+        };
+        let insns: u64 = p.lwps.iter().map(|l| l.insns).sum();
+        let g = p.lwps.first().map(|l| l.gregs.clone()).unwrap_or_default();
+        out.push_str(&format!(
+            "  pid {raw}: insns={insns} pc={:#x} r10={} r11={:#x} zombie={} status={} region={digest:#x}\n",
+            g.pc,
+            g.get(10),
+            g.get(11),
+            p.zombie,
+            p.exit_status,
+        ));
+    }
+    out
+}
+
+/// Runs the store-fork family under one controller script and returns
+/// the transcript plus the parent's `PrXStats` and iteration count at
+/// the watchpoint stop. The script: let the family run past the fork,
+/// grab the parent, poke a word of a page it stores to through `/proc`,
+/// watch 256 bytes of another such page, continue to the watchpoint,
+/// drop the watch and continue to the end.
+fn store_fork_transcript(fast: bool, seed: u64) -> (String, PrXStats, u64) {
+    let mut sys = tools::boot_demo_cfg(ksim::SimConfig::standard().fast_path(fast));
+    let ctl = sys.spawn_hosted("fastpath", Cred::superuser());
+    sys.install_program("/bin/storefork", &store_fork_source(seed));
+    let pid = sys.spawn_program(ctl, "/bin/storefork", &["storefork"]).expect("spawn");
+    sys.run_idle(30);
+    let mut dbg = Debugger::attach(&mut sys, ctl, pid).expect("attach");
+    let base = dbg.regs(&mut sys).expect("regs").get(18);
+    let mut t = format!("attached:\n{}", observe_store_fork(&sys, pid, base));
+
+    dbg.write(&mut sys, base + 8, &0x5EED_F00D_u64.to_le_bytes()).expect("poke");
+    let watch = PrWatch { vaddr: base + 3 * 4096 + 512, size: 256, flags: 2 };
+    dbg.h.set_watch(&mut sys, watch).expect("set watch");
+    let ev = dbg.cont(&mut sys).expect("cont to the watchpoint");
+    let regs = dbg.regs(&mut sys).expect("regs");
+    t.push_str(&format!("{ev:?} at r16={:#x}:\n", regs.get(16)));
+    t.push_str(&observe_store_fork(&sys, pid, base));
+    let at_watch = PrXStats::capture(&sys.kernel, pid).expect("xstats");
+
+    dbg.h.set_watch(&mut sys, PrWatch { size: 0, ..watch }).expect("drop watch");
+    let ev = dbg.cont(&mut sys).expect("cont to the end");
+    t.push_str(&format!("{ev:?}:\n{}", observe_store_fork(&sys, pid, base)));
+    (t, at_watch, regs.get(10))
+}
+
+/// The store path's differential oracle: fork copy-on-write in both
+/// directions, a `/proc` write into a page the loop stores to and a
+/// watchpoint gained mid-loop must read the same with the fast path on
+/// and off, and with it on, the load after each store is served from
+/// the frame the store cached again.
+#[test]
+fn store_then_load_transcript_identical_fast_on_and_off() {
+    for seed in [0x51_0AD5u64, 0xC0_FFEE, 0x7E57_F00D] {
+        let (fast, st, iters) = store_fork_transcript(true, seed);
+        let (slow, _, _) = store_fork_transcript(false, seed);
+        assert_eq!(fast, slow, "seed {seed:#x}: the fast path changed the store-fork run");
+        assert!(fast.contains("Watchpoint"), "seed {seed:#x}: the watch never fired:\n{fast}");
+        assert!(fast.contains("Exited"), "seed {seed:#x}: the family never finished:\n{fast}");
+        // Each iteration loads the word it just stored: with the frame
+        // cached again by the store, nearly every such load is a frame
+        // hit (a store that evicts and leaves the line empty makes none).
+        assert!(
+            st.tlb_frame_hits * 2 > iters,
+            "seed {seed:#x}: {} frame hits over {iters} iterations: {st:?}",
+            st.tlb_frame_hits
+        );
+    }
+}

@@ -1133,27 +1133,28 @@ mod e10_poll_many {
             .collect()
     }
 
-    /// Signals targets in reverse order so pid-ordered waiting is maximally
-    /// head-of-line blocked, then collects all stops with poll.
+    /// Signals one target every two gang rounds, in reverse pid order, so
+    /// the stops arrive in separate rounds and pid-ordered waiting is
+    /// maximally head-of-line blocked; polls after each pair of rounds
+    /// and collects every stop as it arrives.
     fn poll_collect(sys: &mut System, ctl: Pid, handles: &mut [ProcHandle]) -> Vec<u32> {
-        for h in handles.iter_mut().rev() {
-            h.kill(sys, SIGUSR1).expect("kill");
-        }
         let fds: Vec<usize> = handles.iter().map(|h| h.fd).collect();
         let mut order = Vec::new();
         let mut done = vec![false; handles.len()];
+        let mut unsignalled = handles.len();
         while order.len() < handles.len() {
+            if unsignalled > 0 {
+                unsignalled -= 1;
+                handles[unsignalled].kill(sys, SIGUSR1).expect("kill");
+            }
+            sys.step();
+            sys.step();
             let statuses = sys.host_poll(ctl, &fds).expect("poll");
-            let mut any = false;
             for (i, st) in statuses.iter().enumerate() {
                 if st.readable && !done[i] {
                     done[i] = true;
-                    any = true;
                     order.push(handles[i].pid.0);
                 }
-            }
-            if !any {
-                sys.step();
             }
         }
         order
@@ -1166,7 +1167,8 @@ mod e10_poll_many {
         let order = poll_collect(&mut sys, ctl, &mut handles);
         writeln!(
             out,
-            "5 targets signalled in reverse pid order; poll collected stops as: {order:?}"
+            "5 targets signalled two gang rounds apart in reverse pid order; \
+             poll collected stops as: {order:?}"
         )?;
         writeln!(
             out,
