@@ -5,7 +5,11 @@
 //! workload of a performance claim (E5c, E5d, E13, E14, E15) and
 //! returns what it measured; the gates decide what the numbers must
 //! show. EXPERIMENTS.md records the expected shape of each result.
-//! [`XorShift`] is the workspace's one seeded randomness source.
+//! [`XorShift`] seeds the randomized workloads here. It is one of
+//! several xorshift64 streams in the workspace, not a shared source:
+//! the kernel and wire fault plans, memory pressure, the wire's service
+//! jitter, the round order and several test modules each step their
+//! own copy.
 
 #![forbid(unsafe_code)]
 // Harness code fields controller-visible errors like any other tool
@@ -51,9 +55,8 @@ fn boot_with_ctl_cfg(cfg: ksim::SimConfig) -> (System, Pid) {
     (sys, ctl)
 }
 
-/// Deterministic xorshift64* pseudo-random generator — the workspace's
-/// only randomness source, so every randomized test replays
-/// identically from its seed.
+/// Deterministic xorshift64* pseudo-random generator, so every
+/// randomized harness run replays identically from its seed.
 #[derive(Clone, Debug)]
 pub struct XorShift {
     state: u64,
@@ -402,7 +405,7 @@ pub fn client_count_sweep(
 /// insns/sec is directly comparable.
 #[derive(Clone, Copy, Debug)]
 pub struct FastPathPoint {
-    /// Whether the software TLB + decoded-instruction cache were live.
+    /// Whether the software TLB + superblocks were live.
     pub fast: bool,
     /// Guest instructions retired by the target during the run.
     pub insns: u64,
@@ -414,10 +417,6 @@ pub struct FastPathPoint {
     pub tlb_hits: u64,
     /// Data-TLB slow-path fills.
     pub tlb_misses: u64,
-    /// Decoded-instruction cache hits (zero on the disabled leg).
-    pub icache_hits: u64,
-    /// Decoded-instruction cache misses (fetch + decode taken).
-    pub icache_misses: u64,
     /// Superblocks traced and installed.
     pub sblock_built: u64,
     /// Superblock dispatches.
@@ -456,10 +455,10 @@ fn rate(hits: u64, misses: u64) -> f64 {
 
 /// Measures one E13 leg: boots a fresh machine, flips the fast path,
 /// spawns `program` and drives it for `ticks` scheduler slices under a
-/// wall-clock timer. `/bin/spin` is the icache-bound workload (a
-/// store-free jump loop whose fetches never reach the dTLB once the
-/// icache is warm); `/bin/watched` adds two stores per iteration and
-/// exercises the dTLB as well.
+/// wall-clock timer. `/bin/spin` is the decode-bound workload (a
+/// store-free jump loop whose fetches never reach the dTLB once its
+/// superblocks are built); `/bin/watched` adds two stores per iteration
+/// and exercises the dTLB as well.
 fn fast_path_point(program: &str, fast: bool, ticks: u64) -> FastPathPoint {
     let (mut sys, ctl) = boot_with_ctl_cfg(ksim::SimConfig::standard().fast_path(fast));
     let name = program.rsplit('/').next().unwrap_or(program);
@@ -476,8 +475,6 @@ fn fast_path_point(program: &str, fast: bool, ticks: u64) -> FastPathPoint {
         insns_per_sec: st.insns as f64 * 1e9 / wall_ns as f64,
         tlb_hits: st.tlb_hits,
         tlb_misses: st.tlb_misses,
-        icache_hits: st.icache_hits,
-        icache_misses: st.icache_misses,
         sblock_built: st.sblock_built,
         sblock_dispatched: st.sblock_dispatched,
         sblock_insns: st.sblock_insns,

@@ -169,8 +169,8 @@ pioc_table! {
     /// `prioctl` — the fault plan lives on the kernel — so the reply crosses
     /// the remote wire like any other status request.
     KFaultStats: PIOCKFAULTSTATS = 0x5027, read;
-    /// Get execution fast-path counters (`prxstats`): software-TLB and
-    /// decoded-instruction-cache hits/misses/invalidations plus retired
+    /// Get execution fast-path counters (`prxstats`): software-TLB
+    /// hits/misses/invalidations, superblock counts and retired
     /// instructions. Answered by `prioctl` — the caches live on the
     /// address space and LWPs — so the reply crosses the remote wire.
     XStats: PIOCXSTATS = 0x5028, read;
@@ -622,7 +622,7 @@ pub fn prioctl(
         // remote wire to reach the server's kernel.
         Ioctl::KFaultStats => done(k.kfault_stats().to_bytes()),
         // Likewise kernel-resident: the TLB lives on the target's
-        // address space and the icache on its LWPs.
+        // address space and the superblocks on its LWPs.
         Ioctl::XStats => done(PrXStats::capture(k, target)?.to_bytes()),
         // Kernel-resident too: the recorder hangs off the kernel, so a
         // remote mount reads the *server's* recording counters.

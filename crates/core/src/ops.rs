@@ -349,9 +349,7 @@ pub fn watch(k: &mut Kernel, pid: Pid, arg: &[u8]) -> SysResult<u64> {
     live(k, pid)?;
     let proc = k.proc_mut(pid)?;
     if w.size == 0 {
-        let before = proc.aspace.watchpoints.len();
-        proc.aspace.watchpoints.retain(|a| a.base != w.vaddr);
-        return Ok((before - proc.aspace.watchpoints.len()) as u64);
+        return Ok(proc.aspace.remove_watch(w.vaddr) as u64);
     }
     let flags = WatchFlags::from_bits(w.flags);
     if !flags.read && !flags.write && !flags.exec {

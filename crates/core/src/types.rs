@@ -700,9 +700,8 @@ vfs::counters! {
 vfs::counters! {
     /// Execution fast-path counters (`prxstats`) — read through `PIOCXSTATS`
     /// or the hierarchical `xstats` file; the observability half of the
-    /// per-LWP software TLB, decoded-instruction cache and superblock
-    /// engine. Instruction-cache and superblock counters are summed over the
-    /// process's current LWPs.
+    /// software TLB and the per-LWP superblock engine. Superblock counters
+    /// are summed over the process's current LWPs.
     pub struct PrXStats {
         /// 1 if the fast path is enabled for this address space, else 0.
         enabled,
@@ -712,11 +711,12 @@ vfs::counters! {
         tlb_misses,
         /// Address-space generation bumps (structural invalidations).
         tlb_invalidations,
-        /// Instruction fetches served from a validated decoded slot.
+        /// Retired, always 0: superblocks are the one cache of decoded
+        /// text. Kept so the reply's layout does not move.
         icache_hits,
-        /// Instruction fetches that decoded fresh.
+        /// Retired, always 0 (see `icache_hits`).
         icache_misses,
-        /// Probes that matched on pc but failed stamp validation.
+        /// Retired, always 0 (see `icache_hits`).
         icache_invalidations,
         /// Instructions retired by this process (all LWPs).
         insns,
@@ -725,8 +725,8 @@ vfs::counters! {
         /// a store that takes the fast path caches the frame it just
         /// wrote, so the load that follows a store counts here.
         tlb_frame_hits,
-        /// Per-page text-epoch bumps (each invalidates one page's decoded
-        /// instructions and superblocks, not the whole mapping's).
+        /// Per-page text-epoch bumps (each invalidates one page's
+        /// superblocks, not the whole mapping's).
         page_epoch_bumps,
         /// Superblocks traced and installed.
         sblock_built,
@@ -762,10 +762,6 @@ impl PrXStats {
             ..PrXStats::default()
         };
         for lwp in &proc.lwps {
-            let ic = lwp.icache.stats();
-            st.icache_hits += ic.hits;
-            st.icache_misses += ic.misses;
-            st.icache_invalidations += ic.invalidations;
             st.insns += lwp.insns;
             let sb = lwp.sblocks.stats();
             st.sblock_built += sb.built;

@@ -75,19 +75,9 @@ pub trait Bus {
     fn load(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), BusFault>;
     /// Stores `data` at `addr`.
     fn store(&mut self, addr: u64, data: &[u8]) -> Result<(), BusFault>;
-    /// Fetches and decodes the instruction at `addr`. `Ok(None)` means
-    /// the bytes were fetched but do not decode (an illegal
-    /// instruction). The default implementation fetches and decodes
-    /// fresh every time; bus implementations with a decoded-instruction
-    /// cache override this.
-    fn fetch_insn(&mut self, addr: u64) -> Result<Option<Insn>, BusFault> {
-        let mut raw = [0u8; INSN_LEN as usize];
-        self.fetch(addr, &mut raw)?;
-        Ok(Insn::decode(&raw))
-    }
     /// Lends the validated superblock trace rooted at `pc` for one
-    /// dispatch, or `None` ("no block"), in which case the CPU falls
-    /// back to [`Bus::fetch_insn`] for one instruction. The trace moves
+    /// dispatch, or `None` ("no block"), in which case the CPU fetches
+    /// and decodes one instruction through [`Bus::fetch`]. The trace moves
     /// out of the bus's cache rather than being copied, so the CPU runs
     /// it in place while it still borrows the bus for loads and stores;
     /// the CPU hands it back through [`Bus::end_block`] at the block's
@@ -250,11 +240,11 @@ impl Cpu {
     ) -> Option<StepEvent> {
         let trace = g.psr & PSR_TRACE != 0;
         let pc = g.pc;
-        let insn = match bus.fetch_insn(pc) {
-            Err(fault) => return Some(StepEvent::MemFault(fault)),
-            Ok(None) => return Some(StepEvent::IllegalInsn),
-            Ok(Some(i)) => i,
-        };
+        let mut raw = [0u8; INSN_LEN as usize];
+        if let Err(fault) = bus.fetch(pc, &mut raw) {
+            return Some(StepEvent::MemFault(fault));
+        }
+        let Some(insn) = Insn::decode(&raw) else { return Some(StepEvent::IllegalInsn) };
         Self::exec(insn, pc, g, f, bus).or(trace.then_some(StepEvent::TraceTrap))
     }
 

@@ -39,14 +39,12 @@
 pub mod asm;
 pub mod cpu;
 pub mod dis;
-pub mod icache;
 pub mod insn;
 pub mod reg;
 pub mod sblock;
 
 pub use asm::{assemble, AsmError, Assembly};
 pub use cpu::{Access, BlockExit, Bus, BusFault, BusFaultKind, Cpu, RunExit, StepEvent};
-pub use icache::{InsnCache, InsnCacheStats, InsnSlot};
 pub use insn::{Insn, Opcode, INSN_LEN};
 pub use reg::{FpregSet, GregSet, PSR_ERR, PSR_TRACE, REG_A0, REG_RA, REG_RV, REG_SP};
 pub use sblock::{BlockSlot, SBlockCache, SBlockStats, SuperBlock, SBLOCK_CAP};

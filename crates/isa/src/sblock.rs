@@ -1,20 +1,21 @@
 //! Per-LWP superblock cache: traced straight-line runs of decoded
 //! instructions.
 //!
-//! The decoded-instruction cache ([`crate::icache`]) removes the decode
-//! cost but still pays one bus round trip per instruction. A superblock
-//! removes the round trip too: a trace of up to [`SBLOCK_CAP`] decoded
-//! instructions, pre-validated against one text page, that the CPU
-//! executes in a single dispatch. Traces follow statically predictable
-//! control flow — fall-through, direct jumps and calls, and backward
-//! conditional branches predicted taken (the hot-loop case, which lets a
-//! small loop unroll to fill the block) — and end at indirect or
-//! trapping instructions, the page boundary, or capacity.
+//! This is the one cache of decoded guest text. Without it every
+//! instruction pays a bus round trip (an address-space walk) plus a
+//! fresh decode. A superblock removes both: a trace of up to
+//! [`SBLOCK_CAP`] decoded instructions, pre-validated against one text
+//! page, that the CPU executes in a single dispatch. Traces follow
+//! statically predictable control flow — fall-through, direct jumps and
+//! calls, and backward conditional branches predicted taken (the
+//! hot-loop case, which lets a small loop unroll to fill the block) —
+//! and end at indirect or trapping instructions, the page boundary, or
+//! capacity.
 //!
 //! Correctness never rests on the prediction: every slot carries its pc,
 //! and the CPU compares it against the live pc before executing, side-
 //! exiting the block on the first mismatch. Validity rests on three
-//! stamps checked before dispatch, exactly the icache discipline:
+//! stamps checked before dispatch:
 //!
 //! * the address-space generation (`as_gen`) — any structural change or
 //!   watchpoint add/remove moves it;
@@ -24,9 +25,9 @@
 //! * the object store's content generation — shared-object writes from
 //!   other processes move it.
 //!
-//! Like the icache, this cache is policy-free: the kernel's bus decides
-//! what is traceable (see `sblock_slot` in the VM layer) and validates
-//! stamps; the cache stores the blocks and lends a trace to each dispatch.
+//! The cache is policy-free: the kernel's bus decides what is traceable
+//! (see `sblock_slot` in the VM layer) and validates stamps; the cache
+//! stores the blocks and lends a trace to each dispatch.
 
 use std::sync::Arc;
 

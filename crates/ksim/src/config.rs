@@ -58,8 +58,8 @@ pub struct SimConfig {
     pub quantum: u64,
     /// Idle-step limit for hosted blocking calls before `EDEADLK`.
     pub pump_limit: u64,
-    /// Execution fast path (software TLB + decoded-instruction cache +
-    /// superblocks) for every process.
+    /// Execution fast path (software TLB + superblocks) for every
+    /// process.
     pub fast_path: bool,
     /// Kernel fault schedule; `None` consumes no generator state.
     pub kernel_faults: Option<KernelFaultSpec>,

@@ -80,9 +80,9 @@ pub struct Kernel {
     /// Installed kernel fault schedule; `None` (the default) means the
     /// kernel never injects a fault and consumes no generator state.
     pub fault_plan: Option<crate::kfault::KernelFaultPlan>,
-    /// Execution fast path (software TLB + decoded-instruction cache)
-    /// for newly created processes. On by default; the differential
-    /// oracle turns it off fleet-wide via `System::set_fast_path`.
+    /// Execution fast path (software TLB + superblocks) for newly
+    /// created processes. On by default; the differential oracle turns
+    /// it off fleet-wide via `System::set_fast_path`.
     pub fast_path: bool,
     /// Attached input recorder; `None` means the run is not recorded.
     /// Boxed: the recorder carries the whole input log plus snapshots,

@@ -187,19 +187,13 @@ pub struct Lwp {
     pub sleep_interrupted: bool,
     /// Instructions retired by this LWP.
     pub insns: u64,
-    /// Per-LWP decoded-instruction cache. Every LWP construction path
-    /// (boot, `fork`, `exec`, `lwp_create`) goes through [`Lwp::new`],
-    /// so new threads of control always start with an empty cache;
-    /// validity is checked per fetch against the address-space
-    /// generation, the backing mapping's content epoch and the object
-    /// store's content generation.
-    pub icache: isa::InsnCache,
-    /// Per-LWP superblock cache: traced straight-line runs the CPU
-    /// executes in one dispatch. Same lifecycle as the icache — every
-    /// LWP construction path goes through [`Lwp::new`], so children
-    /// start empty; blocks validate against the address-space
-    /// generation, their text page's content epoch and the object
-    /// store's content generation before every dispatch.
+    /// Per-LWP superblock cache, the one cache of decoded text: traced
+    /// straight-line runs the CPU executes in one dispatch. Every LWP
+    /// construction path (boot, `fork`, `exec`, `lwp_create`) goes
+    /// through [`Lwp::new`], so new threads of control start empty;
+    /// blocks validate against the address-space generation, their
+    /// text page's content epoch and the object store's content
+    /// generation before every dispatch.
     pub sblocks: isa::SBlockCache,
     /// Per-LWP generation stamp, bumped whenever this LWP's externally
     /// visible state changes. LWP-scoped `/proc` images (`lwp/<tid>/
@@ -230,7 +224,6 @@ impl Lwp {
             user_return_pending: false,
             sleep_interrupted: false,
             insns: 0,
-            icache: isa::InsnCache::new(),
             sblocks: isa::SBlockCache::new(),
             lwp_gen: 0,
         }

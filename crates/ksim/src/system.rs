@@ -562,8 +562,8 @@ impl System {
         if lwp.single_step {
             lwp.gregs.psr |= PSR_TRACE;
         }
-        let crate::proc::Lwp { gregs, fpregs, icache, sblocks, insns, .. } = lwp;
-        let mut bus = ProcBus { asp: aspace, store: objects, icache, sblocks };
+        let crate::proc::Lwp { gregs, fpregs, sblocks, insns, .. } = lwp;
+        let mut bus = ProcBus { asp: aspace, store: objects, sblocks };
         let (n, exit) = cpu.run(gregs, fpregs, &mut bus, self.quantum.max(1));
         *cpu_time += n;
         *insns += n;
@@ -1416,12 +1416,11 @@ impl System {
         let old_syscall = lwp.syscall.clone();
         *lwp = crate::proc::Lwp::new(keep_tid, aout_entry, sp);
         // The LWP now holds a guest image, so it will run guest code:
-        // take its decode tables here, with the rest of the image,
-        // rather than at its first fetch. Tables taken mid-run land on
-        // the allocator's top of heap, which is handed back to the host
-        // whenever their process goes and faulted in again later; the
+        // take its superblock table here, with the rest of the image,
+        // rather than at its first dispatch. A table taken mid-run lands
+        // on the allocator's top of heap, which is handed back to the
+        // host whenever its process goes and faulted in again later; the
         // number of page faults a run takes then varies from run to run.
-        lwp.icache.reserve();
         lwp.sblocks.reserve();
         lwp.held = held;
         lwp.syscall = old_syscall;
@@ -2130,13 +2129,24 @@ impl System {
     }
 
     fn host_poll_inner(&mut self, cur: Pid, fds: &[usize]) -> SysResult<Vec<PollStatus>> {
-        let fds = fds.to_vec();
-        self.pump_until(move |s| {
+        self.poll_until(cur, fds, |st| st.readable || st.writable || st.hangup)
+    }
+
+    /// Pumps the scheduler until at least one of `fds` passes `ready`,
+    /// then returns every descriptor's status: the wait both host polls
+    /// share, differing only in what counts as ready.
+    fn poll_until(
+        &mut self,
+        cur: Pid,
+        fds: &[usize],
+        ready: fn(PollStatus) -> bool,
+    ) -> SysResult<Vec<PollStatus>> {
+        self.pump_until(|s| {
             let mut out = Vec::with_capacity(fds.len());
             let mut any = false;
-            for &fd in &fds {
+            for &fd in fds {
                 let st = s.poll_fd(cur, fd)?;
-                any |= st.readable || st.writable || st.hangup;
+                any |= ready(st);
                 out.push(st);
             }
             Ok(if any { Some(out) } else { None })
@@ -2173,17 +2183,7 @@ impl System {
                 return Ok(out);
             }
         }
-        let fds = fds.to_vec();
-        self.pump_until(move |s| {
-            let mut out = Vec::with_capacity(fds.len());
-            let mut any = false;
-            for &fd in &fds {
-                let st = s.poll_fd(cur, fd)?;
-                any |= st.ready();
-                out.push(st);
-            }
-            Ok(if any { Some(out) } else { None })
-        })
+        self.poll_until(cur, fds, PollStatus::ready)
     }
 }
 
@@ -2214,7 +2214,6 @@ pub fn commit_order(len: usize, seed: u64, round: u64) -> Vec<usize> {
 struct ProcBus<'a> {
     asp: &'a mut vm::AddressSpace,
     store: &'a mut vm::ObjectStore,
-    icache: &'a mut isa::InsnCache,
     sblocks: &'a mut isa::SBlockCache,
 }
 
@@ -2231,40 +2230,17 @@ impl ProcBus<'_> {
         BusFault { addr: d.addr(), access, kind }
     }
 
-    /// Decodes the instruction at `pc` for the block builder from
-    /// `text`, the block's root page as [`vm::AddressSpace::text_page`]
-    /// lent it. Probes the icache first, with the usual hit/stale/miss
-    /// accounting; `stamp` carries the root page's generation, mapping
-    /// index, epoch and content generation, which the builder resolved
-    /// once, so validating a hit and stamping a fill need no lookup.
-    /// Building must be free of user-visible side effects — a
-    /// predicted-but-never-executed pc must not grow the stack or
-    /// consume watchpoint state — so this never goes through
-    /// `Bus::fetch`. An undecodable word ends the trace.
-    fn decode_for_block(
-        icache: &mut isa::InsnCache,
-        text: &[u8; vm::PAGE_SIZE as usize],
-        stamp: isa::InsnSlot,
-        pc: u64,
-    ) -> Option<isa::Insn> {
-        if let Some(s) = icache.probe(pc) {
-            if s.as_gen == stamp.as_gen
-                && s.map_idx == stamp.map_idx
-                && s.epoch == stamp.epoch
-                && s.content_gen == stamp.content_gen
-            {
-                let insn = s.insn;
-                icache.note_hit();
-                return Some(insn);
-            }
-            icache.note_stale();
-        }
+    /// Decodes the instruction at `pc` for the block builder straight
+    /// from `text`, the block's root page as
+    /// [`vm::AddressSpace::text_page`] lent it. Building must be free of
+    /// user-visible side effects — a predicted-but-never-executed pc
+    /// must not grow the stack or consume watchpoint state — so this
+    /// never goes through `Bus::fetch`. An undecodable word ends the
+    /// trace.
+    fn decode_for_block(text: &[u8; vm::PAGE_SIZE as usize], pc: u64) -> Option<isa::Insn> {
         let off = (pc % vm::PAGE_SIZE) as usize;
         let raw = text.get(off..off + isa::INSN_LEN as usize)?;
-        let insn = isa::Insn::decode(raw.try_into().ok()?)?;
-        icache.note_miss();
-        icache.insert(isa::InsnSlot { pc, insn, ..stamp });
-        Some(insn)
+        isa::Insn::decode(raw.try_into().ok()?)
     }
 
     /// The statically predicted successor of `i` at `pc`, or `None` when
@@ -2294,7 +2270,7 @@ impl ProcBus<'_> {
     /// not block-eligible (writable/shared/watched text, unmapped, or an
     /// undecodable first instruction).
     fn build_block(&mut self, start: u64) -> Option<Arc<[isa::BlockSlot]>> {
-        let ProcBus { asp, store, icache, sblocks } = self;
+        let ProcBus { asp, store, sblocks } = self;
         let (map_idx, epoch) = asp.sblock_slot(start, isa::INSN_LEN)?;
         let page = start / vm::PAGE_SIZE;
         let store: &vm::ObjectStore = store;
@@ -2303,14 +2279,6 @@ impl ProcBus<'_> {
         // into a page with different eligibility or epoch state would
         // need its own validation.
         let text = asp.text_page(store, map_idx, page)?;
-        let stamp = isa::InsnSlot {
-            pc: start,
-            as_gen: asp.generation(),
-            map_idx: map_idx as u32,
-            epoch,
-            content_gen: store.content_gen,
-            insn: isa::Insn::bare(isa::Opcode::Nop),
-        };
         let mut out = [isa::BlockSlot::default(); isa::SBLOCK_CAP];
         let mut n = 0;
         let mut pc = start;
@@ -2318,7 +2286,7 @@ impl ProcBus<'_> {
             if pc / vm::PAGE_SIZE != page || (pc + (isa::INSN_LEN - 1)) / vm::PAGE_SIZE != page {
                 break;
             }
-            let Some(insn) = Self::decode_for_block(icache, text, stamp, pc) else { break };
+            let Some(insn) = Self::decode_for_block(text, pc) else { break };
             out[n] = isa::BlockSlot { pc, insn };
             n += 1;
             match Self::static_next(insn, pc) {
@@ -2331,10 +2299,10 @@ impl ProcBus<'_> {
         }
         sblocks.insert(isa::SuperBlock {
             start_pc: start,
-            as_gen: stamp.as_gen,
-            map_idx: stamp.map_idx,
+            as_gen: asp.generation(),
+            map_idx: map_idx as u32,
             epoch,
-            content_gen: stamp.content_gen,
+            content_gen: store.content_gen,
             slots: Some(out[..n].into()),
         });
         sblocks.lend(start, |_| true)
@@ -2342,50 +2310,11 @@ impl ProcBus<'_> {
 }
 
 impl Bus for ProcBus<'_> {
-    fn fetch_insn(&mut self, addr: u64) -> Result<Option<isa::Insn>, BusFault> {
-        // Fast path: serve a decoded instruction when all three stamps
-        // still hold. Watched or multi-mapping pages are never inserted
-        // (see `AddressSpace::exec_slot`), so slow-path side effects —
-        // watchpoint accounting, COW, stack growth — cannot be skipped.
-        if self.asp.fast_path_enabled() {
-            if let Some(s) = self.icache.probe(addr) {
-                if s.as_gen == self.asp.generation()
-                    && self.asp.page_epoch_at(s.map_idx as usize, addr) == Some(s.epoch)
-                    && self.store.content_gen == s.content_gen
-                {
-                    let insn = s.insn;
-                    self.icache.note_hit();
-                    return Ok(Some(insn));
-                }
-                self.icache.note_stale();
-            }
-        }
-        let mut raw = [0u8; isa::INSN_LEN as usize];
-        self.fetch(addr, &mut raw)?;
-        let insn = isa::Insn::decode(&raw);
-        if self.asp.fast_path_enabled() {
-            self.icache.note_miss();
-            if let Some(i) = insn {
-                if let Some((map_idx, epoch)) = self.asp.exec_slot(addr, isa::INSN_LEN) {
-                    self.icache.insert(isa::InsnSlot {
-                        pc: addr,
-                        as_gen: self.asp.generation(),
-                        map_idx: map_idx as u32,
-                        epoch,
-                        content_gen: self.store.content_gen,
-                        insn: i,
-                    });
-                }
-            }
-        }
-        Ok(insn)
-    }
-
     fn fetch_block(&mut self, pc: u64) -> Option<Arc<[isa::BlockSlot]>> {
         if !self.asp.fast_path_enabled() {
             return None;
         }
-        let ProcBus { asp, store, sblocks, .. } = self;
+        let ProcBus { asp, store, sblocks } = self;
         let lent = sblocks.lend(pc, |b| {
             b.as_gen == asp.generation()
                 && asp.page_epoch_at(b.map_idx as usize, pc) == Some(b.epoch)

@@ -341,7 +341,7 @@ impl ProcHandle {
     }
 
     /// `PIOCXSTATS`: the execution fast-path counters (software TLB and
-    /// decoded-instruction cache) for the target. Kernel-resident like
+    /// superblocks) for the target. Kernel-resident like
     /// `PIOCKFAULTSTATS`, so over a remote mount the reply crosses the
     /// wire and reports the server's caches.
     pub fn xstats(&mut self, sys: &mut System) -> SysResult<PrXStats> {

@@ -147,9 +147,8 @@ pub struct Mapping {
     /// Per-page content epochs, keyed by mapping-relative page index;
     /// absent pages are at epoch 0. A write that lands in a page (user
     /// store, `/proc` breakpoint plant, COW materialisation) bumps only
-    /// that page's epoch. Decoded-instruction cache entries and
-    /// superblocks record their page's epoch at fill time and
-    /// self-invalidate when it moves — so planting a breakpoint
+    /// that page's epoch. Superblocks record their page's epoch at build
+    /// time and self-invalidate when it moves — so planting a breakpoint
     /// invalidates one page's decodes, not the whole mapping's.
     pub page_epochs: BTreeMap<u64, u64>,
 }

@@ -118,12 +118,12 @@ pub struct AddressSpace {
     total: u64,
     /// Address-space generation: bumped by every structural change
     /// (map/unmap/protect/growth/clear) and by watchpoint add/remove.
-    /// TLB lines and decoded-instruction cache entries stamp themselves
-    /// with this value and self-invalidate with one compare. Starts at 1
-    /// and never revisits 0 (0 is the empty-line sentinel).
+    /// TLB lines and superblocks stamp themselves with this value and
+    /// self-invalidate with one compare. Starts at 1 and never revisits
+    /// 0 (0 is the empty-line sentinel).
     as_gen: u64,
-    /// Execution fast path enabled (TLB fills/hits and instruction-cache
-    /// fills). Turning it off forces every access down the slow path —
+    /// Execution fast path enabled (TLB fills/hits and superblock
+    /// builds). Turning it off forces every access down the slow path —
     /// the differential oracle runs both ways.
     fast_path: bool,
     /// Direct-mapped translation cache, indexed by `vpage % TLB_WAYS`.
@@ -230,8 +230,8 @@ impl AddressSpace {
         self.tlb_stats.invalidations += 1;
     }
 
-    /// Whether the execution fast path (TLB + instruction cache fills) is
-    /// active for this address space.
+    /// Whether the execution fast path (TLB + superblocks) is active for
+    /// this address space.
     #[inline]
     pub fn fast_path_enabled(&self) -> bool {
         self.fast_path
@@ -259,9 +259,9 @@ impl AddressSpace {
     }
 
     /// The content epoch of the page containing `addr` within mapping
-    /// `idx`, if that mapping exists and covers `addr`. Instruction-cache
-    /// entries and superblocks validate against this (the index is only
-    /// meaningful while the generation that resolved it is current).
+    /// `idx`, if that mapping exists and covers `addr`. Superblocks
+    /// validate against this (the index is only meaningful while the
+    /// generation that resolved it is current).
     #[inline]
     pub fn page_epoch_at(&self, idx: usize, addr: u64) -> Option<u64> {
         let m = self.maps.get(idx)?;
@@ -271,11 +271,17 @@ impl AddressSpace {
         Some(m.page_epoch(addr / PAGE_SIZE - m.base / PAGE_SIZE))
     }
 
-    /// Resolves an executable, single-page, watch-free slot for the
-    /// instruction cache: returns `(map_idx, page_epoch)` when `[addr,
-    /// addr+len)` lies inside one page of one exec-permitted mapping and
-    /// no watch area touches that page. `None` means "do not cache".
-    pub fn exec_slot(&self, addr: u64, len: u64) -> Option<(usize, u64)> {
+    /// Resolves a superblock-eligible slot: returns `(map_idx,
+    /// page_epoch)` when `[addr, addr+len)` lies inside one page of one
+    /// exec-permitted mapping, no watch area touches that page, and the
+    /// text is immune to stores from *inside* a running block — not
+    /// user-writable (a store could rewrite instructions the block
+    /// pre-validated) and not shared (another mapping of the object could
+    /// do the same). `None` means "do not trace". `/proc` writes
+    /// (breakpoint plants) remain possible; they move the page epoch
+    /// between dispatches, which is enough because host-side writes never
+    /// interleave with a running quantum.
+    pub fn sblock_slot(&self, addr: u64, len: u64) -> Option<(usize, u64)> {
         let len = len.max(1);
         let last = addr.checked_add(len - 1)?;
         let vpage = addr / PAGE_SIZE;
@@ -284,7 +290,7 @@ impl AddressSpace {
         }
         let i = self.find_idx(addr)?;
         let m = &self.maps[i];
-        if !m.prot.exec || last >= m.end() {
+        if !m.prot.exec || m.prot.write || m.flags.shared || last >= m.end() {
             return None;
         }
         let page_base = vpage * PAGE_SIZE;
@@ -292,23 +298,6 @@ impl AddressSpace {
             return None;
         }
         Some((i, m.page_epoch(vpage - m.base / PAGE_SIZE)))
-    }
-
-    /// Resolves a superblock-eligible slot: like
-    /// [`AddressSpace::exec_slot`], but additionally requires the text to
-    /// be immune to stores from *inside* a running block — not
-    /// user-writable (a store could rewrite instructions the block
-    /// pre-validated) and not shared (another mapping of the object could
-    /// do the same). `/proc` writes (breakpoint plants) remain possible;
-    /// they move the page epoch between dispatches, which is enough
-    /// because host-side writes never interleave with a running quantum.
-    pub fn sblock_slot(&self, addr: u64, len: u64) -> Option<(usize, u64)> {
-        let (i, epoch) = self.exec_slot(addr, len)?;
-        let m = &self.maps[i];
-        if m.prot.write || m.flags.shared {
-            return None;
-        }
-        Some((i, epoch))
     }
 
     /// Lends the current contents of virtual page `vpage` of mapping
@@ -787,13 +776,19 @@ impl AddressSpace {
         self.bump_gen();
     }
 
-    /// Removes watched areas exactly matching `base`/`len`. Returns how
-    /// many were removed.
-    pub fn remove_watch(&mut self, base: u64, len: u64) -> usize {
+    /// Removes every watched area starting at `base` (the `/proc` rule:
+    /// a zero-size `PIOCSWATCH` names an area by its address alone).
+    /// Returns how many were removed. Removing one moves the generation,
+    /// so lines filled while the area existed stop running the watch
+    /// screen.
+    pub fn remove_watch(&mut self, base: u64) -> usize {
         let before = self.watchpoints.len();
-        self.watchpoints.retain(|w| !(w.base == base && w.len == len));
-        self.bump_gen();
-        before - self.watchpoints.len()
+        self.watchpoints.retain(|w| w.base != base);
+        let removed = before - self.watchpoints.len();
+        if removed > 0 {
+            self.bump_gen();
+        }
+        removed
     }
 
     /// Reads bytes with kernel privilege: protections and watchpoints are
@@ -987,8 +982,8 @@ impl AddressSpace {
                         let written = frame.clone();
                         if m.prot.exec {
                             // Self-modifying code through a writable
-                            // text page: the decoded-instruction cache
-                            // must see the page move.
+                            // text page moves the page epoch, as every
+                            // write into text does.
                             m.bump_page_epoch(rel_page);
                             self.page_epoch_bumps += 1;
                         }
@@ -1355,10 +1350,15 @@ mod tests {
     fn remove_watch_by_range() {
         let (mut a, _s) = setup();
         a.add_watch(WatchArea { base: 0x10, len: 4, flags: WatchFlags::write_only() });
+        a.add_watch(WatchArea { base: 0x10, len: 8, flags: WatchFlags::read_write() });
         a.add_watch(WatchArea { base: 0x20, len: 4, flags: WatchFlags::write_only() });
-        assert_eq!(a.remove_watch(0x10, 4), 1);
+        let gen = a.generation();
+        assert_eq!(a.remove_watch(0x10), 2, "every area at the address goes");
         assert_eq!(a.watchpoints.len(), 1);
-        assert_eq!(a.remove_watch(0x999, 4), 0);
+        assert_ne!(a.generation(), gen, "a removal must move the generation");
+        let gen = a.generation();
+        assert_eq!(a.remove_watch(0x999), 0);
+        assert_eq!(a.generation(), gen, "removing nothing moved the generation");
     }
 
     #[test]
@@ -1633,8 +1633,8 @@ mod tests {
         let obj = s.alloc_file(1, 1, "/bin/prog", &[7u8; 2 * PAGE_SIZE as usize]);
         a.map_fixed(0x10000, 2 * PAGE_SIZE, Prot::RX, MapFlags::default(), obj, 0, SegName::Text)
             .expect("map");
-        let (i0, e0) = a.exec_slot(0x10000, 8).expect("slot 0");
-        let (i1, e1) = a.exec_slot(0x10000 + PAGE_SIZE, 8).expect("slot 1");
+        let (i0, e0) = a.sblock_slot(0x10000, 8).expect("slot 0");
+        let (i1, e1) = a.sblock_slot(0x10000 + PAGE_SIZE, 8).expect("slot 1");
         assert_eq!((i0, i1), (0, 0));
         // Plant into page 0 only.
         a.kernel_write(&mut s, 0x10010, &[0xCC]).expect("plant");
@@ -1658,7 +1658,6 @@ mod tests {
         assert!(a.sblock_slot(0x10000, 8).is_some(), "plain text refused");
         assert!(a.sblock_slot(0x20000, 8).is_none(), "writable text accepted");
         assert!(a.sblock_slot(0x30000, 8).is_none(), "shared text accepted");
-        assert!(a.exec_slot(0x20000, 8).is_some(), "icache still allows writable text");
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! * E5d — the readiness-loop wire server must scale 1 → 1000 sessions,
 //!   keep every queue under its cap under the adversarial-client mix,
 //!   and replay deterministically, with every point pinned;
-//! * E13 — the execution fast path (software TLB + decoded-instruction
-//!   cache + superblock engine) must retire hot-loop instructions at
-//!   ≥ 2× the slow-path rate;
+//! * E13 — the execution fast path (software TLB + superblock engine)
+//!   must retire hot-loop instructions at ≥ 2× the slow-path rate;
 //! * E14 — record/replay must be near-free while recording and
 //!   snapshot-cheap while travelling;
 //! * E15 — live migration over the adversarial wire must cost only
@@ -133,7 +132,7 @@ fn wire_server_scales_to_a_thousand_sessions() {
 fn fast_path_doubles_hot_loop_throughput() {
     const TICKS: u64 = 4000;
     const REPS: usize = 3;
-    // spin: store-free jump loop, pure icache. watched: two stores per
+    // spin: store-free jump loop, pure superblocks. watched: two stores per
     // iteration, exercises the dTLB too.
     let (spin_off, spin_on) = bench_support::fast_path_pair("/bin/spin", TICKS, REPS);
     let (watched_off, watched_on) = bench_support::fast_path_pair("/bin/watched", TICKS, REPS);
@@ -147,8 +146,7 @@ fn fast_path_doubles_hot_loop_throughput() {
     // The disabled leg reports dark caches; the enabled leg is hot.
     // Almost all hot-loop instructions must retire inside superblock
     // dispatches (block execution bypasses per-instruction fetch, so
-    // superblock coverage is the hot-path gate the icache hit rate used
-    // to be).
+    // superblock coverage is the hot-path gate).
     assert_eq!((spin_off.tlb_hits, spin_off.sblock_insns), (0, 0), "{spin_off:?}");
     assert!(spin_on.sblock_coverage() > 0.99, "spin superblocks cold: {spin_on:?}");
     assert!(watched_on.sblock_coverage() > 0.99, "watched superblocks cold: {watched_on:?}");

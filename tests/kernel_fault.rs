@@ -535,7 +535,7 @@ fn e12_fault_matrix_sweep() {
 }
 
 /// The execution fast path's differential oracle, fault-suite half:
-/// with the software TLB and decoded-instruction cache forced off,
+/// with the software TLB and superblocks forced off,
 /// every seed of the kernel fault schedule must reproduce the
 /// fast-path-enabled transcript and injection counters byte for byte.
 /// The caches may only change *when* work happens, never *what*

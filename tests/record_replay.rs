@@ -379,10 +379,10 @@ fn recorded_rec_stats_calls_replay_and_resume() {
     }
 }
 
-/// A snapshot clones every LWP, so caches must cost nothing until used:
-/// after a recorded `sdb` session the hosted processes' LWPs, live and
-/// in every banked snapshot, still own no cache table, while the
-/// target's, which ran guest code, do.
+/// A snapshot clones every LWP, so the superblock cache must cost
+/// nothing until used: after a recorded `sdb` session the hosted
+/// processes' LWPs, live and in every banked snapshot, still own no
+/// table, while the target's, which ran guest code, does.
 #[test]
 fn hosted_lwp_caches_stay_cold_through_a_recorded_session() {
     let mut sys = tools::boot_demo_cfg(SimConfig::standard().record(true).snapshot_every(8));
@@ -396,13 +396,9 @@ fn hosted_lwp_caches_stay_cold_through_a_recorded_session() {
         for p in k.procs.values() {
             for l in &p.lwps {
                 if p.hosted {
-                    assert!(
-                        l.icache.is_cold() && l.sblocks.is_cold(),
-                        "hosted pid {} warmed",
-                        p.pid
-                    );
+                    assert!(l.sblocks.is_cold(), "hosted pid {} warmed", p.pid);
                 } else if live && p.fname == "ticker" {
-                    assert!(!l.icache.is_cold() && !l.sblocks.is_cold(), "the target stayed cold");
+                    assert!(!l.sblocks.is_cold(), "the target stayed cold");
                 }
             }
         }
@@ -415,9 +411,9 @@ fn hosted_lwp_caches_stay_cold_through_a_recorded_session() {
     }
 }
 
-/// `exec` reserves the decode tables of the LWP it loads a guest image
-/// into, before that LWP has fetched anything, so a guest's tables are
-/// not taken mid-run; the reserved tables hold nothing and count
+/// `exec` reserves the superblock table of the LWP it loads a guest
+/// image into, before that LWP has fetched anything, so a guest's table
+/// is not taken mid-run; the reserved table holds nothing and counts
 /// nothing. The hosted parent, which never execs, still owns none.
 #[test]
 fn exec_reserves_guest_tables_and_hosted_ones_stay_cold() {
@@ -426,11 +422,10 @@ fn exec_reserves_guest_tables_and_hosted_ones_stay_cold() {
     let pid = sys.spawn_program(ctl, "/bin/ticker", &["ticker"]).expect("spawn");
     let guest = &sys.kernel.procs[&pid.0].lwps[0];
     assert_eq!(guest.insns, 0, "the guest ran before the check");
-    assert!(!guest.icache.is_cold() && !guest.sblocks.is_cold(), "exec left the guest cold");
-    assert_eq!(guest.icache.stats(), isa::InsnCacheStats::default());
+    assert!(!guest.sblocks.is_cold(), "exec left the guest cold");
     assert_eq!(guest.sblocks.stats(), isa::SBlockStats::default());
     for l in &sys.kernel.procs[&ctl.0].lwps {
-        assert!(l.icache.is_cold() && l.sblocks.is_cold(), "the hosted parent warmed");
+        assert!(l.sblocks.is_cold(), "the hosted parent warmed");
     }
 }
 

@@ -203,7 +203,7 @@ fn fault_oracle_holds_for_32_seeds() {
 }
 
 /// The execution fast path's differential oracle, wire-suite half:
-/// forcing the software TLB and decoded-instruction cache off must
+/// forcing the software TLB and superblocks off must
 /// reproduce every seed's transcript, ack/timeout counts and wire
 /// counters bit for bit — the caches must not change what any guest
 /// instruction or wire frame does, only how fast it happens.
