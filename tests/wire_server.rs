@@ -425,23 +425,13 @@ fn wire_fingerprint_is_pinned() {
     );
     let k = &mut sys.kernel;
     let mut folded = Vec::new();
-    let mut fold = |tag: &str, r: Result<Vec<u8>, Errno>| {
-        folded.extend_from_slice(tag.as_bytes());
-        match r {
-            Ok(b) => {
-                folded.extend_from_slice(&(b.len() as u64).to_le_bytes());
-                folded.extend_from_slice(&b);
-            }
-            Err(e) => folded.extend_from_slice(&e.to_wire().to_le_bytes()),
-        }
-    };
     for h in 0..6u64 {
         let c = fs.client();
         let mut rng = XorShift::new(seed ^ h.wrapping_mul(0x9E37_79B9));
         for _ in 0..3 {
             let pid = targets[rng.below(targets.len() as u64) as usize];
             let file = files[rng.below(files.len() as u64) as usize];
-            fold("chain", session_read(&c, k, ctl, pid, file));
+            fold(&mut folded, "chain", session_read(&c, k, ctl, pid, file));
         }
         // Pipelined: four reads of one open file in flight at once.
         let pid = targets[rng.below(targets.len() as u64) as usize];
@@ -458,6 +448,7 @@ fn wire_fingerprint_is_pinned() {
                     (0..4u64).map(|i| c.submit_read(ctl, node, tok, i * 16, 64)).collect();
                 for fut in futs {
                     fold(
+                        &mut folded,
                         "pipe",
                         c.wait(k, fut).map(|r| match r {
                             RemoteRead::Data(b) => b,
@@ -466,9 +457,9 @@ fn wire_fingerprint_is_pinned() {
                     );
                 }
                 let closed = c.wait(k, c.submit_close(ctl, node, tok, OFlags::rdonly()));
-                fold("close", closed.map(|()| Vec::new()));
+                fold(&mut folded, "close", closed.map(|()| Vec::new()));
             }
-            Err(e) => fold("open", Err(e)),
+            Err(e) => fold(&mut folded, "open", Err(e)),
         }
     }
     let stats = fs.stats();
@@ -479,4 +470,185 @@ fn wire_fingerprint_is_pinned() {
     assert!(stats.checksum_rejects > 0 && stats.retries > 0 && stats.dedup_hits > 0);
     assert!(stats.floods > 0 && stats.churn_events > 0 && stats.stale_replays > 0);
     assert_eq!(digest, PINNED, "the wire's observable behaviour moved");
+}
+
+/// Appends one labelled outcome to a fingerprint transcript: the
+/// label, then the reply's length and bytes or the errno's wire code.
+fn fold(out: &mut Vec<u8>, label: &str, r: Result<Vec<u8>, Errno>) {
+    out.extend_from_slice(label.as_bytes());
+    match r {
+        Ok(b) => {
+            out.extend_from_slice(&(b.len() as u64).to_le_bytes());
+            out.extend_from_slice(&b);
+        }
+        Err(e) => out.extend_from_slice(&e.to_wire().to_le_bytes()),
+    }
+}
+
+/// The blocking mount face's fixed-answer fingerprint. Session 0 is
+/// what every mounted remote `/proc` uses, so this pins it the way
+/// `wire_fingerprint_is_pinned` pins the pipelined sessions: one seeded
+/// faulty, adversarial wire serving the flat `/proc` with its ioctl
+/// table, driven through every `FileSystem` operation — lookup,
+/// getattr, readdir, open, read, a poke (the flat interface's control
+/// write), a crossing ioctl, the locally answered `PIOCWIRESTATS`, poll
+/// and close — while a pipelined bystander session shares the wire.
+/// Every reply, the final clock and every `WireStats` field fold into
+/// one FNV-1a digest.
+#[test]
+fn remote_mount_fingerprint_is_pinned() {
+    const PINNED: u64 = 0xbb83_9b0c_614f_5889;
+    let seed = 0x0B10_C4ED_0F5E;
+    let (mut sys, ctl, targets) = boot_targets(3);
+    let mut fs = RemoteFs::new(Box::new(ProcFs::new()))
+        .with_ioctl_table(procfs::ioctl::wire_table())
+        .with_config(
+            &WireConfig::faulty(seed, FaultRates::uniform(60))
+                .adversarial(AdversaryRates::uniform(150))
+                .queue_caps(4096, 4096),
+        );
+    let bystander = fs.client();
+    let k = &mut sys.kernel;
+    let cred = Cred::superuser();
+    let text = isa::asm::DEFAULT_TEXT_BASE;
+    let mut out = Vec::new();
+    fold(&mut out, "root", fs.readdir(k, ctl, NodeId(0)).map(|d| format!("{d:?}").into_bytes()));
+    for round in 0..4u64 {
+        for &pid in &targets {
+            // Pipelined traffic in flight while the mount face works.
+            let side: Vec<OpFuture<NodeId>> = (0..2)
+                .map(|_| bystander.submit_lookup(ctl, NodeId(0), &pid.0.to_string()))
+                .collect();
+            let name = format!("{:05}", pid.0);
+            let node = fs.lookup(k, ctl, NodeId(0), &name);
+            fold(&mut out, "lookup", node.map(|n| n.0.to_le_bytes().to_vec()));
+            let node = node.unwrap_or(NodeId(u64::from(pid.0) + 1));
+            fold(&mut out, "attr", fs.getattr(k, node).map(|m| format!("{m:?}").into_bytes()));
+            let tok = fs.open(k, ctl, node, OFlags::rdwr(), &cred);
+            fold(&mut out, "open", tok.map(|t| t.0.to_le_bytes().to_vec()));
+            let tok = tok.unwrap_or(vfs::OpenToken(0));
+            let mut buf = [0u8; 16];
+            let off = text + round * 16;
+            let read = fs.read(k, ctl, node, tok, off, &mut buf);
+            fold(&mut out, "read", read.map(|r| format!("{r:?} {buf:?}").into_bytes()));
+            let poke = fs.write(k, ctl, node, tok, off, &buf);
+            fold(&mut out, "poke", poke.map(|r| format!("{r:?}").into_bytes()));
+            let status = fs.ioctl(k, ctl, node, tok, PIOCSTATUS, &[]);
+            fold(&mut out, "ioctl", status.map(|r| format!("{r:?}").into_bytes()));
+            let local = fs.ioctl(k, ctl, node, tok, vfs::remote::PIOCWIRESTATS, &[]);
+            fold(&mut out, "wirestats", local.map(|r| format!("{r:?}").into_bytes()));
+            let poll = fs.poll(k, node, tok);
+            fold(&mut out, "poll", poll.map(|p| format!("{p:?}").into_bytes()));
+            fs.close(k, ctl, node, tok, OFlags::rdwr());
+            for fut in side {
+                let got = bystander.wait(k, fut);
+                fold(&mut out, "side", got.map(|n| n.0.to_le_bytes().to_vec()));
+            }
+        }
+    }
+    let stats = fs.stats();
+    out.extend_from_slice(&fs.ticks().to_le_bytes());
+    out.extend_from_slice(&stats.to_bytes());
+    let digest = ksim::record::fnv(&out);
+    // The run reaches the recovery paths the fingerprint is meant to pin.
+    assert!(stats.checksum_rejects > 0 && stats.retries > 0 && stats.dedup_hits > 0);
+    assert_eq!(digest, PINNED, "the mount face's observable behaviour moved: {digest:#x}");
+}
+
+/// A wire snapshot continues exactly where its wire left off. One
+/// faulted, adversarial wire runs until it holds in-flight pipelined
+/// ops, queued events, a down link and a non-empty dedup window; its
+/// snapshot is restored (through `FileSystem::wire_restore`) into a
+/// second wire built from the same config with the same number of
+/// clients. The same remaining ops then run on both, and their
+/// transcripts, counters and clocks must agree. Before the snapshot
+/// the only writes put back the bytes a file already holds, so both
+/// served file systems start the remainder in the same state.
+#[test]
+fn a_restored_wire_snapshot_continues_identically() {
+    const LOG: &[u8] = b"0123456789abcdef";
+    let p = Pid(1);
+    let cred = Cred::superuser();
+    let cfg = WireConfig::faulty(0x5A9_5407, FaultRates::uniform(50))
+        .adversarial(AdversaryRates {
+            slow_reader: 250,
+            flood: 150,
+            mid_frame: 100,
+            stale_replay: 500,
+            ..AdversaryRates::default()
+        })
+        .queue_caps(2048, 2048);
+    let fresh = || {
+        let mut fs = vfs::MemFs::<()>::new();
+        fs.install("/log", 0o644, 0, 0, LOG.to_vec());
+        let r = RemoteFs::new(Box::new(fs)).with_config(&cfg);
+        let clients: Vec<RemoteClient<()>> = (0..3).map(|_| r.client()).collect();
+        (r, clients)
+    };
+
+    let (mut a, ca) = fresh();
+    let log = a.lookup(&mut (), p, NodeId(0), "log").expect("log");
+    let tok = a.open(&mut (), p, log, OFlags::rdwr(), &cred).expect("open enters the window");
+    let mut writes: Vec<OpFuture<IoReply>> = Vec::new();
+    let mut reads: Vec<OpFuture<RemoteRead>> = Vec::new();
+    for (i, c) in ca.iter().enumerate() {
+        for off in 0..4 {
+            let at = i * 4 + off;
+            writes.push(c.submit_write(p, log, tok, at as u64, &LOG[at..=at]));
+            reads.push(c.submit_read(p, log, tok, at as u64, 4));
+        }
+    }
+    for _ in 0..12 {
+        assert!(ca[0].pump(&mut ()), "the wire went idle before the snapshot");
+    }
+    ca[1].disconnect();
+    assert!(ca[0].in_flight() > 0, "no pipelined op is in flight at the snapshot");
+    let down = ca[1].poll_session();
+    assert!(!down.writable && !down.hangup, "client 1's link is not down");
+    // The unresolved futures are dropped on both sides alike: their
+    // completions stay in the in-flight table, which the snapshot carries.
+    drop((writes, reads));
+    let snap = a.wire_snapshot().expect("a remote mount snapshots its wire");
+
+    let (mut b, cb) = fresh();
+    assert!(b.wire_restore(&snap), "a remote mount restores its wire");
+
+    let remainder = |r: &mut RemoteFs<()>, cs: &[RemoteClient<()>]| -> Vec<u8> {
+        let mut out = Vec::new();
+        // The undrained completion list is host-side: a restore rebuilds
+        // it from the in-flight table, not in resolution order.
+        let _ = cs[0].take_completed();
+        cs[1].reconnect(&mut ());
+        let mut futs: Vec<OpFuture<IoReply>> = Vec::new();
+        for (i, c) in cs.iter().enumerate() {
+            futs.push(c.submit_write(p, log, tok, 16 + i as u64, &[b'A' + i as u8]));
+        }
+        for round in 0..4u64 {
+            let mut buf = [0u8; 24];
+            let got = r.read(&mut (), p, log, tok, round, &mut buf);
+            fold(&mut out, "read", got.map(|g| format!("{g:?} {buf:?}").into_bytes()));
+            let put = r.write(&mut (), p, log, tok, 20 + round, b"z");
+            fold(&mut out, "write", put.map(|g| format!("{g:?}").into_bytes()));
+            fold(&mut out, "done", Ok(format!("{:?}", cs[0].take_completed()).into_bytes()));
+        }
+        for (i, fut) in futs.into_iter().enumerate() {
+            let got = cs[i].wait(&mut (), fut);
+            fold(&mut out, "pipe", got.map(|g| format!("{g:?}").into_bytes()));
+        }
+        while cs[0].pump(&mut ()) {}
+        fold(&mut out, "done", Ok(format!("{:?}", cs[0].take_completed()).into_bytes()));
+        out.extend_from_slice(&(cs[0].in_flight() as u64).to_le_bytes());
+        for c in cs {
+            out.extend_from_slice(format!("{:?}", c.poll_session()).as_bytes());
+        }
+        out.extend_from_slice(&r.ticks().to_le_bytes());
+        out.extend_from_slice(&r.stats().to_bytes());
+        out
+    };
+    let (ta, tb) = (remainder(&mut a, &ca), remainder(&mut b, &cb));
+    assert_eq!(a.stats(), b.stats(), "the restored wire's counters diverged");
+    assert_eq!(a.ticks(), b.ticks(), "the restored wire's clock diverged");
+    assert!(ta == tb, "the restored wire's transcript diverged");
+    let st = a.stats();
+    assert!(st.dedup_hits > 0 && st.retries > 0 && st.churn_events > 0);
 }
